@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import model
 from .model import (
     BitErrorRate,
     ForwarderEntry,
@@ -47,17 +48,7 @@ class DisconnectedNodeError(ValueError):
 def _ber_value(p: float | BitErrorRate) -> float:
     if isinstance(p, BitErrorRate):
         return p.p
-    p = float(p)
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"bit error probability must be in [0, 1], got {p!r}")
-    return p
-
-
-def _probability(name: str, value: float) -> float:
-    value = float(value)
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return value
+    return model._probability("bit error probability", p)
 
 
 def _survival_power(p: float, n: int) -> float:
@@ -92,7 +83,7 @@ def failure_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: float
     the failure 0 by convention; callers needing "no transmission at all"
     semantics must gate on channel selection themselves.
     """
-    p_sw = _probability("p_sw", p_sw)
+    p_sw = model._probability("p_sw", p_sw)
     return p_sw * preamble_miss_probability(p, frame) * data_miss_probability(p, frame)
 
 
@@ -111,7 +102,7 @@ def reception_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: flo
     for reception while suppression follows link_success's complement.
     """
     p = _ber_value(p)
-    p_sw = _probability("p_sw", p_sw)
+    p_sw = model._probability("p_sw", p_sw)
     return (
         p_sw
         * (1.0 - preamble_miss_probability(p, frame))
@@ -119,12 +110,18 @@ def reception_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: flo
     )
 
 
-def _ordered_probs_costs(forwarder_set: ForwarderSet) -> tuple[list[float], list[float]]:
+def _election(forwarder_set: ForwarderSet) -> tuple[float, float]:
+    """One transmission to a non-empty set, members in canonical order:
+    the probability that no member receives, and the sum over members of
+    p_b * Y_b * prod_(earlier r) (1 - p_r)."""
     if len(forwarder_set) == 0:
         raise ValueError("empty forwarder set")
-    probs = [e.p_link for e in forwarder_set]
-    costs = [e.remaining_cost for e in forwarder_set]
-    return probs, costs
+    all_miss = 1.0
+    elected_mass = 0.0
+    for e in forwarder_set:
+        elected_mass += e.p_link * e.remaining_cost * all_miss
+        all_miss *= 1.0 - e.p_link
+    return all_miss, elected_mass
 
 
 def total_path_cost(forwarder_set: ForwarderSet) -> float:
@@ -135,12 +132,7 @@ def total_path_cost(forwarder_set: ForwarderSet) -> float:
     remaining cost of the elected member - the first receiver in canonical
     order - conditioned on somebody receiving.
     """
-    probs, costs = _ordered_probs_costs(forwarder_set)
-    all_miss = 1.0
-    elected_mass = 0.0
-    for p, y in zip(probs, costs):
-        elected_mass += y * p * all_miss
-        all_miss *= 1.0 - p
+    all_miss, elected_mass = _election(forwarder_set)
     p_some = 1.0 - all_miss
     if p_some <= 0.0:
         raise UnreachableForwarderSetError(
@@ -158,13 +150,7 @@ def coordination_overhead(forwarder_set: ForwarderSet) -> float:
     with every added member; for N identical members it is
     Y * (1 - (1 - p)^N).
     """
-    probs, costs = _ordered_probs_costs(forwarder_set)
-    all_miss = 1.0
-    acc = 0.0
-    for p, y in zip(probs, costs):
-        acc += p * y * all_miss
-        all_miss *= 1.0 - p
-    return acc
+    return _election(forwarder_set)[1]
 
 
 @dataclass(frozen=True)
@@ -252,7 +238,7 @@ def set_failure_probability(forwarder_set: ForwarderSet) -> float:
 def expected_retransmissions(failure: float) -> float:
     """Expected retransmissions beyond the first attempt when each attempt
     independently fails with probability ``failure``: f / (1 - f)."""
-    failure = _probability("failure", failure)
+    failure = model._probability("failure", failure)
     if failure >= 1.0:
         raise ValueError("failure probability 1 never succeeds")
     return failure / (1.0 - failure)
@@ -261,8 +247,5 @@ def expected_retransmissions(failure: float) -> float:
 def potential_bandwidth(p_acc: float, bandwidth_hz: float) -> float:
     """Opportunistically usable bandwidth of a channel: access probability
     times nominal bandwidth."""
-    p_acc = _probability("p_acc", p_acc)
-    bandwidth_hz = float(bandwidth_hz)
-    if not math.isfinite(bandwidth_hz) or bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth_hz must be positive, got {bandwidth_hz!r}")
-    return p_acc * bandwidth_hz
+    p_acc = model._probability("p_acc", p_acc)
+    return p_acc * model._positive_real("bandwidth_hz", bandwidth_hz)

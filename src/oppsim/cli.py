@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
-import math
 import sys
-from itertools import product
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import yaml
 
-from . import analysis, engine, oracle, topology as topo
+from . import analysis, engine, topology as topo, verification
 from .model import (
     BitErrorRate,
     Channel,
@@ -35,15 +35,9 @@ from .model import (
     Topology,
     validate,
 )
+from .verification import DEFAULT_SEED, DEFAULT_TRIALS
 
 RETRY_CONVENTION = "excludes-first-attempt"
-
-DEFAULT_VERIFY_SIZES = (1, 2, 3, 4)
-DEFAULT_VERIFY_PROBS = (0.0, 0.25, 0.5, 0.75, 1.0)
-DEFAULT_VERIFY_COSTS = (0.0, 1.0, 2.5)
-SINGLE_HOP_TOLERANCE = 1e-12
-COMPOSITION_TOLERANCE = 1e-12
-FRAME_SIGMA_TOLERANCE = 3.0
 
 
 class ConfigError(ValueError):
@@ -57,8 +51,6 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return format(value, ".12g")
     return str(value)
 
@@ -89,161 +81,190 @@ def _section(cfg: dict, name: str) -> dict:
     return value
 
 
-def _opt(section: dict, sec_name: str, key: str, default, kind):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{sec_name}.{key} must be a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{sec_name}.{key} must be an integer, got {value!r}")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{sec_name}.{key} must be a boolean, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{sec_name}.{key} must be a string, got {value!r}")
-        return value
-    return value
+# A field table maps each key of a config section to the kind of value it
+# takes: one of these types, or ``list`` for a non-empty list of numbers,
+# or ``tuple`` for a pair of numbers.
+# kind -> (accepted Python types, how an error names them)
+_KINDS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "a boolean"),
+    str: (str, "a string"),
+    dict: (dict, "a mapping"),
+    NodeId: ((int, str), "a node id or null"),
+}
+
+
+def _checked(name: str, value, kind: type):
+    if kind in (list, tuple):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list of numbers")
+        if kind is tuple and len(value) != 2:
+            raise ConfigError(f"{name} must have exactly 2 entries")
+        return tuple(_checked(f"{name}[{i}]", v, float) for i, v in enumerate(value))
+    accepted, description = _KINDS[kind]
+    # bool is a subclass of int: only a boolean field takes one
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be {description}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _read(section: dict, where: str, table: dict[str, type]) -> dict:
+    """The checked values of the keys ``section`` sets.  An absent or null
+    key is left out, so the caller's default applies."""
+    return {
+        key: _checked(f"{where}.{key}", section[key], kind)
+        for key, kind in table.items()
+        if section.get(key) is not None
+    }
+
+
+def _defaults(target, table: dict[str, type]) -> dict:
+    """The defaults that ``target``'s parameters give the table's keys."""
+    params = inspect.signature(target).parameters
+    return {
+        key: params[key].default
+        for key in table
+        if params[key].default is not inspect.Parameter.empty
+    }
+
+
+FRAME_FIELDS = {f.name: int for f in fields(FrameParams)}
+CHANNEL_FIELDS = {f.name: float for f in fields(Channel)}
+SIM_FIELDS = {
+    "mode": str,
+    "replications": int,
+    "seed": int,
+    "source": NodeId,
+    "max_hops": int,
+    "election_slots": int,
+    "suppression": bool,
+}
+# the CLI runs 1000 receiver-based replications unless told otherwise;
+# every other sim key defaults as engine.SimConfig does
+SIM_DEFAULTS = {
+    **_defaults(engine.SimConfig, SIM_FIELDS),
+    "mode": "receiver_based",
+    "replications": 1000,
+}
+BER_KINDS = {
+    "fixed": (topo.FixedBer, {"p": float}),
+    "distance": (topo.DistanceBer, {"p_min": float, "p_max": float}),
+}
+
+
+def _kind_args(section: dict, where: str, kinds: dict, default_kind: str | None = None):
+    """The builder that ``section``'s kind names and its keyword arguments:
+    the section's values over the builder's own defaults."""
+    kind = _read(section, where, {"kind": str}).get("kind", default_kind)
+    if kind is None:
+        raise ConfigError(f"{where}.kind is required")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {where}.kind {kind!r}")
+    builder, table = kinds[kind]
+    args = {**_defaults(builder, table), **_read(section, where, table)}
+    missing = [key for key in table if key not in args]
+    if missing:
+        raise ConfigError(f"{where} kind {kind!r} needs {' and '.join(missing)}")
+    return builder, args
 
 
 def parse_frame(cfg: dict) -> FrameParams:
-    section = _section(cfg, "frame")
+    values = _read(_section(cfg, "frame"), "frame", FRAME_FIELDS)
     try:
-        return FrameParams(
-            micro_frame_bits=_opt(section, "frame", "micro_frame_bits", 8, int),
-            preamble_frames=_opt(section, "frame", "preamble_frames", 2, int),
-            data_frame_bits=_opt(section, "frame", "data_frame_bits", 100, int),
-        )
+        return replace(topo.DEFAULT_FRAME, **values)
     except ValueError as exc:
         raise ConfigError(f"frame: {exc}") from exc
 
 
 def parse_channel(cfg: dict) -> ChannelModel:
     section = _section(cfg, "channel")
-    raw_channels = section.get("channels", [{"p_sw": 1.0, "p_acc": 0.5, "bandwidth_hz": 2e6}])
-    if not isinstance(raw_channels, list) or not raw_channels:
-        raise ConfigError("channel.channels must be a non-empty list")
-    channels = []
-    for i, entry in enumerate(raw_channels):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"channel.channels[{i}] must be a mapping")
-        try:
-            channels.append(
-                Channel(
-                    p_sw=_opt(entry, f"channel.channels[{i}]", "p_sw", 1.0, float),
-                    p_acc=_opt(entry, f"channel.channels[{i}]", "p_acc", 0.5, float),
-                    bandwidth_hz=_opt(entry, f"channel.channels[{i}]", "bandwidth_hz", 2e6, float),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"channel.channels[{i}]: {exc}") from exc
-    noise = _opt(section, "channel", "noise_power", 1e-9, float)
+    raw_channels = section.get("channels")
+    channels = topo.DEFAULT_CHANNEL.channels
+    if raw_channels is not None:
+        if not isinstance(raw_channels, list) or not raw_channels:
+            raise ConfigError("channel.channels must be a non-empty list")
+        channels = []
+        for i, entry in enumerate(raw_channels):
+            where = f"channel.channels[{i}]"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{where} must be a mapping")
+            values = _read(entry, where, CHANNEL_FIELDS)
+            try:
+                channels.append(replace(topo.DEFAULT_CHANNEL.evaluated, **values))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+    values = _read(section, "channel", {"noise_power": float})
     try:
-        return ChannelModel(channels=tuple(channels), noise_power=noise)
+        return replace(topo.DEFAULT_CHANNEL, channels=tuple(channels), **values)
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from exc
 
 
-def _float_list(section: dict, sec_name: str, key: str, expected_len: int | None = None):
-    value = section.get(key)
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{sec_name}.{key} must be a non-empty list of numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{sec_name}.{key} must contain numbers, got {v!r}")
-        out.append(float(v))
-    if expected_len is not None and len(out) != expected_len:
-        raise ConfigError(f"{sec_name}.{key} must have exactly {expected_len} entries")
-    return out
+def _generated_topology(
+    nodes: int,
+    area_side: float = 100.0,
+    radio_range: float = 30.0,
+    seed: int = 1,
+    ber: dict | None = None,
+    gateway_position: tuple[float, float] | None = None,
+    *,
+    frame: FrameParams,
+    channel: ChannelModel,
+) -> Topology:
+    ber_model, args = _kind_args(ber or {}, "topology.ber", BER_KINDS, default_kind="fixed")
+    gen = topo.GeneratorConfig(
+        nodes=nodes,
+        area_side=area_side,
+        radio_range=radio_range,
+        ber_model=ber_model(**args),
+        frame=frame,
+        channel=channel,
+        gateway_position=gateway_position,
+    )
+    return topo.generate(gen, seed=seed)
+
+
+def _topology_kinds() -> dict:
+    # built on each call, so that a builder is looked up when a config is
+    # read and a replaced module attribute takes effect
+    return {
+        "chain": (topo.chain_topology, {"link_success": list}),
+        "star": (
+            topo.star_topology,
+            {"forwarders": int, "p_link": float, "remaining_cost": float, "intercandidate_ber": float},
+        ),
+        "diamond": (
+            topo.diamond_topology,
+            {"source_ber": tuple, "relay_ber": tuple, "intercandidate_ber": float},
+        ),
+        "witness": (topo.witness_topology, {"far_cost": float}),
+        "generated": (
+            _generated_topology,
+            {
+                "nodes": int,
+                "area_side": float,
+                "radio_range": float,
+                "seed": int,
+                "ber": dict,
+                "gateway_position": tuple,
+            },
+        ),
+        "file": (read_topology_file, {"path": str}),
+    }
 
 
 def build_topology(cfg: dict, frame: FrameParams, channel: ChannelModel) -> Topology:
     section = _section(cfg, "topology")
     if not section:
         raise ConfigError("missing 'topology' section")
-    kind = _opt(section, "topology", "kind", None, str)
-    if kind is None:
-        raise ConfigError("topology.kind is required")
+    builder, args = _kind_args(section, "topology", _topology_kinds())
     try:
-        if kind == "chain":
-            return topo.chain_topology(
-                _float_list(section, "topology", "link_success"), frame, channel
-            )
-        if kind == "star":
-            forwarders = _opt(section, "topology", "forwarders", None, int)
-            p_link = _opt(section, "topology", "p_link", None, float)
-            if forwarders is None or p_link is None:
-                raise ConfigError("topology kind 'star' needs forwarders and p_link")
-            return topo.star_topology(
-                forwarders,
-                p_link,
-                remaining_cost=_opt(section, "topology", "remaining_cost", 1.0, float),
-                intercandidate_ber=_opt(section, "topology", "intercandidate_ber", 0.0, float),
-                frame=frame,
-                channel=channel,
-            )
-        if kind == "diamond":
-            return topo.diamond_topology(
-                source_ber=tuple(_float_list(section, "topology", "source_ber", 2))
-                if "source_ber" in section
-                else (0.02, 0.02),
-                relay_ber=tuple(_float_list(section, "topology", "relay_ber", 2))
-                if "relay_ber" in section
-                else (0.01, 0.01),
-                intercandidate_ber=_opt(section, "topology", "intercandidate_ber", 0.0, float),
-                frame=frame,
-                channel=channel,
-            )
-        if kind == "witness":
-            return topo.witness_topology(
-                far_cost=_opt(section, "topology", "far_cost", 3.04, float),
-                frame=frame,
-                channel=channel,
-            )
-        if kind == "generated":
-            ber_cfg = section.get("ber", {"kind": "fixed", "p": 0.01})
-            if not isinstance(ber_cfg, dict):
-                raise ConfigError("topology.ber must be a mapping")
-            ber_kind = ber_cfg.get("kind", "fixed")
-            if ber_kind == "fixed":
-                model = topo.FixedBer(p=_opt(ber_cfg, "topology.ber", "p", 0.01, float))
-            elif ber_kind == "distance":
-                model = topo.DistanceBer(
-                    p_min=_opt(ber_cfg, "topology.ber", "p_min", 0.0, float),
-                    p_max=_opt(ber_cfg, "topology.ber", "p_max", 0.05, float),
-                )
-            else:
-                raise ConfigError(f"unknown topology.ber.kind {ber_kind!r}")
-            position = section.get("gateway_position")
-            if position is not None:
-                position = tuple(_float_list(section, "topology", "gateway_position", 2))
-            gen = topo.GeneratorConfig(
-                nodes=_opt(section, "topology", "nodes", None, int) or 0,
-                area_side=_opt(section, "topology", "area_side", 100.0, float),
-                radio_range=_opt(section, "topology", "radio_range", 30.0, float),
-                ber_model=model,
-                frame=frame,
-                channel=channel,
-                gateway_position=position,
-            )
-            return topo.generate(gen, seed=_opt(section, "topology", "seed", 1, int))
-        if kind == "file":
-            path = _opt(section, "topology", "path", None, str)
-            if path is None:
-                raise ConfigError("topology kind 'file' needs a path")
-            return read_topology_file(path, frame, channel)
+        return builder(**args, frame=frame, channel=channel)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"topology: {exc}") from exc
-    raise ConfigError(f"unknown topology.kind {kind!r}")
 
 
 _MODES = {
@@ -254,22 +275,9 @@ _MODES = {
 
 
 def parse_sim(cfg: dict) -> dict:
-    section = _section(cfg, "sim")
-    mode = _opt(section, "sim", "mode", "receiver_based", str)
-    if mode not in _MODES:
-        raise ConfigError(f"sim.mode must be one of {sorted(_MODES)}, got {mode!r}")
-    source = section.get("source")
-    if source is not None and not isinstance(source, (int, str)):
-        raise ConfigError(f"sim.source must be a node id or null, got {source!r}")
-    params = {
-        "mode": mode,
-        "replications": _opt(section, "sim", "replications", 1000, int),
-        "seed": _opt(section, "sim", "seed", 0, int),
-        "source": source,
-        "max_hops": _opt(section, "sim", "max_hops", 32, int),
-        "election_slots": _opt(section, "sim", "election_slots", 32, int),
-        "suppression": _opt(section, "sim", "suppression", True, bool),
-    }
+    params = {**SIM_DEFAULTS, **_read(_section(cfg, "sim"), "sim", SIM_FIELDS)}
+    if params["mode"] not in _MODES:
+        raise ConfigError(f"sim.mode must be one of {sorted(_MODES)}, got {params['mode']!r}")
     if params["replications"] < 1:
         raise ConfigError("sim.replications must be >= 1")
     if params["seed"] < 0:
@@ -283,17 +291,10 @@ def effective_config(cfg: dict) -> dict:
     frame = parse_frame(cfg)
     channel = parse_channel(cfg)
     out: dict = {
-        "frame": {
-            "micro_frame_bits": frame.micro_frame_bits,
-            "preamble_frames": frame.preamble_frames,
-            "data_frame_bits": frame.data_frame_bits,
-        },
+        "frame": asdict(frame),
         "channel": {
             "noise_power": channel.noise_power,
-            "channels": [
-                {"p_sw": c.p_sw, "p_acc": c.p_acc, "bandwidth_hz": c.bandwidth_hz}
-                for c in channel.channels
-            ],
+            "channels": [asdict(c) for c in channel.channels],
         },
     }
     if "topology" in cfg:
@@ -325,13 +326,18 @@ def format_topology(topology: Topology) -> str:
     for n in topology.nodes:
         x, y = n.position if n.position is not None else (0.0, 0.0)
         lines.append(f"node {n.id} {x!r} {y!r}")
-    seen = set()
-    for a, b in sorted(topology.links, key=lambda k: (str(k[0]), str(k[1]))):
-        if (b, a) in seen:
-            continue
-        seen.add((a, b))
+    for a, b in _undirected_links(topology):
         lines.append(f"link {a} {b} {topology.links[(a, b)].p!r}")
     return "\n".join(lines) + "\n"
+
+
+def _undirected_links(topology: Topology):
+    """Each link once, ordered by the string forms of its ends."""
+    seen = set()
+    for a, b in sorted(topology.links, key=lambda k: (str(k[0]), str(k[1]))):
+        if (b, a) not in seen:
+            seen.add((a, b))
+            yield a, b
 
 
 def write_topology_file(topology: Topology, path: str | Path) -> None:
@@ -417,10 +423,6 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
 # -------------------------------------------------------------- emission --
 
 
-def _provenance(seed: int, digest: str) -> str:
-    return f"seed={seed} config={digest} retransmissions_convention={RETRY_CONVENTION}"
-
-
 def _csv_preamble(seed: int, digest: str) -> list[str]:
     return [
         f"# seed={seed}",
@@ -442,6 +444,11 @@ def _guarded_retransmissions(failure: float) -> float:
     return analysis.expected_retransmissions(failure)
 
 
+def _parsed(cfg: dict) -> tuple[FrameParams, ChannelModel, dict, str]:
+    """The frame, channel and sim sections, and the config digest."""
+    return parse_frame(cfg), parse_channel(cfg), parse_sim(cfg), config_digest(cfg)
+
+
 def _topology_for_run(cfg: dict, frame: FrameParams, channel: ChannelModel) -> Topology:
     built = build_topology(cfg, frame, channel)
     violations = validate(built)
@@ -452,23 +459,12 @@ def _topology_for_run(cfg: dict, frame: FrameParams, channel: ChannelModel) -> T
     return built
 
 
-def _resolve_source(topology_obj: Topology, sim: dict) -> NodeId | None:
-    source = sim["source"]
-    if source is not None:
-        topology_obj.node(source)
-        return source
-    return None
-
-
 # ------------------------------------------------------------- analyze --
 
 
 def cmd_analyze(cfg: dict) -> str:
-    frame = parse_frame(cfg)
-    channel = parse_channel(cfg)
-    sim = parse_sim(cfg)
-    digest = config_digest(cfg)
-    suffix = _provenance(sim["seed"], digest)
+    frame, channel, sim, digest = _parsed(cfg)
+    suffix = f"seed={sim['seed']} config={digest} retransmissions_convention={RETRY_CONVENTION}"
     lines: list[str] = []
 
     explicit = cfg.get("forwarder_sets")
@@ -509,11 +505,7 @@ def cmd_analyze(cfg: dict) -> str:
             f"topology nodes={len(topology_obj.nodes)}"
             f" links={len(topology_obj.links) // 2} gateway={topology_obj.gateway} {suffix}"
         )
-        seen = set()
-        for a, b in sorted(topology_obj.links, key=lambda k: (str(k[0]), str(k[1]))):
-            if (b, a) in seen:
-                continue
-            seen.add((a, b))
+        for a, b in _undirected_links(topology_obj):
             ber = topology_obj.ber(a, b)
             lines.append(
                 f"link a={a} b={b} ber={_fmt(ber)}"
@@ -528,7 +520,7 @@ def cmd_analyze(cfg: dict) -> str:
                 f" cost={_fmt(costs[node.id])}"
             )
             if node.id != topology_obj.gateway:
-                fs = topo.forwarder_set(topology_obj, node.id, costs)
+                fs = analysis.forwarder_entries(topology_obj, node.id, costs)
                 failure = analysis.set_failure_probability(fs)
                 base += (
                     f" overhead={_fmt(analysis.coordination_overhead(fs))}"
@@ -555,32 +547,16 @@ def cmd_analyze(cfg: dict) -> str:
 # ------------------------------------------------------------- simulate --
 
 
-def _sim_config(sim: dict, mode: engine.ProtocolMode, source: NodeId | None) -> engine.SimConfig:
-    return engine.SimConfig(
-        mode=mode,
-        replications=sim["replications"],
-        seed=sim["seed"],
-        source=source,
-        max_hops=sim["max_hops"],
-        election_slots=sim["election_slots"],
-        suppression=sim["suppression"],
-    )
-
-
 def cmd_simulate(cfg: dict) -> str:
-    frame = parse_frame(cfg)
-    channel = parse_channel(cfg)
-    sim = parse_sim(cfg)
-    digest = config_digest(cfg)
+    frame, channel, sim, digest = _parsed(cfg)
     topology_obj = _topology_for_run(cfg, frame, channel)
-    source = _resolve_source(topology_obj, sim)
 
     rows = [
         "mode,replications,pdr,mean_duplicates,mean_transmissions,mean_hops,"
         "empirical_overhead,mean_energy_bits,hop_energy_ratio,seed,config"
     ]
     for mode in _MODES[sim["mode"]]:
-        metrics = engine.run_experiment(topology_obj, _sim_config(sim, mode, source))
+        metrics = engine.run_experiment(topology_obj, engine.SimConfig(**{**sim, "mode": mode}))
         mean_energy = metrics.mean_transmissions * frame.bits_per_transmission
         ratio = metrics.mean_hops / mean_energy if mean_energy > 0 else 0.0
         rows.append(
@@ -611,23 +587,17 @@ _SWEEP_AXES = ("forwarders", "ber", "p_sw", "preamble_frames", "data_frame_bits"
 
 def _swept_topology(
     cfg: dict, frame: FrameParams, channel: ChannelModel, axis: str, value
-) -> tuple[Topology, FrameParams, ChannelModel]:
-    if axis == "preamble_frames":
-        frame = FrameParams(frame.micro_frame_bits, int(value), frame.data_frame_bits)
-    elif axis == "data_frame_bits":
-        frame = FrameParams(frame.micro_frame_bits, frame.preamble_frames, int(value))
+) -> Topology:
+    if axis in ("preamble_frames", "data_frame_bits"):
+        frame = replace(frame, **{axis: int(value)})
     elif axis == "p_sw":
-        first = channel.channels[0]
-        swapped = (Channel(float(value), first.p_acc, first.bandwidth_hz),) + channel.channels[1:]
-        channel = ChannelModel(channels=swapped, noise_power=channel.noise_power)
+        evaluated = replace(channel.evaluated, p_sw=float(value))
+        channel = replace(channel, channels=(evaluated,) + channel.channels[1:])
     built = _topology_for_run(cfg, frame, channel)
     if axis == "ber":
-        ber = BitErrorRate(float(value))
-        links = {key: ber for key in built.links}
-        from dataclasses import replace
-
+        links = dict.fromkeys(built.links, BitErrorRate(float(value)))
         built = topo.compute_ranks(topo.assign_hop_ids(replace(built, links=links)))
-    return built, frame, channel
+    return built
 
 
 def cmd_sweep(cfg: dict) -> str:
@@ -645,49 +615,31 @@ def cmd_sweep(cfg: dict) -> str:
     if not values:
         raise ConfigError("empty sweep: no values to run")
 
-    frame = parse_frame(cfg)
-    channel = parse_channel(cfg)
-    sim = parse_sim(cfg)
-    digest = config_digest(cfg)
+    frame, channel, sim, digest = _parsed(cfg)
     topo_section = _section(cfg, "topology")
 
-    header = [
-        axis,
-        "analytic_overhead",
-        "empirical_overhead",
-        "pdr",
-        "mean_duplicates",
-        "retransmissions",
-        "mean_transmissions",
-        "mode",
-        "seed",
-        "config",
+    rows = [
+        f"{axis},analytic_overhead,empirical_overhead,pdr,mean_duplicates,"
+        "retransmissions,mean_transmissions,mode,seed,config"
     ]
-    rows = [",".join(header)]
     for value in values:
         if axis == "forwarders":
             if topo_section.get("kind") != "star":
                 raise ConfigError("sweeping 'forwarders' requires topology.kind 'star'")
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"forwarder counts must be positive integers, got {value!r}")
-            p_link = _opt(topo_section, "topology", "p_link", None, float)
-            if p_link is None:
-                raise ConfigError("topology kind 'star' needs p_link")
-            remaining = _opt(topo_section, "topology", "remaining_cost", 1.0, float)
-            built = topo.star_topology(
-                value,
-                p_link,
-                remaining_cost=remaining,
-                intercandidate_ber=_opt(topo_section, "topology", "intercandidate_ber", 0.0, float),
-                frame=frame,
-                channel=channel,
+            _, star = _kind_args(
+                {**topo_section, "forwarders": value}, "topology", _topology_kinds()
             )
+            built = topo.star_topology(**star, frame=frame, channel=channel)
             # the declared per-candidate delivery probability and remaining
             # cost define the analytic set; the builder realizes the same
             # probability inside the simulator
             analytic = ForwarderSet(
                 tuple(
-                    ForwarderEntry(node=r, p_link=p_link, remaining_cost=remaining)
+                    ForwarderEntry(
+                        node=r, p_link=star["p_link"], remaining_cost=star["remaining_cost"]
+                    )
                     for r in range(1, value + 1)
                 )
             )
@@ -695,18 +647,19 @@ def cmd_sweep(cfg: dict) -> str:
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"sweep values must be numbers, got {value!r}")
-            built, row_frame, _ = _swept_topology(cfg, frame, channel, axis, value)
+            built = _swept_topology(cfg, frame, channel, axis, value)
             source = sim["source"]
             if source is None:
                 source = topo.deepest_node(built)
             costs = analysis.network_path_costs(built)
-            analytic = topo.forwarder_set(built, source, costs)
+            analytic = analysis.forwarder_entries(built, source, costs)
 
         analytic_overhead = analysis.coordination_overhead(analytic)
         failure = analysis.set_failure_probability(analytic)
         retries = _guarded_retransmissions(failure)
         for mode in _MODES[sim["mode"]]:
-            metrics = engine.run_experiment(built, _sim_config(sim, mode, source))
+            config = engine.SimConfig(**{**sim, "mode": mode, "source": source})
+            metrics = engine.run_experiment(built, config)
             rows.append(
                 ",".join(
                     [
@@ -724,165 +677,6 @@ def cmd_sweep(cfg: dict) -> str:
                 )
             )
     return "\n".join(_csv_preamble(sim["seed"], digest) + rows) + "\n"
-
-
-# --------------------------------------------------------------- verify --
-
-
-def _parse_grid(spec: str | None):
-    sizes = list(DEFAULT_VERIFY_SIZES)
-    probs = list(DEFAULT_VERIFY_PROBS)
-    costs = list(DEFAULT_VERIFY_COSTS)
-    if spec:
-        for part in spec.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ConfigError(f"bad grid fragment {part!r}; expected key=values")
-            key, _, body = part.partition("=")
-            key = key.strip()
-            body = body.strip()
-            items = [i for i in body.split(",") if i.strip()]
-            if key == "sizes":
-                sizes = []
-                for item in items:
-                    if "-" in item:
-                        lo, _, hi = item.partition("-")
-                        try:
-                            sizes.extend(range(int(lo), int(hi) + 1))
-                        except ValueError:
-                            raise ConfigError(f"bad size range {item!r}") from None
-                    else:
-                        try:
-                            sizes.append(int(item))
-                        except ValueError:
-                            raise ConfigError(f"bad size {item!r}") from None
-            elif key in ("probs", "costs"):
-                try:
-                    parsed = [float(i) for i in items]
-                except ValueError:
-                    raise ConfigError(f"bad {key} list {body!r}") from None
-                if key == "probs":
-                    probs = parsed
-                else:
-                    costs = parsed
-            else:
-                raise ConfigError(f"unknown grid key {key!r}")
-    if not sizes or not probs or not costs:
-        raise ConfigError("empty verification grid")
-    if any(s < 1 for s in sizes):
-        raise ConfigError("grid sizes must be >= 1")
-    return sizes, probs, costs
-
-
-def run_verification(
-    grid: str | None = None, trials: int = 200_000, seed: int = 20_240
-) -> tuple[str, int]:
-    """Closed-form versus oracle checks; returns (report, exit_code)."""
-    sizes, probs, costs = _parse_grid(grid)
-    lines: list[str] = []
-    breaches: list[str] = []
-
-    sets_checked = 0
-    max_err = 0.0
-    for n in sizes:
-        for prob_combo in product(probs, repeat=n):
-            for cost_combo in product(costs, repeat=n):
-                fs = ForwarderSet(
-                    tuple(
-                        ForwarderEntry(node=i, p_link=p, remaining_cost=y)
-                        for i, (p, y) in enumerate(zip(prob_combo, cost_combo))
-                    )
-                )
-                exact = oracle.exact_single_hop(fs)
-                closed_overhead = analysis.coordination_overhead(fs)
-                err = abs(closed_overhead - exact.overhead)
-                if math.isinf(exact.expected_cost):
-                    try:
-                        analysis.total_path_cost(fs)
-                        breaches.append(
-                            "verify breach case=single-hop-grid"
-                            f" probs={prob_combo} costs={cost_combo}"
-                            " closed-form accepted an unreachable set"
-                        )
-                    except analysis.UnreachableForwarderSetError:
-                        pass
-                else:
-                    err = max(err, abs(analysis.total_path_cost(fs) - exact.expected_cost))
-                max_err = max(max_err, err)
-                sets_checked += 1
-                if err > SINGLE_HOP_TOLERANCE:
-                    breaches.append(
-                        "verify breach case=single-hop-grid"
-                        f" probs={prob_combo} costs={cost_combo}"
-                        f" closed=({_fmt(_guarded_cost(fs))}, {_fmt(closed_overhead)})"
-                        f" oracle=({_fmt(exact.expected_cost)}, {_fmt(exact.overhead)})"
-                        f" error={err:.3e}"
-                    )
-    lines.append(
-        f"verify case=single-hop-grid sets={sets_checked} max_abs_error={max_err:.3e}"
-        f" tolerance={SINGLE_HOP_TOLERANCE:g}"
-        f" status={'pass' if max_err <= SINGLE_HOP_TOLERANCE else 'fail'}"
-    )
-
-    compositions = [
-        ("lossless-two-hop", [1.0, 1.0], 2.0),
-        ("partial-two-hop", [0.8, 0.8], 2.5),
-        ("single-lossy-hop", [0.5], 2.0),
-    ]
-    comp_err = 0.0
-    for name, successes, expected in compositions:
-        chain = topo.chain_topology(successes)
-        far = len(successes)
-        closed = analysis.network_path_costs(chain)[far]
-        spec_links = {
-            node: ((node - 1, analysis.link_success(chain.ber(node, node - 1), chain.frame, 1.0)),)
-            for node in range(1, far + 1)
-        }
-        exact_cost = oracle.exact_two_hop(oracle.ChainSpec(source=far, gateway=0, links=spec_links))
-        err = max(abs(closed - exact_cost), abs(closed - expected))
-        comp_err = max(comp_err, err)
-        if err > COMPOSITION_TOLERANCE:
-            breaches.append(
-                f"verify breach case=two-hop-composition scenario={name}"
-                f" closed={_fmt(closed)} oracle={_fmt(exact_cost)} expected={_fmt(expected)}"
-            )
-    lines.append(
-        f"verify case=two-hop-composition scenarios={len(compositions)}"
-        f" max_abs_error={comp_err:.3e} tolerance={COMPOSITION_TOLERANCE:g}"
-        f" status={'pass' if comp_err <= COMPOSITION_TOLERANCE else 'fail'}"
-    )
-
-    frame = topo.DEFAULT_FRAME
-    p = 0.01
-    estimates = oracle.bit_level_frame_oracle(p, frame, trials, seed)
-    closed_factors = {
-        "preamble_miss": analysis.preamble_miss_probability(p, frame),
-        "data_miss": analysis.data_miss_probability(p, frame),
-        "joint_miss": analysis.failure_probability(p, frame, 1.0),
-    }
-    max_sigma = 0.0
-    for name, closed_value in closed_factors.items():
-        est = getattr(estimates, name)
-        se = math.sqrt(closed_value * (1.0 - closed_value) / trials)
-        sigma = abs(est - closed_value) / se if se > 0 else 0.0
-        max_sigma = max(max_sigma, sigma)
-        if sigma > FRAME_SIGMA_TOLERANCE:
-            breaches.append(
-                f"verify breach case=bit-level-frames factor={name}"
-                f" closed={_fmt(closed_value)} estimate={_fmt(est)} sigma={sigma:.2f}"
-            )
-    lines.append(
-        f"verify case=bit-level-frames trials={trials} max_sigma={max_sigma:.2f}"
-        f" tolerance={FRAME_SIGMA_TOLERANCE:g}"
-        f" status={'pass' if max_sigma <= FRAME_SIGMA_TOLERANCE else 'fail'}"
-    )
-
-    lines.extend(breaches)
-    code = 2 if breaches else 0
-    lines.append(f"verify result={'fail' if breaches else 'pass'} breaches={len(breaches)}")
-    return "\n".join(lines) + "\n", code
 
 
 # ----------------------------------------------------------------- main --
@@ -907,13 +701,12 @@ def main(argv: list[str] | None = None) -> int:
         ("sweep", "one-axis parameter sweep, analytic and empirical columns"),
     ):
         p = sub.add_parser(name, help=help_text)
-        if name != "verify":
-            p.add_argument("config", help="YAML config file")
+        p.add_argument("config", help="YAML config file")
         p.add_argument("--out", help="write output to this file instead of stdout")
     pv = sub.add_parser("verify", help="closed-form vs oracle verification grid")
     pv.add_argument("--grid", help="override, e.g. 'sizes=1-3;probs=0,0.5,1;costs=0,1'")
-    pv.add_argument("--trials", type=int, default=200_000, help="bit-level oracle trials")
-    pv.add_argument("--seed", type=int, default=20_240, help="bit-level oracle seed")
+    pv.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="bit-level oracle trials")
+    pv.add_argument("--seed", type=int, default=DEFAULT_SEED, help="bit-level oracle seed")
     pv.add_argument("--out", help="write output to this file instead of stdout")
 
     args = parser.parse_args(argv)
@@ -921,23 +714,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             if args.trials < 1:
                 raise ConfigError("--trials must be >= 1")
-            report, code = run_verification(args.grid, args.trials, args.seed)
+            report, code = verification.run_verification(args.grid, args.trials, args.seed)
             _write_output(report, args.out)
             return code
-        cfg = load_config(args.config)
-        if args.command == "analyze":
-            text = cmd_analyze(cfg)
-        elif args.command == "simulate":
-            text = cmd_simulate(cfg)
-        else:
-            text = cmd_sweep(cfg)
-        _write_output(text, args.out)
+        command = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sweep": cmd_sweep}
+        _write_output(command[args.command](load_config(args.config)), args.out)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, verification.GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (analysis.DisconnectedNodeError, analysis.UnreachableForwarderSetError,
-            topo.DisconnectedTopologyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,32 +20,30 @@ stamped list is sorted by that same cost, so with identical tie-breaking
 the two disciplines elect the same winners; any performance gap between
 them is measurement noise, which the metrics make checkable.
 
-Determinism: replication r draws from ``random.Random(seed XOR r)``, so
-adding replications never perturbs earlier ones and a fixed
-(topology, config, replication_index) triple always yields a
-byte-identical trace.
+Determinism: replication r draws from a SplitMix64 stream rooted at the
+master seed (``replication_seed``), so adding replications never perturbs
+earlier ones and a fixed (topology, config, replication_index) triple
+always yields a byte-identical trace.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
 
 from . import analysis
 from .model import (
     DeliveryTrace,
     EventKind,
-    FrameParams,
     Metrics,
     NodeId,
     Topology,
     TraceEvent,
+    _nonnegative_int,
+    _positive_int,
 )
 
 
@@ -74,11 +72,8 @@ class SimConfig:
         if not isinstance(self.mode, ProtocolMode):
             raise ValueError(f"mode must be a ProtocolMode, got {self.mode!r}")
         for name in ("replications", "max_hops", "election_slots"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            _positive_int(name, getattr(self, name))
+        _nonnegative_int("seed", self.seed)
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -270,12 +265,6 @@ def first_arrival_hops(trace: DeliveryTrace) -> int | None:
     return None
 
 
-def energy_bits(trace: DeliveryTrace, frame: FrameParams) -> int:
-    """Transmitted energy at one unit per bit: every transmission spends the
-    whole preamble plus the data frame."""
-    return trace.transmissions * frame.bits_per_transmission
-
-
 def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
     """Run ``config.replications`` independent delivery attempts and
     aggregate.
@@ -314,36 +303,3 @@ def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
         mean_transmissions=transmissions / attempted,
         mean_hops=(hops_sum / succeeded) if succeeded else 0.0,
     )
-
-
-def empirical_link_success(
-    topology: Topology,
-    link: tuple[NodeId, NodeId],
-    frame: FrameParams,
-    trials: int,
-    seed: int,
-) -> float:
-    """Bit-level Monte Carlo estimate of the decode-and-forward reception
-    probability on one link: at least one micro-frame decodes and the data
-    frame decodes.  Channel switching is excluded; this checks the frame
-    factors themselves."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    a, b = link
-    p = topology.ber(a, b)
-    rng = np.random.default_rng(seed)
-    m = frame.micro_frame_bits
-    r_m = frame.preamble_frames
-    d = frame.data_frame_bits
-
-    heard = 0
-    remaining = trials
-    while remaining > 0:
-        chunk = min(remaining, 65536)
-        any_micro = np.zeros(chunk, dtype=bool)
-        for _ in range(r_m):
-            any_micro |= ~((rng.random((chunk, m)) < p).any(axis=1))
-        data_ok = ~((rng.random((chunk, d)) < p).any(axis=1))
-        heard += int((any_micro & data_ok).sum())
-        remaining -= chunk
-    return heard / trials

@@ -10,9 +10,9 @@ the two routes is what the verification suite checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -43,6 +43,27 @@ class SingleHopExact:
     overhead: float
 
 
+def _election(candidates: list[tuple[float, float]]) -> tuple[float, float]:
+    """Enumerate the 2^N outcomes of one transmission to N candidates, given
+    as (probability, value) pairs, each receiving independently; the first
+    receiver is elected.  Returns the probability that nobody receives and
+    the elected value summed over outcomes, weighted by probability."""
+    p_none = 0.0
+    elected_mass = 0.0
+    for bits in product((False, True), repeat=len(candidates)):
+        prob = 1.0
+        for hit, (p, _) in zip(bits, candidates):
+            prob *= p if hit else (1.0 - p)
+        if prob == 0.0:
+            continue
+        if not any(bits):
+            p_none += prob
+            continue
+        winner = next(i for i, hit in enumerate(bits) if hit)
+        elected_mass += prob * candidates[winner][1]
+    return p_none, elected_mass
+
+
 def exact_single_hop(forwarder_set: ForwarderSet) -> SingleHopExact:
     """Enumerate all 2^N reception outcomes of one forwarder set.
 
@@ -62,20 +83,7 @@ def exact_single_hop(forwarder_set: ForwarderSet) -> SingleHopExact:
             f"forwarder set of size {n} exceeds enumeration bound {MAX_ENUMERATION_SIZE}"
         )
 
-    p_none = 0.0
-    elected_cost_mass = 0.0
-    for bits in product((False, True), repeat=n):
-        prob = 1.0
-        for hit, entry in zip(bits, entries):
-            prob *= entry.p_link if hit else (1.0 - entry.p_link)
-        if prob == 0.0:
-            continue
-        if not any(bits):
-            p_none += prob
-            continue
-        winner = next(i for i, hit in enumerate(bits) if hit)
-        elected_cost_mass += prob * entries[winner].remaining_cost
-
+    p_none, elected_cost_mass = _election([(e.p_link, e.remaining_cost) for e in entries])
     p_some = 1.0 - p_none
     if p_some <= 0.0:
         return SingleHopExact(expected_cost=float("inf"), overhead=0.0)
@@ -143,20 +151,7 @@ def exact_two_hop(chain: ChainSpec) -> float:
             return expectations[node]
         cands = chain.links[node]
         onward = sorted(((expectation(c), c, p) for c, p in cands), key=lambda t: (t[0], t[1]))
-        p_none = 0.0
-        continuation = 0.0
-        n = len(onward)
-        for bits in product((False, True), repeat=n):
-            prob = 1.0
-            for hit, (_, _, p) in zip(bits, onward):
-                prob *= p if hit else (1.0 - p)
-            if prob == 0.0:
-                continue
-            if not any(bits):
-                p_none += prob
-                continue
-            winner = next(i for i, hit in enumerate(bits) if hit)
-            continuation += prob * onward[winner][0]
+        p_none, continuation = _election([(p, value) for value, _, p in onward])
         p_some = 1.0 - p_none
         if p_some <= 0.0:
             raise ValueError(f"node {node!r} can never progress")
@@ -169,11 +164,13 @@ def exact_two_hop(chain: ChainSpec) -> float:
 
 @dataclass(frozen=True)
 class FrameMissEstimates:
-    """Monte Carlo estimates of the three frame-level miss factors."""
+    """Monte Carlo estimates of the three frame-level miss factors, and of
+    ``decoded``: at least one micro-frame and the data frame decode."""
 
     preamble_miss: float
     data_miss: float
     joint_miss: float
+    decoded: float
     trials: int
 
 
@@ -219,5 +216,6 @@ def bit_level_frame_oracle(
         preamble_miss=preamble_missed / trials,
         data_miss=data_missed / trials,
         joint_miss=joint_missed / trials,
+        decoded=(trials - preamble_missed - data_missed + joint_missed) / trials,
         trials=trials,
     )

@@ -27,6 +27,7 @@ from .model import (
     Node,
     NodeId,
     Topology,
+    _positive_int,
 )
 
 DEFAULT_FRAME = FrameParams(micro_frame_bits=8, preamble_frames=2, data_frame_bits=100)
@@ -46,7 +47,7 @@ class DisconnectedTopologyError(ValueError):
 class FixedBer:
     """Every link gets the same bit error rate."""
 
-    p: float
+    p: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class DistanceBer:
     """Bit error rate grows quadratically with link distance, from p_min at
     zero range to p_max at the radio range, clamped into [p_min, p_max]."""
 
-    p_min: float
-    p_max: float
+    p_min: float = 0.0
+    p_max: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,7 @@ class GeneratorConfig:
     gateway_position: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.nodes, bool) or not isinstance(self.nodes, int) or self.nodes < 1:
-            raise ValueError(f"nodes must be a positive integer, got {self.nodes!r}")
+        _positive_int("nodes", self.nodes)
         if not self.area_side > 0.0:
             raise ValueError("area_side must be positive")
         if not self.radio_range > 0.0:
@@ -150,16 +150,6 @@ def compute_ranks(topology: Topology) -> Topology:
     return replace(topology, nodes=nodes)
 
 
-def forwarder_set(topology: Topology, node: NodeId, costs: analysis.PathCostTable):
-    """A node's candidate forwarders: upstream neighbors with link_success
-    probabilities and their path costs.  Empty only for the gateway."""
-    from .model import ForwarderSet
-
-    if node == topology.gateway:
-        return ForwarderSet(())
-    return analysis.forwarder_entries(topology, node, costs)
-
-
 def hop_distance(topology: Topology, a: NodeId, b: NodeId) -> int:
     """Distance in hop-ID space: |hop(a) - hop(b)|."""
     return abs(topology.hop_id(a) - topology.hop_id(b))
@@ -169,6 +159,19 @@ def rank_difference_distance(topology: Topology, a: NodeId, b: NodeId) -> float:
     """Distance in rank space: |rank(a) - rank(b)|.  On lossy links this is
     an expected-cost gap, not a hop count, and exceeds hop_distance."""
     return abs(topology.rank(a) - topology.rank(b))
+
+
+def _bisect(law, target: float, frame: FrameParams, p_sw: float) -> float:
+    """The bit error rate at which ``law``, which falls as the rate grows,
+    equals ``target``."""
+    lo, hi = 0.0, 1.0
+    for _ in range(_BISECTION_STEPS):
+        mid = (lo + hi) / 2.0
+        if law(mid, frame, p_sw) > target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def ber_for_link_success(target: float, frame: FrameParams, p_sw: float) -> float:
@@ -181,14 +184,7 @@ def ber_for_link_success(target: float, frame: FrameParams, p_sw: float) -> floa
         raise ValueError(f"link success {target!r} unreachable with p_sw={p_sw!r}")
     if target == 1.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECTION_STEPS):
-        mid = (lo + hi) / 2.0
-        if analysis.link_success(mid, frame, p_sw) > target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return _bisect(analysis.link_success, target, frame, p_sw)
 
 
 def ber_for_reception(target: float, frame: FrameParams, p_sw: float) -> float:
@@ -200,14 +196,7 @@ def ber_for_reception(target: float, frame: FrameParams, p_sw: float) -> float:
         raise ValueError(f"reception probability {target!r} unreachable with p_sw={p_sw!r}")
     if target == p_sw:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECTION_STEPS):
-        mid = (lo + hi) / 2.0
-        if analysis.reception_probability(mid, frame, p_sw) > target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return _bisect(analysis.reception_probability, target, frame, p_sw)
 
 
 def _prepared(nodes, gateway, links, frame, channel) -> Topology:
@@ -216,19 +205,19 @@ def _prepared(nodes, gateway, links, frame, channel) -> Topology:
 
 
 def chain_topology(
-    link_successes: list[float] | tuple[float, ...],
+    link_success: list[float] | tuple[float, ...],
     frame: FrameParams = DEFAULT_FRAME,
     channel: ChannelModel = DEFAULT_CHANNEL,
 ) -> Topology:
     """A gateway-rooted line: node 0 is the gateway, node k sits k hops out,
     and the k-th link's bit error rate is solved so its hear-anything
-    probability equals link_successes[k]."""
-    if not link_successes:
+    probability equals link_success[k]."""
+    if not link_success:
         raise ValueError("chain needs at least one link")
     p_sw = channel.evaluated.p_sw
     links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
     nodes = [Node(id=0, rank=1.0, hop_id=0, position=(0.0, 0.0))]
-    for k, target in enumerate(link_successes):
+    for k, target in enumerate(link_success):
         ber = BitErrorRate(ber_for_link_success(float(target), frame, p_sw))
         links[(k, k + 1)] = ber
         links[(k + 1, k)] = ber
@@ -277,8 +266,7 @@ def star_topology(
     are pairwise linked at ``intercandidate_ber`` (0 = perfect overhearing).
     Node ids: gateway 0, relays 1..N, source N+1.
     """
-    if isinstance(forwarders, bool) or not isinstance(forwarders, int) or forwarders < 1:
-        raise ValueError(f"forwarders must be a positive integer, got {forwarders!r}")
+    _positive_int("forwarders", forwarders)
     if not remaining_cost >= 1.0:
         raise ValueError(f"remaining_cost must be >= 1, got {remaining_cost!r}")
     p_sw = channel.evaluated.p_sw

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 import yaml
 
-from oppsim import analysis, cli, topology as topo
+from oppsim import analysis, cli, topology as topo, verification
 from oppsim.cli import ConfigError
 from oppsim.model import ForwarderEntry, ForwarderSet
 
@@ -25,6 +25,22 @@ sim:
   seed: 42
   source: 4
 """
+
+# one topology section per kind; star is STAR_CFG's own
+TOPOLOGIES = {
+    "chain": {"kind": "chain", "link_success": [0.9, 0.8]},
+    "star": yaml.safe_load(STAR_CFG)["topology"],
+    "diamond": {"kind": "diamond", "relay_ber": [0.01, 0.02]},
+    "witness": {"kind": "witness", "far_cost": 2.5},
+    "generated": {"kind": "generated", "nodes": 20, "ber": {"kind": "distance", "p_max": 0.02}},
+    "file": {"kind": "file", "path": "nodes.topo"},
+}
+
+
+def kind_cfg(kind):
+    cfg = yaml.safe_load(STAR_CFG)
+    cfg["topology"] = TOPOLOGIES[kind]
+    return cfg
 
 
 class TestConfigParsing:
@@ -59,17 +75,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sim.mode"):
             cli.parse_sim({"sim": {"mode": "psychic"}})
 
+    def test_generated_needs_nodes(self):
+        with pytest.raises(ConfigError, match="topology kind 'generated' needs nodes"):
+            cli.build_topology(
+                {"topology": {"kind": "generated"}}, cli.parse_frame({}), cli.parse_channel({})
+            )
+
     def test_unknown_topology_kind(self):
         with pytest.raises(ConfigError, match="nosuch"):
             cli.build_topology({"topology": {"kind": "nosuch"}}, cli.parse_frame({}), cli.parse_channel({}))
 
-    def test_effective_config_idempotent(self):
-        cfg = yaml.safe_load(STAR_CFG)
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+    def test_effective_config_idempotent(self, kind):
+        cfg = kind_cfg(kind)
         eff = cli.effective_config(cfg)
         assert cli.effective_config(eff) == eff
 
-    def test_digest_stable_under_defaulting(self):
-        cfg = yaml.safe_load(STAR_CFG)
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+    def test_digest_stable_under_defaulting(self, kind):
+        cfg = kind_cfg(kind)
         eff = cli.effective_config(cfg)
         assert cli.config_digest(cfg) == cli.config_digest(eff)
         assert len(cli.config_digest(cfg)) == 12
@@ -180,6 +204,11 @@ class TestSimulateCommand:
         assert rows[0].startswith("mode,replications,pdr,")
         assert len(rows) == 2
         assert rows[1].startswith("receiver_based,400,")
+        row = dict(zip(rows[0].split(","), rows[1].split(",")))
+        bits = cli.parse_frame(cfg).bits_per_transmission
+        assert float(row["mean_energy_bits"]) == pytest.approx(
+            float(row["mean_transmissions"]) * bits, rel=1e-11
+        )
 
     def test_both_modes_two_rows(self):
         cfg = yaml.safe_load(STAR_CFG.replace("mode: receiver_based", "mode: both"))
@@ -272,7 +301,7 @@ class TestSweepCommand:
 
 class TestVerifyCommand:
     def test_default_grid_passes(self):
-        report, code = cli.run_verification(trials=20_000, seed=5)
+        report, code = verification.run_verification(trials=20_000, seed=5)
         assert code == 0
         assert "case=single-hop-grid" in report
         assert "case=two-hop-composition" in report
@@ -280,17 +309,19 @@ class TestVerifyCommand:
         assert "result=pass" in report
 
     def test_custom_grid(self):
-        report, code = cli.run_verification("sizes=1-2;probs=0,0.5,1;costs=0,1", trials=5_000, seed=5)
+        report, code = verification.run_verification(
+            "sizes=1-2;probs=0,0.5,1;costs=0,1", trials=5_000, seed=5
+        )
         assert code == 0
         assert "sets=42" in report
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigError, match="empty"):
-            cli.run_verification("probs=;")
+        with pytest.raises(verification.GridError, match="empty"):
+            verification.run_verification("probs=;")
 
     def test_bad_grid_fragment(self):
-        with pytest.raises(ConfigError):
-            cli.run_verification("sizes=x-y")
+        with pytest.raises(verification.GridError):
+            verification.run_verification("sizes=x-y")
 
     def test_fault_injection_is_caught(self, monkeypatch):
         # negative control: corrupt the closed form and the grid must breach
@@ -300,7 +331,7 @@ class TestVerifyCommand:
             return real(fs) + 1e-6
 
         monkeypatch.setattr(analysis, "total_path_cost", skewed)
-        report, code = cli.run_verification("sizes=1;probs=0.5;costs=1", trials=1_000, seed=5)
+        report, code = verification.run_verification("sizes=1;probs=0.5;costs=1", trials=1_000, seed=5)
         assert code == 2
         assert "breach" in report
         assert "result=fail" in report
@@ -308,7 +339,7 @@ class TestVerifyCommand:
     def test_overhead_fault_injection_is_caught(self, monkeypatch):
         real = analysis.coordination_overhead
         monkeypatch.setattr(analysis, "coordination_overhead", lambda fs: real(fs) * 1.001)
-        report, code = cli.run_verification("sizes=2;probs=0.5;costs=1", trials=1_000, seed=5)
+        report, code = verification.run_verification("sizes=2;probs=0.5;costs=1", trials=1_000, seed=5)
         assert code == 2
 
 
@@ -329,6 +360,16 @@ class TestMainExitCodes:
     def test_verify_ok_is_zero(self, capsys):
         code = cli.main(["verify", "--grid", "sizes=1;probs=0,1;costs=1", "--trials", "2000"])
         assert code == 0
+
+    def test_bad_grid_is_one(self, capsys):
+        assert cli.main(["verify", "--grid", "sizes=x-y"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_boolean_source_is_one(self, tmp_path, capsys):
+        # True == 1, so a boolean source would run from relay 1
+        path = write_cfg(tmp_path, STAR_CFG.replace("source: 4", "source: true"))
+        assert cli.main(["simulate", path]) == 1
+        assert "sim.source" in capsys.readouterr().err
 
     def test_verify_breach_is_two(self, monkeypatch, capsys):
         real = analysis.total_path_cost

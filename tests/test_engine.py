@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from oppsim import analysis, engine, topology as topo
+from oppsim import analysis, cli, engine, topology as topo
 from oppsim.engine import ProtocolMode, SimConfig
 from oppsim.model import Channel, ChannelModel, EventKind
 
@@ -269,12 +269,12 @@ class TestHelpers:
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=2, source=2)
         trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
         assert trace.transmissions == 2
-        assert engine.energy_bits(trace, t.frame) == 2 * t.frame.bits_per_transmission
-
-    def test_empirical_link_success_matches_reception_law(self):
-        t = topo.chain_topology([0.8])
-        trials = 200_000
-        est = engine.empirical_link_success(t, (1, 0), t.frame, trials, seed=55)
-        expect = analysis.reception_probability(t.ber(1, 0), t.frame, 1.0)
-        se = math.sqrt(expect * (1.0 - expect) / trials)
-        assert abs(est - expect) < 3.5 * se
+        out = cli.cmd_simulate(
+            {
+                "topology": {"kind": "chain", "link_success": [1.0, 1.0]},
+                "sim": {"mode": "receiver_based", "seed": 2, "source": 2, "replications": 1},
+            }
+        )
+        rows = [l for l in out.splitlines() if not l.startswith("#")]
+        row = dict(zip(rows[0].split(","), rows[1].split(",")))
+        assert float(row["mean_energy_bits"]) == 2 * t.frame.bits_per_transmission

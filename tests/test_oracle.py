@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oppsim import oracle
+from oppsim import analysis, oracle, topology as topo
 from oppsim.model import ForwarderEntry, ForwarderSet, FrameParams
 
 
@@ -130,6 +130,14 @@ class TestBitLevelFrameOracle:
     def test_trials_recorded(self):
         est = oracle.bit_level_frame_oracle(0.01, self.FRAME, 1234, seed=0)
         assert est.trials == 1234
+
+    def test_decoded_matches_reception_law(self):
+        t = topo.chain_topology([0.8])
+        trials = 200_000
+        est = oracle.bit_level_frame_oracle(t.ber(1, 0), t.frame, trials, seed=55)
+        expect = analysis.reception_probability(t.ber(1, 0), t.frame, 1.0)
+        se = math.sqrt(expect * (1.0 - expect) / trials)
+        assert abs(est.decoded - expect) < 3.5 * se
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):

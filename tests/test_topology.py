@@ -222,13 +222,6 @@ class TestHopAssignment:
             topo.assign_hop_ids(raw)
 
 
-def test_forwarder_set_of_gateway_is_empty():
-    chain = topo.chain_topology([0.8])
-    costs = analysis.network_path_costs(chain)
-    assert len(topo.forwarder_set(chain, 0, costs)) == 0
-    assert len(topo.forwarder_set(chain, 1, costs)) == 1
-
-
 def test_deepest_node_breaks_ties_by_id():
     star = topo.star_topology(2, 0.6)
     assert topo.deepest_node(star) == 3  # source sits below both relays
