@@ -119,6 +119,24 @@ def _read(section: dict, where: str, table: dict[str, type]) -> dict:
     }
 
 
+def _read_list(value, where: str, table: dict[str, type], build) -> list:
+    """``build(i, values)`` for the i-th mapping of the non-empty list
+    ``value``, with the values it sets read through ``table``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list")
+    built = []
+    for i, entry in enumerate(value):
+        name = f"{where}[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{name} must be a mapping")
+        values = _read(entry, name, table)
+        try:
+            built.append(build(i, values))
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    return built
+
+
 def _defaults(target, table: dict[str, type]) -> dict:
     """The defaults that ``target``'s parameters give the table's keys."""
     params = inspect.signature(target).parameters
@@ -182,18 +200,10 @@ def parse_channel(cfg: dict) -> ChannelModel:
     raw_channels = section.get("channels")
     channels = topo.DEFAULT_CHANNEL.channels
     if raw_channels is not None:
-        if not isinstance(raw_channels, list) or not raw_channels:
-            raise ConfigError("channel.channels must be a non-empty list")
-        channels = []
-        for i, entry in enumerate(raw_channels):
-            where = f"channel.channels[{i}]"
-            if not isinstance(entry, dict):
-                raise ConfigError(f"{where} must be a mapping")
-            values = _read(entry, where, CHANNEL_FIELDS)
-            try:
-                channels.append(replace(topo.DEFAULT_CHANNEL.evaluated, **values))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
+        channels = _read_list(
+            raw_channels, "channel.channels", CHANNEL_FIELDS,
+            lambda i, values: replace(topo.DEFAULT_CHANNEL.evaluated, **values),
+        )
     values = _read(section, "channel", {"noise_power": float})
     try:
         return replace(topo.DEFAULT_CHANNEL, channels=tuple(channels), **values)
@@ -283,6 +293,30 @@ def parse_sim(cfg: dict) -> dict:
     if params["seed"] < 0:
         raise ConfigError("sim.seed must be >= 0")
     return params
+
+
+FORWARDER_FIELDS = {"node": NodeId, "p_link": float, "remaining_cost": float}
+
+
+def parse_forwarder_sets(cfg: dict) -> list[ForwarderSet]:
+    """The explicit candidate sets that ``analyze`` evaluates.  An entry's
+    node defaults to its index in its set, the rest as ForwarderEntry's."""
+    raw_sets = cfg.get("forwarder_sets")
+    if raw_sets is None:
+        return []
+    if not isinstance(raw_sets, list) or not raw_sets:
+        raise ConfigError("forwarder_sets must be a non-empty list")
+    sets = []
+    for i, raw_set in enumerate(raw_sets):
+        entries = _read_list(
+            raw_set, f"forwarder_sets[{i}]", FORWARDER_FIELDS,
+            lambda j, values: ForwarderEntry(**{"node": j, **values}),
+        )
+        try:
+            sets.append(ForwarderSet(tuple(entries)))
+        except TypeError:
+            raise ConfigError(f"forwarder_sets[{i}] mixes integer and string node ids") from None
+    return sets
 
 
 def effective_config(cfg: dict) -> dict:
@@ -467,35 +501,14 @@ def cmd_analyze(cfg: dict) -> str:
     suffix = f"seed={sim['seed']} config={digest} retransmissions_convention={RETRY_CONVENTION}"
     lines: list[str] = []
 
-    explicit = cfg.get("forwarder_sets")
-    if explicit is not None:
-        if not isinstance(explicit, list) or not explicit:
-            raise ConfigError("forwarder_sets must be a non-empty list")
-        for i, raw_set in enumerate(explicit):
-            if not isinstance(raw_set, list) or not raw_set:
-                raise ConfigError(f"forwarder_sets[{i}] must be a non-empty list of entries")
-            entries = []
-            for j, raw in enumerate(raw_set):
-                if not isinstance(raw, dict):
-                    raise ConfigError(f"forwarder_sets[{i}][{j}] must be a mapping")
-                try:
-                    entries.append(
-                        ForwarderEntry(
-                            node=raw.get("node", j),
-                            p_link=float(raw.get("p_link", 1.0)),
-                            remaining_cost=float(raw.get("remaining_cost", 0.0)),
-                        )
-                    )
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"forwarder_sets[{i}][{j}]: {exc}") from exc
-            fs = ForwarderSet(tuple(entries))
-            failure = analysis.set_failure_probability(fs)
-            lines.append(
-                f"set index={i} size={len(fs)}"
-                f" cost={_fmt(_guarded_cost(fs))}"
-                f" overhead={_fmt(analysis.coordination_overhead(fs))}"
-                f" failure={_fmt(failure)} retransmissions={_fmt(_guarded_retransmissions(failure))} {suffix}"
-            )
+    for i, fs in enumerate(parse_forwarder_sets(cfg)):
+        failure = analysis.set_failure_probability(fs)
+        lines.append(
+            f"set index={i} size={len(fs)}"
+            f" cost={_fmt(_guarded_cost(fs))}"
+            f" overhead={_fmt(analysis.coordination_overhead(fs))}"
+            f" failure={_fmt(failure)} retransmissions={_fmt(_guarded_retransmissions(failure))} {suffix}"
+        )
 
     if "topology" in cfg:
         topology_obj = _topology_for_run(cfg, frame, channel)

@@ -1,7 +1,7 @@
 """Shared domain types for the opportunistic-forwarding toolkit.
 
-Every type is a frozen dataclass: field-level invariants are checked at
-construction time and instances are safe to share between threads.
+Every type is a frozen dataclass, safe to share between threads; input
+types check their field-level invariants at construction time.
 Whole-topology invariants (link symmetry, connectivity toward the gateway)
 are deliberately *not* enforced at construction; :func:`validate` reports
 them as a list of violations so a caller can surface every problem at once.
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 NodeId = int | str
 
@@ -128,8 +128,8 @@ class ForwarderEntry:
     of the link toward it and its remaining cost to the gateway."""
 
     node: NodeId
-    p_link: float
-    remaining_cost: float
+    p_link: float = 1.0
+    remaining_cost: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_link", _probability("p_link", self.p_link))
@@ -347,69 +347,48 @@ class EventKind(Enum):
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One timestamped protocol event.  ``time`` is the slot index of the
-    transmission the event belongs to; ``detail`` is free-form text such as
-    ``"from=3 hops=2"``."""
+    """One timestamped protocol event.  The optional fields are set only
+    where they mean something."""
 
-    time: int
+    time: int  # slot index of the transmission the event belongs to
     kind: EventKind
     actor: NodeId
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        _nonnegative_int("time", self.time)
-        if not isinstance(self.kind, EventKind):
-            raise ValueError(f"kind must be an EventKind, got {self.kind!r}")
+    sender: NodeId | None = None  # whose transmission it reacts to; None: gateway source
+    hops: int | None = None  # hop count an election or a gateway arrival reaches
+    slot: int | None = None  # backoff slot an election fired in
+    reason: str | None = None  # why a suppression dropped the copy: max-hops, window-closed
 
 
 @dataclass(frozen=True)
 class DeliveryTrace:
-    """Complete event record of one end-to-end delivery attempt.
-
-    ``delivered`` and ``duplicate_arrivals`` are redundant with the event
-    list and are cross-checked at construction: delivered iff at least one
-    gateway arrival occurred, and duplicate arrivals count every arrival
-    past the first.
-    """
+    """Complete event record of one end-to-end delivery attempt.  Every
+    summary of the attempt is read off the events."""
 
     source: NodeId
     events: tuple[TraceEvent, ...]
-    delivered: bool
-    duplicate_arrivals: int
-    transmissions: int
-
-    def __post_init__(self) -> None:
-        events = tuple(self.events)
-        if not all(isinstance(e, TraceEvent) for e in events):
-            raise ValueError("events must be TraceEvent instances")
-        object.__setattr__(self, "events", events)
-        _nonnegative_int("duplicate_arrivals", self.duplicate_arrivals)
-        _nonnegative_int("transmissions", self.transmissions)
-        arrivals = sum(1 for e in events if e.kind is EventKind.GATEWAY_ARRIVAL)
-        if self.delivered != (arrivals >= 1):
-            raise ValueError(
-                f"delivered={self.delivered!r} but trace has {arrivals} gateway arrivals"
-            )
-        if self.duplicate_arrivals != max(0, arrivals - 1):
-            raise ValueError(
-                f"duplicate_arrivals={self.duplicate_arrivals} but trace has {arrivals} arrivals"
-            )
-
-    @classmethod
-    def from_events(cls, source: NodeId, events: Iterable[TraceEvent]) -> "DeliveryTrace":
-        events = tuple(events)
-        arrivals = sum(1 for e in events if e.kind is EventKind.GATEWAY_ARRIVAL)
-        transmissions = sum(1 for e in events if e.kind is EventKind.TRANSMIT_DATA)
-        return cls(
-            source=source,
-            events=events,
-            delivered=arrivals >= 1,
-            duplicate_arrivals=max(0, arrivals - 1),
-            transmissions=transmissions,
-        )
 
     def count(self, kind: EventKind) -> int:
         return sum(1 for e in self.events if e.kind is kind)
+
+    @property
+    def delivered(self) -> bool:
+        return any(e.kind is EventKind.GATEWAY_ARRIVAL for e in self.events)
+
+    @property
+    def duplicate_arrivals(self) -> int:
+        """Gateway arrivals past the first."""
+        return max(0, self.count(EventKind.GATEWAY_ARRIVAL) - 1)
+
+    @property
+    def transmissions(self) -> int:
+        return self.count(EventKind.TRANSMIT_DATA)
+
+    @property
+    def first_arrival_hops(self) -> int | None:
+        """Hop count of the first gateway arrival, or None if undelivered."""
+        return next(
+            (e.hops for e in self.events if e.kind is EventKind.GATEWAY_ARRIVAL), None
+        )
 
 
 @dataclass(frozen=True)
@@ -418,7 +397,6 @@ class Metrics:
 
     deliveries_attempted: int
     deliveries_succeeded: int
-    pdr: float
     mean_duplicates: float
     empirical_coordination_overhead: float
     mean_transmissions: float
@@ -429,16 +407,16 @@ class Metrics:
         _nonnegative_int("deliveries_succeeded", self.deliveries_succeeded)
         if self.deliveries_succeeded > self.deliveries_attempted:
             raise ValueError("deliveries_succeeded exceeds deliveries_attempted")
-        pdr = _probability("pdr", self.pdr)
-        if self.deliveries_attempted > 0:
-            expected = self.deliveries_succeeded / self.deliveries_attempted
-            if abs(pdr - expected) > 1e-9:
-                raise ValueError(f"pdr={pdr!r} inconsistent with {expected!r}")
-        elif pdr != 0.0:
-            raise ValueError("pdr must be 0 when no deliveries were attempted")
         for name in ("mean_duplicates", "empirical_coordination_overhead",
                      "mean_transmissions", "mean_hops"):
             value = float(getattr(self, name))
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
+
+    @property
+    def pdr(self) -> float:
+        """Packet delivery ratio; 0 when nothing was attempted."""
+        if not self.deliveries_attempted:
+            return 0.0
+        return self.deliveries_succeeded / self.deliveries_attempted

@@ -166,6 +166,36 @@ class TestAnalyzeCommand:
         assert "cost=2.33333333333" in line
         assert "overhead=0.75" in line
         assert "retransmissions=0.333333333333" in line
+        # the whole record, byte for byte
+        assert out == (
+            "set index=0 size=2 cost=2.33333333333 overhead=0.75 failure=0.25"
+            " retransmissions=0.333333333333 seed=0 config=0322ea8d297c"
+            " retransmissions_convention=excludes-first-attempt\n"
+        )
+
+    def test_forwarder_entry_defaults(self):
+        # node = the entry's index, p_link 1.0, remaining_cost 0.0
+        sets = [[{}, {"p_link": 0.5}], [{"node": "a", "remaining_cost": 2.0}]]
+        out = cli.cmd_analyze({"forwarder_sets": sets})
+        assert [l.split(" seed=")[0] for l in out.splitlines()] == [
+            "set index=0 size=2 cost=1 overhead=0 failure=0 retransmissions=0",
+            "set index=1 size=1 cost=3 overhead=2 failure=0 retransmissions=0",
+        ]
+
+    @pytest.mark.parametrize(
+        "key, value", [("node", [1, 2]), ("p_link", True), ("remaining_cost", "2.5")]
+    )
+    def test_bad_forwarder_entry_is_one(self, tmp_path, capsys, key, value):
+        entry = {"node": 2, "p_link": 0.5, "remaining_cost": 1.0, key: value}
+        path = write_cfg(tmp_path, yaml.safe_dump({"forwarder_sets": [[{"node": 1}, entry]]}))
+        assert cli.main(["analyze", path]) == 1
+        assert f"forwarder_sets[0][1].{key}" in capsys.readouterr().err
+
+    def test_mixed_forwarder_node_ids_is_one(self, tmp_path, capsys):
+        sets = [[{"node": "a", "remaining_cost": 1.0}, {"p_link": 0.5, "remaining_cost": 1.0}]]
+        path = write_cfg(tmp_path, yaml.safe_dump({"forwarder_sets": sets}))
+        assert cli.main(["analyze", path]) == 1
+        assert "forwarder_sets[0] mixes integer and string node ids" in capsys.readouterr().err
 
     def test_unreachable_explicit_set_reports_inf(self):
         cfg = {"forwarder_sets": [[{"node": 0, "p_link": 0.0, "remaining_cost": 1.0}]]}

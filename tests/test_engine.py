@@ -75,7 +75,7 @@ class TestSimulateDelivery:
         trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
         assert trace.delivered
         assert trace.transmissions == 0
-        assert engine.first_arrival_hops(trace) == 0
+        assert trace.first_arrival_hops == 0
 
     def test_event_stream_shape(self):
         t = topo.chain_topology([1.0])
@@ -89,7 +89,7 @@ class TestSimulateDelivery:
             EventKind.GATEWAY_ARRIVAL,
         ]
         assert trace.delivered and trace.transmissions == 1
-        assert engine.first_arrival_hops(trace) == 1
+        assert trace.first_arrival_hops == 1
 
     def test_event_times_monotone(self):
         t = star()
@@ -132,7 +132,7 @@ class TestSimulateDelivery:
             if not elected:
                 continue
             first = elected[0]
-            heard = {e.actor for e in receives if e.detail == f"from={trace.source}"}
+            heard = {e.actor for e in receives if e.sender == trace.source}
             best = min(heard, key=lambda n: (t.rank(n), n))
             assert first.actor == best
 
@@ -195,10 +195,10 @@ class TestSimulateDelivery:
             s = engine.simulate_delivery(
                 t, c, SimConfig(mode=ProtocolMode.SENDER_PRIORITIZED, seed=8, source=5), i
             )
-            r_elect = [(e.actor, e.detail) for e in r.events if e.kind is EventKind.ELECT]
-            s_elect = [(e.actor, e.detail) for e in s.events if e.kind is EventKind.ELECT]
+            r_elect = [(e.actor, e.sender, e.hops) for e in r.events if e.kind is EventKind.ELECT]
+            s_elect = [(e.actor, e.sender, e.hops) for e in s.events if e.kind is EventKind.ELECT]
             # slots may differ between orderings; the winners may not
-            assert [a for a, _ in r_elect] == [a for a, _ in s_elect]
+            assert r_elect == s_elect
             assert r.delivered == s.delivered
 
 
@@ -231,15 +231,44 @@ class TestRunExperiment:
         assert abs(m.pdr - expect) < 3.5 * se
 
     def test_empirical_overhead_is_winner_cost_sum(self):
-        t = star(2, 0.8)
-        cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, replications=300, seed=5, source=3)
-        c = costs_of(t)
-        total = 0.0
-        for i in range(300):
-            trace = engine.simulate_delivery(t, c, cfg, i)
-            total += sum(c[e.actor] for e in trace.events if e.kind is EventKind.ELECT)
-        m = engine.run_experiment(t, cfg)
-        assert m.empirical_coordination_overhead == pytest.approx(total / 300)
+        # every metric equals its recomputation from the traces, exactly:
+        # the overhead adds winner costs in event order, as run_experiment does
+        lossy = dict(source_ber=(0.005, 0.005), relay_ber=(0.005, 0.005))
+        # four hops of non-integer costs: the float sum depends on its order
+        mesh = topo.generate(
+            topo.GeneratorConfig(nodes=20, area_side=100.0, radio_range=30.0,
+                                 ber_model=topo.FixedBer(0.002)),
+            seed=1,
+        )
+        # (topology, sim overrides, whether duplicates and repeat arrivals occur)
+        cases = [
+            (mesh, {"source": topo.deepest_node(mesh)}, False),
+            (star(2, 0.8), {}, False),
+            (star(3, 0.6, intercandidate_ber=1.0), {}, True),
+            (star(3, 0.6), {"suppression": False}, True),
+            (topo.diamond_topology(**lossy, intercandidate_ber=1.0), {}, True),
+            (topo.diamond_topology(**lossy), {"suppression": False}, True),
+        ]
+        for t, kw, duplicates in cases:
+            cfg = SimConfig(**{"mode": ProtocolMode.RECEIVER_BASED, "replications": 300,
+                               "seed": 5, "source": t.nodes[-1].id, **kw})
+            c = costs_of(t)
+            traces = [engine.simulate_delivery(t, c, cfg, i) for i in range(300)]
+            total = 0.0
+            for trace in traces:
+                for e in trace.events:
+                    if e.kind is EventKind.ELECT:
+                        total += c[e.actor]
+            delivered = [tr for tr in traces if tr.delivered]
+            forwards = sum(tr.count(EventKind.DUPLICATE_FORWARD) for tr in traces)
+            assert (forwards > 0) == (sum(tr.duplicate_arrivals for tr in traces) > 0) == duplicates
+            m = engine.run_experiment(t, cfg)
+            assert m.deliveries_succeeded == len(delivered)
+            assert m.pdr == len(delivered) / 300
+            assert m.empirical_coordination_overhead == total / 300
+            assert m.mean_duplicates == forwards / 300
+            assert m.mean_transmissions == sum(tr.transmissions for tr in traces) / 300
+            assert m.mean_hops == sum(tr.first_arrival_hops for tr in delivered) / len(delivered)
 
     def test_mean_hops_zero_without_successes(self):
         t = topo.diamond_topology(source_ber=(0.4, 0.4), relay_ber=(0.4, 0.4))
@@ -262,7 +291,7 @@ class TestHelpers:
         t = topo.diamond_topology(source_ber=(0.4, 0.4), relay_ber=(0.4, 0.4))
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=2, source=3)
         trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
-        assert engine.first_arrival_hops(trace) is None
+        assert trace.first_arrival_hops is None
 
     def test_energy_bits_counts_data_transmissions(self):
         t = topo.chain_topology([1.0, 1.0])

@@ -197,80 +197,64 @@ def test_validate_reports_dangling_link_endpoint():
     assert "link-endpoints" in codes
 
 
-def _ev(kind, actor=1, detail=""):
-    return TraceEvent(time=0, kind=kind, actor=actor, detail=detail)
+def _ev(kind, actor=1, **fields):
+    return TraceEvent(time=0, kind=kind, actor=actor, **fields)
 
 
 def test_delivery_trace_from_events():
     events = (
         _ev(EventKind.TRANSMIT_PREAMBLE),
         _ev(EventKind.TRANSMIT_DATA),
-        _ev(EventKind.RECEIVE, actor=0),
-        _ev(EventKind.GATEWAY_ARRIVAL, actor=0, detail="hops=1 from=1"),
+        _ev(EventKind.RECEIVE, actor=0, sender=1),
+        _ev(EventKind.GATEWAY_ARRIVAL, actor=0, sender=1, hops=1),
     )
-    trace = DeliveryTrace.from_events(source=1, events=events)
+    trace = DeliveryTrace(source=1, events=events)
     assert trace.delivered
     assert trace.duplicate_arrivals == 0
     assert trace.transmissions == 1
+    assert trace.first_arrival_hops == 1
     assert trace.count(EventKind.RECEIVE) == 1
 
 
 def test_delivery_trace_counts_duplicate_arrivals():
     events = (
-        _ev(EventKind.GATEWAY_ARRIVAL, actor=0, detail="hops=1 from=1"),
-        _ev(EventKind.GATEWAY_ARRIVAL, actor=0, detail="hops=2 from=2"),
+        _ev(EventKind.GATEWAY_ARRIVAL, actor=0, sender=1, hops=1),
+        _ev(EventKind.GATEWAY_ARRIVAL, actor=0, sender=2, hops=2),
     )
-    trace = DeliveryTrace.from_events(source=1, events=events)
+    trace = DeliveryTrace(source=1, events=events)
     assert trace.delivered and trace.duplicate_arrivals == 1
+    assert trace.first_arrival_hops == 1
 
 
-def test_delivery_trace_rejects_inconsistent_fields():
-    arrival = (_ev(EventKind.GATEWAY_ARRIVAL, actor=0),)
-    with pytest.raises(ValueError):
-        DeliveryTrace(source=1, events=arrival, delivered=False, duplicate_arrivals=0, transmissions=0)
-    with pytest.raises(ValueError):
-        DeliveryTrace(source=1, events=arrival, delivered=True, duplicate_arrivals=3, transmissions=0)
-
-
-def test_metrics_consistency_checks():
-    with pytest.raises(ValueError):
-        Metrics(
-            deliveries_attempted=10,
-            deliveries_succeeded=5,
-            pdr=0.9,  # disagrees with 5/10
-            mean_duplicates=0.0,
-            empirical_coordination_overhead=0.0,
-            mean_transmissions=1.0,
-            mean_hops=1.0,
-        )
-    with pytest.raises(ValueError):
-        # zero attempts pins pdr to zero
-        Metrics(
-            deliveries_attempted=0,
-            deliveries_succeeded=0,
-            pdr=0.5,
-            mean_duplicates=0.0,
-            empirical_coordination_overhead=0.0,
-            mean_transmissions=0.0,
-            mean_hops=0.0,
-        )
-
-
-def test_metrics_accepts_consistent_values():
-    m = Metrics(
+def _metrics(**overrides):
+    values = dict(
         deliveries_attempted=4,
         deliveries_succeeded=3,
-        pdr=0.75,
         mean_duplicates=0.25,
         empirical_coordination_overhead=1.5,
         mean_transmissions=2.0,
         mean_hops=2.0,
     )
-    assert m.pdr == 0.75
+    return Metrics(**{**values, **overrides})
+
+
+def test_metrics_consistency_checks():
+    with pytest.raises(ValueError):
+        _metrics(deliveries_succeeded=5)  # more than the 4 attempted
+    with pytest.raises(ValueError):
+        _metrics(mean_hops=-1.0)
+    with pytest.raises(ValueError):
+        _metrics(mean_duplicates=float("inf"))
+
+
+def test_metrics_accepts_consistent_values():
+    assert _metrics().pdr == 0.75
+    # nothing attempted delivers nothing
+    assert _metrics(deliveries_attempted=0, deliveries_succeeded=0).pdr == 0.0
 
 
 def test_event_kind_values_are_stable():
-    # trace details and downstream parsers key off these literals
+    # the trace golden hashes and downstream readers key off these literals
     assert EventKind.TRANSMIT_PREAMBLE.value == "transmit-preamble"
     assert EventKind.DUPLICATE_FORWARD.value == "duplicate-forward"
     assert EventKind.GATEWAY_ARRIVAL.value == "gateway-arrival"

@@ -43,6 +43,10 @@ def test_sections_show_the_parser_defaults():
     assert cli.parse_frame(shown) == cli.parse_frame({})
     assert cli.parse_channel(shown) == cli.parse_channel({})
     assert cli.parse_sim(shown) == cli.parse_sim({})
+    defaulted = [[{} for _ in entries] for entries in shown["forwarder_sets"]]
+    assert cli.parse_forwarder_sets(shown) == cli.parse_forwarder_sets(
+        {"forwarder_sets": defaulted}
+    )
 
 
 @pytest.mark.parametrize("section, key", sorted(required(CONFIG_BLOCK)))
