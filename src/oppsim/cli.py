@@ -563,13 +563,16 @@ def cmd_analyze(cfg: dict) -> str:
 def cmd_simulate(cfg: dict) -> str:
     frame, channel, sim, digest = _parsed(cfg)
     topology_obj = _topology_for_run(cfg, frame, channel)
+    costs = analysis.network_path_costs(topology_obj)
 
     rows = [
         "mode,replications,pdr,mean_duplicates,mean_transmissions,mean_hops,"
         "empirical_overhead,mean_energy_bits,hop_energy_ratio,seed,config"
     ]
     for mode in _MODES[sim["mode"]]:
-        metrics = engine.run_experiment(topology_obj, engine.SimConfig(**{**sim, "mode": mode}))
+        metrics = engine.run_experiment(
+            topology_obj, engine.SimConfig(**{**sim, "mode": mode}), costs
+        )
         mean_energy = metrics.mean_transmissions * frame.bits_per_transmission
         ratio = metrics.mean_hops / mean_energy if mean_energy > 0 else 0.0
         rows.append(
@@ -645,6 +648,7 @@ def cmd_sweep(cfg: dict) -> str:
                 {**topo_section, "forwarders": value}, "topology", _topology_kinds()
             )
             built = topo.star_topology(**star, frame=frame, channel=channel)
+            costs = analysis.network_path_costs(built)
             # the declared per-candidate delivery probability and remaining
             # cost define the analytic set; the builder realizes the same
             # probability inside the simulator
@@ -672,7 +676,7 @@ def cmd_sweep(cfg: dict) -> str:
         retries = _guarded_retransmissions(failure)
         for mode in _MODES[sim["mode"]]:
             config = engine.SimConfig(**{**sim, "mode": mode, "source": source})
-            metrics = engine.run_experiment(built, config)
+            metrics = engine.run_experiment(built, config, costs)
             rows.append(
                 ",".join(
                     [

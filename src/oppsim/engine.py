@@ -24,6 +24,18 @@ same rank, and then receiver mode breaks the tie by node id where sender
 mode keeps the cost order (the 1000-node generated mesh of the benchmark
 hits this; ``perfbench/known_defects.json`` pins its output).
 
+Structure: one private kernel, ``_deliver``, runs a replication over a
+``_Plan`` - the per-topology tables every replication reads (the source
+candidates, each node's upstream candidates with their decode
+probabilities and election priority, and the overhearing probabilities of
+each (transmitter, observer) pair, the last two filled on first use).
+``run_experiment`` builds one plan per run and calls the kernel without an
+event list: it tallies transmissions, duplicate forwards, the first
+arrival's hop count and the elected winners, and builds no ``TraceEvent``.
+``simulate_delivery`` runs the same kernel with a list and returns the
+``DeliveryTrace``.  Both paths make the same draws in the same order, so a
+trace and the metrics of the same replication always agree.
+
 Determinism: replication r draws from a SplitMix64 stream rooted at the
 master seed (``replication_seed``), so adding replications never perturbs
 earlier ones and a fixed (topology, config, replication_index) triple
@@ -36,7 +48,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import partial
+from operator import itemgetter
 
 from . import analysis
 from .model import (
@@ -103,18 +116,216 @@ def replication_seed(seed: int, replication_index: int) -> int:
     return x
 
 
-@lru_cache(maxsize=4096)
-def _frame_decode_probs(ber: float, micro_bits: int, data_bits: int) -> tuple[float, float]:
-    # per-frame decode probabilities; frame-level Bernoulli draws with these
-    # values are distribution-identical to drawing each bit
-    return ((1.0 - ber) ** micro_bits, (1.0 - ber) ** data_bits)
+class _Table(dict):
+    """A dict that fills a missing entry with ``fill(key)`` on first lookup."""
+
+    def __init__(self, fill) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-@dataclass
-class _Pending:
-    node: NodeId
-    hops: int
-    observers: tuple[NodeId, ...] = ()
+class _Plan:
+    """What every replication of one run reads about its topology, worked
+    out once per run instead of once per hop or per replication.
+
+    ``upstream[u]`` holds u's upstream candidates in draw order (ascending
+    id) as ``(node, micro_p, data_p, priority)``; priority is the
+    candidate's position in the election order over all of u's upstream
+    neighbors: by (rank, id) in RECEIVER_BASED mode, by the stamped
+    (cost, id) list in SENDER_PRIORITIZED mode.  ``overhearing[(u, obs)]``
+    holds obs's decode probabilities for u's frames, or None when obs has
+    no link back to u.  Both tables fill on first use, so a run pays only
+    for the nodes and pairs its replications reach.  Their fill functions
+    hold the topology, not the plan, so a plan is freed as soon as its run
+    ends instead of waiting for the cycle collector.
+    """
+
+    def __init__(self, topology: Topology, costs: analysis.PathCostTable, config: SimConfig):
+        if config.source is not None:
+            topology.node(config.source)
+        self.receiver = config.mode is ProtocolMode.RECEIVER_BASED
+        self.gateway = topology.gateway
+        self.sources = topology.non_gateway_ids()
+        self.p_sw = topology.channel.evaluated.p_sw
+        self.preamble_frames = topology.frame.preamble_frames
+        election_key = (
+            (lambda c: (topology.rank(c), c)) if self.receiver else (lambda c: (costs[c], c))
+        )
+        self.upstream = _Table(partial(_upstream_candidates, topology, election_key))
+        self.overhearing = _Table(partial(_overhearing_probs, topology))
+
+
+def _decode_probs(topology: Topology, a: NodeId, b: NodeId) -> tuple[float, float]:
+    # b's per-frame decode probabilities for a's micro-frames and data frame;
+    # frame-level Bernoulli draws with these values are
+    # distribution-identical to drawing each bit
+    survival = 1.0 - topology.ber(a, b)
+    frame = topology.frame
+    return survival**frame.micro_frame_bits, survival**frame.data_frame_bits
+
+
+def _upstream_candidates(
+    topology: Topology, election_key, u: NodeId
+) -> tuple[tuple[NodeId, float, float, int], ...]:
+    upstream = topology.upstream_neighbors(u)
+    priority = {c: i for i, c in enumerate(sorted(upstream, key=election_key))}
+    return tuple((c, *_decode_probs(topology, u, c), priority[c]) for c in upstream)
+
+
+def _overhearing_probs(
+    topology: Topology, pair: tuple[NodeId, NodeId]
+) -> tuple[float, float] | None:
+    u, obs = pair
+    return _decode_probs(topology, u, obs) if topology.has_link(obs, u) else None
+
+
+_PRIORITY = itemgetter(3)
+
+
+def _deliver(
+    plan: _Plan, config: SimConfig, replication_index: int, events: list[TraceEvent] | None
+) -> tuple[NodeId, int, int, int | None, list[NodeId]]:
+    """Run one end-to-end delivery attempt.
+
+    Returns the source, the number of transmissions, the number of
+    duplicate forwards, the hop count of the first gateway arrival (None
+    if undelivered) and the elected winners in election order.  Appends
+    the attempt's events to ``events`` unless it is None; without a list
+    no event is built.
+
+    There is no link-layer acknowledgement, so a transmission nobody
+    decodes kills that packet copy; duplicate forwards spawn independent
+    copies that may produce extra gateway arrivals.
+    """
+    rng = random.Random(replication_seed(config.seed, replication_index))
+    draw = rng.random
+    traced = events is not None
+    gateway = plan.gateway
+    source = config.source
+    if source is None:
+        source = rng.choice(plan.sources) if plan.sources else gateway
+    if source == gateway:
+        if traced:
+            events.append(TraceEvent(0, EventKind.GATEWAY_ARRIVAL, gateway, hops=0))
+        return source, 0, 0, 0, []
+
+    p_sw = plan.p_sw
+    r_m = plan.preamble_frames
+    upstream = plan.upstream
+    overhearing = plan.overhearing
+    receiver = plan.receiver
+    max_hops = config.max_hops
+    slots = config.election_slots
+    duplicate_all = receiver and not config.suppression
+
+    duplicates = 0
+    first_hops: int | None = None
+    winners: list[NodeId] = []
+    # pending copies: (node, hops so far, co-candidates of its election)
+    queue: deque[tuple[NodeId, int, tuple[NodeId, ...]]] = deque([(source, 0, ())])
+    slot = 0  # one slot per transmission
+    while queue:
+        u, hops, observers = queue.popleft()
+        if hops >= max_hops:
+            if traced:
+                for obs in observers:
+                    events.append(
+                        TraceEvent(slot, EventKind.SUPPRESS, obs, sender=u, reason="max-hops")
+                    )
+            continue
+
+        t = slot
+        slot += 1
+        if traced:
+            events.append(TraceEvent(t, EventKind.TRANSMIT_PREAMBLE, u))
+            events.append(TraceEvent(t, EventKind.TRANSMIT_DATA, u))
+        on_channel = draw() < p_sw
+
+        # co-candidates of u's own election react to this forward: one that
+        # hears no micro-frame and not the data frame duplicates; so does
+        # one without a link back to u
+        for obs in observers:
+            duplicate = False
+            if on_channel:
+                probs = overhearing[(u, obs)]
+                if probs is None:
+                    duplicate = True
+                else:
+                    micro_p, data_p = probs
+                    for _ in range(r_m):
+                        if draw() < micro_p:
+                            break
+                    else:
+                        duplicate = draw() >= data_p
+            if duplicate:
+                duplicates += 1
+                if traced:
+                    events.append(TraceEvent(t, EventKind.DUPLICATE_FORWARD, obs, sender=u))
+                queue.append((obs, hops, ()))
+            elif traced:
+                events.append(TraceEvent(t, EventKind.SUPPRESS, obs, sender=u))
+        if not on_channel:
+            continue
+
+        # a micro-frame wakes c, then the data frame decodes
+        hearing = []
+        gateway_heard = False
+        for candidate in upstream[u]:
+            c, micro_p, data_p, _ = candidate
+            for _ in range(r_m):
+                if draw() < micro_p:
+                    if draw() < data_p:
+                        if traced:
+                            events.append(TraceEvent(t, EventKind.RECEIVE, c, sender=u))
+                        if c == gateway:
+                            gateway_heard = True
+                        else:
+                            hearing.append(candidate)
+                    break
+
+        next_hops = hops + 1
+        if gateway_heard:
+            if first_hops is None:
+                first_hops = next_hops
+            if traced:
+                events.append(
+                    TraceEvent(t, EventKind.GATEWAY_ARRIVAL, gateway, sender=u, hops=next_hops)
+                )
+        if not hearing:
+            continue
+
+        hearing.sort(key=_PRIORITY)
+        attached: list[NodeId] = []
+        elected = False
+        for i, (c, _, _, priority) in enumerate(hearing):
+            ordinal = i if receiver else priority
+            if ordinal >= slots:
+                if traced:
+                    events.append(
+                        TraceEvent(t, EventKind.SUPPRESS, c, sender=u, reason="window-closed")
+                    )
+            elif i == 0:
+                elected = True
+                winners.append(c)
+                if traced:
+                    events.append(
+                        TraceEvent(t, EventKind.ELECT, c, sender=u, hops=next_hops, slot=ordinal)
+                    )
+            elif duplicate_all:
+                duplicates += 1
+                if traced:
+                    events.append(TraceEvent(t, EventKind.DUPLICATE_FORWARD, c, sender=u))
+                queue.append((c, next_hops, ()))
+            else:
+                attached.append(c)
+        if elected:
+            queue.append((hearing[0][0], next_hops, tuple(attached)))
+
+    return source, slot, duplicates, first_hops, winners
 
 
 def simulate_delivery(
@@ -123,126 +334,19 @@ def simulate_delivery(
     config: SimConfig,
     replication_index: int,
 ) -> DeliveryTrace:
-    """Run one end-to-end delivery attempt and return its full trace.
-
-    There is no link-layer acknowledgement, so a transmission nobody
-    decodes kills that packet copy; duplicate forwards spawn independent
-    copies that may produce extra gateway arrivals.
-    """
-    rng = random.Random(replication_seed(config.seed, replication_index))
-    gateway = topology.gateway
-    if config.source is not None:
-        source = config.source
-        topology.node(source)
-    else:
-        candidates = topology.non_gateway_ids()
-        source = rng.choice(candidates) if candidates else gateway
-    if source == gateway:
-        return DeliveryTrace(source, (TraceEvent(0, EventKind.GATEWAY_ARRIVAL, gateway, hops=0),))
-
-    frame = topology.frame
-    p_sw = topology.channel.evaluated.p_sw
-    r_m = frame.preamble_frames
-    m = frame.micro_frame_bits
-    d = frame.data_frame_bits
-
-    def preamble(a: NodeId, b: NodeId) -> tuple[bool, float]:
-        # frame-by-frame draws until one of a's micro-frames wakes b; also
-        # returns b's decode probability for a's data frame
-        micro_p, data_p = _frame_decode_probs(topology.ber(a, b), m, d)
-        for _ in range(r_m):
-            if rng.random() < micro_p:
-                return True, data_p
-        return False, data_p
-
-    def overheard(transmitter: NodeId, observer: NodeId) -> bool:
-        # any micro-frame OR the data frame of the winner's forward
-        if not topology.has_link(observer, transmitter):
-            return False
-        woke, data_p = preamble(transmitter, observer)
-        return woke or rng.random() < data_p
-
+    """Run one end-to-end delivery attempt and return its full trace."""
     events: list[TraceEvent] = []
-    queue: deque[_Pending] = deque([_Pending(node=source, hops=0)])
-    slot = 0
-    while queue:
-        pending = queue.popleft()
-        u = pending.node
-        if pending.hops >= config.max_hops:
-            for obs in pending.observers:
-                events.append(
-                    TraceEvent(slot, EventKind.SUPPRESS, obs, sender=u, reason="max-hops")
-                )
-            continue
-
-        t = slot
-        slot += 1
-        events.append(TraceEvent(t, EventKind.TRANSMIT_PREAMBLE, u))
-        events.append(TraceEvent(t, EventKind.TRANSMIT_DATA, u))
-        on_channel = rng.random() < p_sw
-
-        # co-candidates of u's own election react to this forward transmission
-        for obs in pending.observers:
-            if on_channel and not overheard(u, obs):
-                events.append(TraceEvent(t, EventKind.DUPLICATE_FORWARD, obs, sender=u))
-                queue.append(_Pending(node=obs, hops=pending.hops))
-            else:
-                events.append(TraceEvent(t, EventKind.SUPPRESS, obs, sender=u))
-
-        upstream = topology.upstream_neighbors(u)
-        hearing: list[NodeId] = []
-        if on_channel:
-            for c in upstream:
-                # a micro-frame wakes c, then the data frame decodes
-                woke, data_p = preamble(u, c)
-                if woke and rng.random() < data_p:
-                    events.append(TraceEvent(t, EventKind.RECEIVE, c, sender=u))
-                    hearing.append(c)
-        if not hearing:
-            continue
-
-        next_hops = pending.hops + 1
-        if gateway in hearing:
-            events.append(
-                TraceEvent(t, EventKind.GATEWAY_ARRIVAL, gateway, sender=u, hops=next_hops)
-            )
-            hearing = [c for c in hearing if c != gateway]
-            if not hearing:
-                continue
-
-        if config.mode is ProtocolMode.RECEIVER_BASED:
-            order = sorted(hearing, key=lambda c: (topology.rank(c), c))
-            ordinal = {c: i for i, c in enumerate(order)}
-        else:
-            stamped = sorted(upstream, key=lambda c: (costs[c], c))
-            ordinal = {c: i for i, c in enumerate(stamped)}
-            order = sorted(hearing, key=ordinal.__getitem__)
-
-        winner = order[0]
-        attached: list[NodeId] = []
-        for c in order:
-            if ordinal[c] >= config.election_slots:
-                events.append(
-                    TraceEvent(t, EventKind.SUPPRESS, c, sender=u, reason="window-closed")
-                )
-            elif c == winner:
-                events.append(
-                    TraceEvent(t, EventKind.ELECT, c, sender=u, hops=next_hops, slot=ordinal[c])
-                )
-            elif config.mode is ProtocolMode.RECEIVER_BASED and not config.suppression:
-                events.append(TraceEvent(t, EventKind.DUPLICATE_FORWARD, c, sender=u))
-                queue.append(_Pending(node=c, hops=next_hops))
-            else:
-                attached.append(c)
-        if ordinal[winner] < config.election_slots:
-            queue.append(_Pending(node=winner, hops=next_hops, observers=tuple(attached)))
-
+    source = _deliver(_Plan(topology, costs, config), config, replication_index, events)[0]
     return DeliveryTrace(source, tuple(events))
 
 
-def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
+def run_experiment(
+    topology: Topology, config: SimConfig, costs: analysis.PathCostTable | None = None
+) -> Metrics:
     """Run ``config.replications`` independent delivery attempts and
-    aggregate.
+    aggregate, building no trace.  ``costs`` defaults to
+    ``analysis.network_path_costs(topology)``; a caller that already has
+    the table passes it.
 
     ``empirical_coordination_overhead`` is the per-replication sum, over
     election events, of the elected forwarder's expected path cost - the
@@ -250,7 +354,9 @@ def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
     gateway's cost is zero, so terminal hops contribute nothing).
     ``mean_duplicates`` counts duplicate-forward events per replication.
     """
-    costs = analysis.network_path_costs(topology)
+    if costs is None:
+        costs = analysis.network_path_costs(topology)
+    plan = _Plan(topology, costs, config)
     attempted = config.replications
     succeeded = 0
     dup_events = 0
@@ -258,19 +364,17 @@ def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
     overhead_sum = 0.0
     hops_sum = 0
     for r in range(attempted):
-        arrived = False
-        for e in simulate_delivery(topology, costs, config, r).events:
-            kind = e.kind
-            if kind is EventKind.TRANSMIT_DATA:
-                transmissions += 1
-            elif kind is EventKind.ELECT:
-                overhead_sum += costs[e.actor]
-            elif kind is EventKind.DUPLICATE_FORWARD:
-                dup_events += 1
-            elif kind is EventKind.GATEWAY_ARRIVAL and not arrived:
-                arrived = True
-                succeeded += 1
-                hops_sum += e.hops
+        _, sent, dups, hops, winners = _deliver(plan, config, r, None)
+        transmissions += sent
+        dup_events += dups
+        if hops is not None:
+            succeeded += 1
+            hops_sum += hops
+        # winner by winner across replications, in the order a trace
+        # records its elections, so the float sum does not depend on how
+        # replications are grouped
+        for w in winners:
+            overhead_sum += costs[w]
     return Metrics(
         deliveries_attempted=attempted,
         deliveries_succeeded=succeeded,

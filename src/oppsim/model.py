@@ -233,6 +233,18 @@ class Topology:
                 nbrs[b].add(a)
         return {nid: tuple(sorted(ns)) for nid, ns in nbrs.items()}
 
+    @cached_property
+    def _upstream(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        hop = {nid: n.hop_id for nid, n in self._index.items()}
+        return {
+            nid: tuple(n for n in nbrs if hop[n] < hop[nid])
+            for nid, nbrs in self._adjacency.items()
+        }
+
+    @cached_property
+    def _non_gateway_ids(self) -> tuple[NodeId, ...]:
+        return tuple(sorted(n.id for n in self.nodes if n.id != self.gateway))
+
     def node(self, node_id: NodeId) -> Node:
         try:
             return self._index[node_id]
@@ -245,8 +257,10 @@ class Topology:
 
     def upstream_neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Neighbors with a strictly smaller hop id, ascending by node id."""
-        own = self.node(node_id).hop_id
-        return tuple(n for n in self.neighbors(node_id) if self.node(n).hop_id < own)
+        try:
+            return self._upstream[node_id]
+        except KeyError:
+            raise ValueError(f"unknown node id: {node_id!r}") from None
 
     def has_link(self, a: NodeId, b: NodeId) -> bool:
         return (a, b) in self.links
@@ -264,7 +278,7 @@ class Topology:
         return self.node(node_id).rank
 
     def non_gateway_ids(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(n.id for n in self.nodes if n.id != self.gateway))
+        return self._non_gateway_ids
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,17 @@ exist to catch implementation drift, not to re-verify the closed forms
 """
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppsim import analysis, cli, engine, topology as topo
 from oppsim.engine import ProtocolMode, SimConfig
-from oppsim.model import Channel, ChannelModel, EventKind
+from oppsim.model import Channel, ChannelModel, EventKind, Metrics
+
+from engine_cases import small_runs, without_cross_links
 
 
 def star(n=3, p=0.6, **kw):
@@ -20,6 +25,29 @@ def star(n=3, p=0.6, **kw):
 
 def costs_of(t):
     return analysis.network_path_costs(t)
+
+
+def metrics_from_traces(traces, costs):
+    """Every Metrics field recomputed from the traces of replications
+    0..n-1; the overhead adds ELECT costs in event order, as
+    run_experiment does."""
+    n = len(traces)
+    delivered = [tr for tr in traces if tr.delivered]
+    overhead = 0.0
+    for trace in traces:
+        for e in trace.events:
+            if e.kind is EventKind.ELECT:
+                overhead += costs[e.actor]
+    return Metrics(
+        deliveries_attempted=n,
+        deliveries_succeeded=len(delivered),
+        mean_duplicates=sum(tr.count(EventKind.DUPLICATE_FORWARD) for tr in traces) / n,
+        empirical_coordination_overhead=overhead / n,
+        mean_transmissions=sum(tr.transmissions for tr in traces) / n,
+        mean_hops=(
+            sum(tr.first_arrival_hops for tr in delivered) / len(delivered) if delivered else 0.0
+        ),
+    )
 
 
 class TestSimConfig:
@@ -248,27 +276,64 @@ class TestRunExperiment:
             (star(3, 0.6), {"suppression": False}, True),
             (topo.diamond_topology(**lossy, intercandidate_ber=1.0), {}, True),
             (topo.diamond_topology(**lossy), {"suppression": False}, True),
+            # relays with no link to each other: the loser always duplicates
+            (without_cross_links(topo.diamond_topology(**lossy)), {}, True),
         ]
         for t, kw, duplicates in cases:
             cfg = SimConfig(**{"mode": ProtocolMode.RECEIVER_BASED, "replications": 300,
                                "seed": 5, "source": t.nodes[-1].id, **kw})
             c = costs_of(t)
             traces = [engine.simulate_delivery(t, c, cfg, i) for i in range(300)]
-            total = 0.0
-            for trace in traces:
-                for e in trace.events:
-                    if e.kind is EventKind.ELECT:
-                        total += c[e.actor]
-            delivered = [tr for tr in traces if tr.delivered]
             forwards = sum(tr.count(EventKind.DUPLICATE_FORWARD) for tr in traces)
             assert (forwards > 0) == (sum(tr.duplicate_arrivals for tr in traces) > 0) == duplicates
-            m = engine.run_experiment(t, cfg)
-            assert m.deliveries_succeeded == len(delivered)
-            assert m.pdr == len(delivered) / 300
-            assert m.empirical_coordination_overhead == total / 300
-            assert m.mean_duplicates == forwards / 300
-            assert m.mean_transmissions == sum(tr.transmissions for tr in traces) / 300
-            assert m.mean_hops == sum(tr.first_arrival_hops for tr in delivered) / len(delivered)
+            assert engine.run_experiment(t, cfg) == metrics_from_traces(traces, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=small_runs(), replications=st.integers(min_value=1, max_value=30))
+    def test_metrics_equal_their_recomputation_from_traces(self, run, replications):
+        # the trace-free path and the traced path run one kernel; every
+        # tally must agree with the events exactly, on every knob
+        t, cfg = run
+        cfg = replace(cfg, replications=replications)
+        c = costs_of(t)
+        traces = [engine.simulate_delivery(t, c, cfg, i) for i in range(replications)]
+        assert engine.run_experiment(t, cfg) == metrics_from_traces(traces, c)
+        assert engine.run_experiment(t, cfg, c) == metrics_from_traces(traces, c)
+
+    def test_builds_no_trace(self, monkeypatch):
+        mesh = topo.generate(
+            topo.GeneratorConfig(nodes=20, area_side=100.0, radio_range=30.0,
+                                 ber_model=topo.FixedBer(0.005)),
+            seed=1,
+        )
+        # (topology, sim overrides): together they reach every event kind,
+        # both suppression reasons and the gateway source
+        cases = [
+            (star(3, 0.6), {"source": 4, "max_hops": 1, "election_slots": 2}),
+            (mesh, {"election_slots": 2, "suppression": False}),
+            (star(), {"source": 0}),
+        ]
+        runs = [
+            (t, SimConfig(**{"mode": mode, "replications": 200, "seed": 3, **kw}))
+            for t, kw in cases
+            for mode in ProtocolMode
+        ]
+        events = [
+            e
+            for t, cfg in runs
+            for i in range(cfg.replications)
+            for e in engine.simulate_delivery(t, costs_of(t), cfg, i).events
+        ]
+        assert {e.kind for e in events} == set(EventKind)
+        assert {e.reason for e in events} == {None, "max-hops", "window-closed"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment built a trace")
+
+        monkeypatch.setattr(engine, "TraceEvent", refuse)
+        monkeypatch.setattr(engine, "DeliveryTrace", refuse)
+        for t, cfg in runs:
+            engine.run_experiment(t, cfg)
 
     def test_mean_hops_zero_without_successes(self):
         t = topo.diamond_topology(source_ber=(0.4, 0.4), relay_ber=(0.4, 0.4))

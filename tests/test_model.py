@@ -122,6 +122,8 @@ def test_topology_accessors():
     assert topo.hop_id(2) == 2
     assert topo.rank(1) == 2.0
     assert topo.non_gateway_ids() == (1, 2)
+    with pytest.raises(ValueError, match=r"^unknown node id: 9$"):
+        topo.upstream_neighbors(9)
 
 
 def test_topology_coerces_float_links():

@@ -6,12 +6,14 @@ import json
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oppsim import analysis, engine, topology as topo
 from oppsim.engine import ProtocolMode, SimConfig
 from oppsim.model import EventKind
+
+from engine_cases import small_runs
 
 RECEIVER, SENDER = ProtocolMode.RECEIVER_BASED, ProtocolMode.SENDER_PRIORITIZED
 LOSSY = dict(source_ber=(0.005, 0.005), relay_ber=(0.005, 0.005))
@@ -131,46 +133,9 @@ def check_well_formed(trace, t, cfg):
                 elected_at_limit.add(e.actor)
 
 
-@lru_cache(maxsize=None)
-def small_topology(kind, size, ber, intercandidate_ber, seed):
-    if kind == "star":
-        return topo.star_topology(size, 1.0 - 40 * ber, intercandidate_ber=intercandidate_ber)
-    if kind == "diamond":
-        return topo.diamond_topology(
-            (ber, 2 * ber), (ber, ber), intercandidate_ber=intercandidate_ber
-        )
-    gen = topo.GeneratorConfig(
-        nodes=size + 3, area_side=40.0, radio_range=20.0, ber_model=topo.FixedBer(ber)
-    )
-    try:
-        return topo.generate(gen, seed=seed)
-    except topo.DisconnectedTopologyError:
-        return None
-
-
 @settings(max_examples=150, deadline=None)
-@given(
-    kind=st.sampled_from(["star", "diamond", "generated"]),
-    size=st.integers(min_value=1, max_value=5),
-    ber=st.sampled_from([0.0, 0.002, 0.005, 0.01]),
-    intercandidate_ber=st.sampled_from([0.0, 0.5, 1.0]),
-    graph_seed=st.integers(min_value=0, max_value=20),
-    mode=st.sampled_from(list(ProtocolMode)),
-    election_slots=st.integers(min_value=1, max_value=4),
-    max_hops=st.integers(min_value=1, max_value=5),
-    suppression=st.booleans(),
-    seed=st.integers(min_value=0, max_value=1000),
-    replication=st.integers(min_value=0, max_value=1000),
-)
-def test_every_trace_is_well_formed(
-    kind, size, ber, intercandidate_ber, graph_seed, mode, election_slots, max_hops,
-    suppression, seed, replication,
-):
-    t = small_topology(kind, size, ber, intercandidate_ber, graph_seed)
-    assume(t is not None)
-    cfg = SimConfig(
-        mode=mode, seed=seed, max_hops=max_hops, election_slots=election_slots,
-        suppression=suppression,
-    )
+@given(run=small_runs(), replication=st.integers(min_value=0, max_value=1000))
+def test_every_trace_is_well_formed(run, replication):
+    t, cfg = run
     trace = engine.simulate_delivery(t, analysis.network_path_costs(t), cfg, replication)
     check_well_formed(trace, t, cfg)
