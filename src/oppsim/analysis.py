@@ -62,17 +62,33 @@ def _survival_power(p: float, n: int) -> float:
     return (1.0 - p) ** n
 
 
-def preamble_miss_probability(p: float | BitErrorRate, frame: FrameParams) -> float:
-    """Probability that every micro-frame of the preamble fails to decode:
-    [1 - (1 - p)^m]^r for m bits per micro-frame and r micro-frames."""
-    p = _ber_value(p)
+def _preamble_miss(p: float, frame: FrameParams) -> float:
     single_miss = 1.0 - _survival_power(p, frame.micro_frame_bits)
     return single_miss**frame.preamble_frames
 
 
+def _data_miss(p: float, frame: FrameParams) -> float:
+    return 1.0 - _survival_power(p, frame.data_frame_bits)
+
+
+def _failure(p: float, frame: FrameParams, p_sw: float) -> float:
+    return p_sw * _preamble_miss(p, frame) * _data_miss(p, frame)
+
+
+def _link_success(p: float, frame: FrameParams, p_sw: float) -> float:
+    """link_success of a bit error rate and a p_sw already validated."""
+    return 1.0 - _failure(p, frame, p_sw)
+
+
+def preamble_miss_probability(p: float | BitErrorRate, frame: FrameParams) -> float:
+    """Probability that every micro-frame of the preamble fails to decode:
+    [1 - (1 - p)^m]^r for m bits per micro-frame and r micro-frames."""
+    return _preamble_miss(_ber_value(p), frame)
+
+
 def data_miss_probability(p: float | BitErrorRate, frame: FrameParams) -> float:
     """Probability the data frame fails to decode: 1 - (1 - p)^d."""
-    return 1.0 - _survival_power(_ber_value(p), frame.data_frame_bits)
+    return _data_miss(_ber_value(p), frame)
 
 
 def failure_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: float) -> float:
@@ -84,13 +100,14 @@ def failure_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: float
     semantics must gate on channel selection themselves.
     """
     p_sw = model._probability("p_sw", p_sw)
-    return p_sw * preamble_miss_probability(p, frame) * data_miss_probability(p, frame)
+    return _failure(_ber_value(p), frame, p_sw)
 
 
 def link_success(p: float | BitErrorRate, frame: FrameParams, p_sw: float) -> float:
     """Complement of failure_probability: the candidate hears at least one
     micro-frame or the data frame."""
-    return 1.0 - failure_probability(p, frame, p_sw)
+    p_sw = model._probability("p_sw", p_sw)
+    return _link_success(_ber_value(p), frame, p_sw)
 
 
 def reception_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: float) -> float:
@@ -194,16 +211,16 @@ def forwarder_entries(
 ) -> ForwarderSet:
     """Build a node's forwarder set: upstream neighbors (strictly smaller
     hop id) with link_success probabilities under the evaluated channel."""
-    p_sw = topology.channel.evaluated.p_sw
-    entries = []
-    for nbr in topology.upstream_neighbors(node):
-        entries.append(
-            ForwarderEntry(
-                node=nbr,
-                p_link=link_success(topology.ber(node, nbr), topology.frame, p_sw),
-                remaining_cost=costs[nbr],
-            )
+    p_sw = model._probability("p_sw", topology.channel.evaluated.p_sw)
+    frame = topology.frame
+    entries = [
+        ForwarderEntry(
+            node=nbr,
+            p_link=_link_success(topology.ber(node, nbr), frame, p_sw),
+            remaining_cost=costs[nbr],
         )
+        for nbr in topology.upstream_neighbors(node)
+    ]
     if not entries:
         raise DisconnectedNodeError(f"disconnected node: {node!r} has no upstream neighbor")
     return ForwarderSet(tuple(entries))

@@ -10,7 +10,7 @@ them as a list of violations so a caller can surface every problem at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -244,6 +244,26 @@ class Topology:
     @cached_property
     def _non_gateway_ids(self) -> tuple[NodeId, ...]:
         return tuple(sorted(n.id for n in self.nodes if n.id != self.gateway))
+
+    def with_hop_ids(self, hop_ids: Mapping[NodeId, int]) -> Topology:
+        """A copy whose nodes have the given hop IDs.  Hop IDs feed only the
+        upstream table, so the copy shares the other tables this topology
+        has built."""
+        nodes = tuple(replace(n, hop_id=hop_ids[n.id]) for n in self.nodes)
+        return self._sharing(nodes, ("_adjacency", "_non_gateway_ids"))
+
+    def with_ranks(self, ranks: Mapping[NodeId, float]) -> Topology:
+        """A copy whose nodes have the given ranks.  Ranks feed none of the
+        neighbour tables, so the copy shares those this topology has built."""
+        nodes = tuple(replace(n, rank=ranks[n.id]) for n in self.nodes)
+        return self._sharing(nodes, ("_adjacency", "_upstream", "_non_gateway_ids"))
+
+    def _sharing(self, nodes: tuple[Node, ...], tables: tuple[str, ...]) -> Topology:
+        copy = replace(self, nodes=nodes)
+        for table in tables:
+            if table in self.__dict__:
+                copy.__dict__[table] = self.__dict__[table]
+        return copy
 
     def node(self, node_id: NodeId) -> Node:
         try:

@@ -13,8 +13,10 @@ computed, ready for both the closed-form layer and the simulator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -71,18 +73,19 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         _positive_int("nodes", self.nodes)
-        if not self.area_side > 0.0:
-            raise ValueError("area_side must be positive")
+        if not 0.0 < self.area_side < math.inf:
+            raise ValueError(f"area_side must be positive and finite, got {self.area_side!r}")
         if not self.radio_range > 0.0:
             raise ValueError("radio_range must be positive")
 
 
-def _link_ber(model: FixedBer | DistanceBer, distance: float, radio_range: float) -> float:
+def _ber_law(model: FixedBer | DistanceBer, radio_range: float) -> Callable[[float], float]:
+    """A link's bit error rate as a function of its length."""
     if isinstance(model, FixedBer):
-        return model.p
+        return lambda distance: model.p
     span = model.p_max - model.p_min
-    p = model.p_min + span * (distance / radio_range) ** 2
-    return min(max(p, min(model.p_min, model.p_max)), max(model.p_min, model.p_max))
+    lo, hi = min(model.p_min, model.p_max), max(model.p_min, model.p_max)
+    return lambda distance: min(max(model.p_min + span * (distance / radio_range) ** 2, lo), hi)
 
 
 def generate(config: GeneratorConfig, seed: int) -> Topology:
@@ -91,32 +94,86 @@ def generate(config: GeneratorConfig, seed: int) -> Topology:
     center unless a position is configured.  Raises
     DisconnectedTopologyError when some node cannot reach the gateway;
     callers may retry with another seed.
+
+    Exact ``math.hypot(ax - bx, ay - by) <= radio_range`` decides each
+    link, but only pairs in neighbouring grid cells are compared (see
+    :func:`_near_pairs`), so the search takes O(n·k) time for k nodes
+    within about one radio range of a node instead of O(n²).
     """
     rng = np.random.default_rng(seed)
     side = config.area_side
     gw_pos = config.gateway_position or (side / 2.0, side / 2.0)
-    positions: dict[NodeId, tuple[float, float]] = {0: (float(gw_pos[0]), float(gw_pos[1]))}
-    for nid in range(1, config.nodes):
-        positions[nid] = (float(rng.uniform(0.0, side)), float(rng.uniform(0.0, side)))
+    # one draw of n - 1 (x, y) rows consumes the stream as n - 1 scalar x, y pairs would
+    positions = [(float(gw_pos[0]), float(gw_pos[1]))]
+    positions += map(tuple, rng.uniform(0.0, side, size=(config.nodes - 1, 2)).tolist())
 
+    ber_law = _ber_law(config.ber_model, config.radio_range)
     links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
-    ids = sorted(positions)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            ax, ay = positions[a]
-            bx, by = positions[b]
-            dist = math.hypot(ax - bx, ay - by)
-            if dist <= config.radio_range:
-                ber = BitErrorRate(_link_ber(config.ber_model, dist, config.radio_range))
-                links[(a, b)] = ber
-                links[(b, a)] = ber
+    for a, b, dist in _near_pairs(positions, config.radio_range):
+        ber = BitErrorRate(ber_law(dist))
+        links[(a, b)] = ber
+        links[(b, a)] = ber
 
     nodes = tuple(
-        Node(id=nid, rank=1.0, hop_id=0, position=positions[nid]) for nid in ids
+        Node(id=nid, rank=1.0, hop_id=0, position=pos) for nid, pos in enumerate(positions)
     )
-    topo = Topology(nodes=nodes, gateway=0, links=links, frame=config.frame, channel=config.channel)
-    topo = assign_hop_ids(topo)
-    return compute_ranks(topo)
+    return _prepared(nodes, 0, links, config.frame, config.channel)
+
+
+# Cells are this factor wider than the radio range.  Rounding in the
+# coordinate differences, the cell indices and math.hypot moves a pair by a
+# few multiples of 2**-52 cell widths per cell the points span (at most
+# isqrt(n) + 1 of them), far less than this margin, so a pair within range
+# never lies two cells apart.
+_CELL_MARGIN = 1.0 + 1e-6
+
+
+def _near_pairs(
+    points: list[tuple[float, float]], radius: float
+) -> list[tuple[int, int, float]]:
+    """Every index pair (a, b), a < b, with math.hypot(ax - bx, ay - by) <=
+    radius, with that distance, in ascending (a, b) order.
+
+    The points are bucketed into square cells at least ``radius`` wide, at
+    most isqrt(n) + 1 of them along each axis, and each point is compared
+    only with the points of the 3 x 3 cells around its own (Bentley,
+    Stanat & Williams, "The complexity of finding fixed-radius near
+    neighbors", Inf. Proc. Letters 6(6), 1977).  An infinite radius or a
+    point at infinity puts every point into one cell.
+    """
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0)
+    cell = max(radius * _CELL_MARGIN, span / (math.isqrt(len(points)) + 1))
+    if math.isfinite(span) and math.isfinite(cell):
+        keys = [
+            (math.floor((x - x0) / cell), math.floor((y - y0) / cell)) for x, y in points
+        ]
+    else:
+        keys = [(0, 0)] * len(points)
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    # the points of each occupied cell's 3 x 3 block, ascending
+    blocks = {
+        (cx, cy): sorted(
+            i
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for i in members.get((cx + dx, cy + dy), ())
+        )
+        for cx, cy in members
+    }
+    pairs = []
+    for a, (ax, ay) in enumerate(points):
+        block = blocks[keys[a]]
+        for b in block[bisect_right(block, a):]:
+            bx, by = points[b]
+            dist = math.hypot(ax - bx, ay - by)
+            if dist <= radius:
+                pairs.append((a, b, dist))
+    return pairs
 
 
 def _bfs_hops(topology: Topology) -> dict[NodeId, int]:
@@ -139,15 +196,13 @@ def assign_hop_ids(topology: Topology) -> Topology:
     for n in topology.nodes:
         if n.id not in hops:
             raise DisconnectedTopologyError(f"disconnected node: {n.id!r} cannot reach the gateway")
-    nodes = tuple(replace(n, hop_id=hops[n.id]) for n in topology.nodes)
-    return replace(topology, nodes=nodes)
+    return topology.with_hop_ids(hops)
 
 
 def compute_ranks(topology: Topology) -> Topology:
     """Return a copy with rank = 1 + expected path cost (gateway rank 1)."""
     costs = analysis.network_path_costs(topology)
-    nodes = tuple(replace(n, rank=1.0 + costs[n.id]) for n in topology.nodes)
-    return replace(topology, nodes=nodes)
+    return topology.with_ranks({nid: 1.0 + cost for nid, cost in costs.items()})
 
 
 def hop_distance(topology: Topology, a: NodeId, b: NodeId) -> int:
@@ -167,10 +222,11 @@ def _bisect(law, target: float, frame: FrameParams, p_sw: float) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(_BISECTION_STEPS):
         mid = (lo + hi) / 2.0
-        if law(mid, frame, p_sw) > target:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if law(mid, frame, p_sw) > target else (lo, mid)
+        if step == (lo, hi):
+            # every later step would repeat this one: the answer is final
+            break
+        lo, hi = step
     return (lo + hi) / 2.0
 
 
@@ -200,8 +256,11 @@ def ber_for_reception(target: float, frame: FrameParams, p_sw: float) -> float:
 
 
 def _prepared(nodes, gateway, links, frame, channel) -> Topology:
-    topo = Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
-    return compute_ranks(assign_hop_ids(topo))
+    # no name holds the copy without hop IDs, so it is freed before the costs are solved
+    topo = assign_hop_ids(
+        Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
+    )
+    return compute_ranks(topo)
 
 
 def chain_topology(

@@ -8,11 +8,21 @@ written, and must never be regenerated from the code under test.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from oppsim import analysis
-from oppsim.model import BitErrorRate, ForwarderEntry, ForwarderSet, FrameParams, Node, Topology
+from oppsim import topology as topo
+from oppsim.model import (
+    BitErrorRate,
+    Channel,
+    ChannelModel,
+    ForwarderEntry,
+    ForwarderSet,
+    FrameParams,
+    Node,
+    Topology,
+)
 from oppsim.topology import DEFAULT_CHANNEL, DEFAULT_FRAME, chain_topology
 
 FRAME = FrameParams(micro_frame_bits=8, preamble_frames=2, data_frame_bits=100)
@@ -299,3 +309,59 @@ class TestNetworkCosts:
         )
         with pytest.raises(analysis.DisconnectedNodeError):
             analysis.network_path_costs(topo)
+
+
+def costs_from_public_functions(t):
+    """network_path_costs recomputed from link_success, ForwarderEntry,
+    ForwarderSet and total_path_cost, each called as a user would."""
+    p_sw = t.channel.evaluated.p_sw
+    costs = {t.gateway: 0.0}
+    for node in sorted(t.non_gateway_ids(), key=lambda nid: (t.hop_id(nid), nid)):
+        fs = ForwarderSet(
+            tuple(
+                ForwarderEntry(nbr, analysis.link_success(t.ber(node, nbr), t.frame, p_sw), costs[nbr])
+                for nbr in t.upstream_neighbors(node)
+            )
+        )
+        costs[node] = analysis.total_path_cost(fs)
+    return costs
+
+
+class TestNetworkCostsFromPublicFunctions:
+    CHANNEL = ChannelModel(channels=(Channel(0.8, 0.5, 2e6),), noise_power=1e-9)
+    FRAME = FrameParams(micro_frame_bits=4, preamble_frames=3, data_frame_bits=60)
+
+    @pytest.mark.parametrize("frame", [DEFAULT_FRAME, FRAME])
+    @pytest.mark.parametrize("channel", [DEFAULT_CHANNEL, CHANNEL])
+    def test_built_in_shapes(self, frame, channel):
+        shapes = [
+            topo.chain_topology([0.9, 0.8, 0.95], frame=frame, channel=channel),
+            topo.witness_topology(frame=frame, channel=channel),
+            topo.star_topology(4, 0.7, remaining_cost=1.5, intercandidate_ber=0.01,
+                               frame=frame, channel=channel),
+            topo.diamond_topology((0.02, 0.03), (0.01, 0.005), frame=frame, channel=channel),
+        ]
+        for t in shapes:
+            assert dict(analysis.network_path_costs(t).items()) == costs_from_public_functions(t)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=0, max_value=2**32),
+        st.floats(min_value=0.0, max_value=0.02),
+        st.floats(min_value=0.0, max_value=0.02),
+        st.sampled_from([DEFAULT_CHANNEL, CHANNEL]),
+    )
+    def test_generated_graphs(self, nodes, seed, p_min, p_max, channel):
+        config = topo.GeneratorConfig(
+            nodes=nodes,
+            area_side=100.0,
+            radio_range=35.0,
+            ber_model=topo.DistanceBer(p_min, p_max),
+            channel=channel,
+        )
+        try:
+            t = topo.generate(config, seed=seed)
+        except topo.DisconnectedTopologyError:
+            reject()
+        assert dict(analysis.network_path_costs(t).items()) == costs_from_public_functions(t)

@@ -395,6 +395,15 @@ class TestMainExitCodes:
         assert cli.main(["verify", "--grid", "sizes=x-y"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_infinite_area_side_is_one(self, tmp_path, capsys):
+        path = write_cfg(
+            tmp_path, "topology: {kind: generated, nodes: 10, area_side: .inf}\nsim: {replications: 10}\n"
+        )
+        assert cli.main(["simulate", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "area_side must be positive and finite" in err
+        assert "Traceback" not in err
+
     def test_boolean_source_is_one(self, tmp_path, capsys):
         # True == 1, so a boolean source would run from relay 1
         path = write_cfg(tmp_path, STAR_CFG.replace("source: 4", "source: true"))

@@ -126,6 +126,26 @@ def test_topology_accessors():
         topo.upstream_neighbors(9)
 
 
+def test_with_ranks_shares_neighbour_tables():
+    topo = _tiny_topology()
+    upstream = topo.upstream_neighbors(2)
+    ranked = topo.with_ranks({0: 1.0, 1: 5.0, 2: 9.0})
+    assert [n.rank for n in ranked.nodes] == [1.0, 5.0, 9.0]
+    assert ranked.rank(1) == 5.0 and topo.rank(1) == 2.0
+    assert ranked.upstream_neighbors(2) is upstream
+    assert ranked.links == topo.links and ranked.nodes != topo.nodes
+
+
+def test_with_hop_ids_shares_adjacency_and_rebuilds_upstream():
+    topo = _tiny_topology()
+    neighbours = topo.neighbors(1)
+    assert topo.upstream_neighbors(0) == ()
+    flipped = topo.with_hop_ids({0: 2, 1: 1, 2: 0})
+    assert [n.hop_id for n in flipped.nodes] == [2, 1, 0]
+    assert flipped.neighbors(1) is neighbours
+    assert flipped.upstream_neighbors(0) == (1,) and topo.upstream_neighbors(0) == ()
+
+
 def test_topology_coerces_float_links():
     topo = _tiny_topology()
     assert isinstance(topo.links[(0, 1)], BitErrorRate)

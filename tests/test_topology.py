@@ -1,11 +1,27 @@
+import hashlib
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oppsim import analysis, topology as topo
-from oppsim.model import Channel, ChannelModel, FrameParams, Node, Topology
+from oppsim.model import BitErrorRate, Channel, ChannelModel, FrameParams, Node, Topology
+
+
+def bisect_200(law, target, frame, p_sw):
+    """The bisection as it was before it stopped at a fixed point: always
+    200 halvings."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if law(mid, frame, p_sw) > target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 class TestBisectionSolvers:
@@ -20,6 +36,25 @@ class TestBisectionSolvers:
         ber = topo.ber_for_reception(target, topo.DEFAULT_FRAME, 1.0)
         realized = analysis.reception_probability(ber, topo.DEFAULT_FRAME, 1.0)
         assert realized == pytest.approx(target, abs=1e-12)
+
+    @given(
+        st.sampled_from(["link_success", "reception_probability"]),
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-12),
+        st.sampled_from([1.0, 0.7]),
+    )
+    def test_fixed_point_stop_equals_200_steps(self, law_name, target, p_sw):
+        law = getattr(analysis, law_name)
+        frame = topo.DEFAULT_FRAME
+        if law_name == "link_success":
+            target = max(target, 1.0 - p_sw)
+        else:
+            target *= p_sw
+        ber = topo._bisect(law, target, frame, p_sw)
+        assert ber == bisect_200(law, target, frame, p_sw)
+        # (1 - p) ** d amplifies the rounding of 1 - p about d-fold, so the
+        # laws themselves are accurate to about d ulps of 1
+        tolerance = 2 * frame.data_frame_bits * math.ulp(1.0)
+        assert abs(law(ber, frame, p_sw) - target) <= tolerance
 
     def test_perfect_targets_give_zero_ber(self):
         assert topo.ber_for_link_success(1.0, topo.DEFAULT_FRAME, 1.0) == 0.0
@@ -189,6 +224,162 @@ class TestGenerate:
         )
         with pytest.raises(topo.DisconnectedTopologyError):
             topo.generate(cfg, seed=1)
+
+    def test_tiny_radio_range_is_disconnected(self):
+        cfg = topo.GeneratorConfig(
+            nodes=5, area_side=100.0, radio_range=1e-310, ber_model=topo.FixedBer(0.005)
+        )
+        with pytest.raises(topo.DisconnectedTopologyError, match="node: 1 "):
+            topo.generate(cfg, seed=1)
+
+    def test_infinite_radio_range_links_every_pair(self):
+        cfg = topo.GeneratorConfig(
+            nodes=6, area_side=100.0, radio_range=math.inf, ber_model=topo.DistanceBer(0.0, 0.01)
+        )
+        g = topo.generate(cfg, seed=1)
+        assert len(g.links) == 6 * 5
+        assert {n.hop_id for n in g.nodes} == {0, 1}
+
+    @pytest.mark.parametrize("side", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_area_side_not_positive_and_finite(self, side):
+        with pytest.raises(ValueError, match="area_side must be positive and finite"):
+            topo.GeneratorConfig(
+                nodes=3, area_side=side, radio_range=10.0, ber_model=topo.FixedBer(0.005)
+            )
+
+    def test_benchmark_mesh_is_unchanged(self):
+        # sha256 of repr((nodes, links)) of the 1000-node mesh the benchmark
+        # simulates, recorded with the O(n^2) pair loop
+        cfg = topo.GeneratorConfig(
+            nodes=1000, area_side=100.0, radio_range=8.0, ber_model=topo.DistanceBer(0.0, 0.005)
+        )
+        g = topo.generate(cfg, seed=1)
+        digest = hashlib.sha256(repr((g.nodes, g.links)).encode()).hexdigest()
+        assert digest == "d51a0bb7d25776d1ad1136862345a1d288d079c92bbb7680eadbaf2227034862"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_pair_loop_reference(self, data):
+        nodes = data.draw(st.integers(min_value=1, max_value=40), label="nodes")
+        side = data.draw(st.floats(min_value=0.5, max_value=200.0), label="side")
+        diagonal = side * math.sqrt(2.0)
+        radio_range = data.draw(
+            st.one_of(
+                st.floats(min_value=5e-324, max_value=1e-6),
+                st.floats(min_value=0.01, max_value=1.0).map(lambda f: f * diagonal),
+                st.floats(min_value=1.0, max_value=3.0).map(lambda f: f * diagonal),
+                st.just(math.inf),
+            ),
+            label="radio_range",
+        )
+        ber_model = data.draw(
+            st.one_of(
+                st.builds(topo.FixedBer, st.sampled_from([0.0, 0.005, 1.0])),
+                # p_min > p_max included
+                st.builds(
+                    topo.DistanceBer,
+                    st.floats(min_value=0.0, max_value=0.05),
+                    st.floats(min_value=0.0, max_value=0.05),
+                ),
+            ),
+            label="ber_model",
+        )
+        gateway = data.draw(
+            st.one_of(
+                st.none(),
+                st.sampled_from([(0.0, 0.0), (side, 0.0), (0.0, side), (side, side)]),
+                st.tuples(
+                    st.floats(min_value=-3 * side, max_value=4 * side),
+                    st.floats(min_value=-3 * side, max_value=4 * side),
+                ),
+            ),
+            label="gateway_position",
+        )
+        config = topo.GeneratorConfig(
+            nodes=nodes,
+            area_side=side,
+            radio_range=radio_range,
+            ber_model=ber_model,
+            gateway_position=gateway,
+        )
+        seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
+        assert _outcome(topo.generate, config, seed) == _outcome(
+            reference_generate, config, seed
+        )
+
+
+def _outcome(build, config, seed):
+    """Nodes and link items in iteration order, or the error raised."""
+    try:
+        t = build(config, seed)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return t.nodes, list(t.links.items())
+
+
+def reference_ber(model, distance, radio_range):
+    if isinstance(model, topo.FixedBer):
+        return model.p
+    span = model.p_max - model.p_min
+    p = model.p_min + span * (distance / radio_range) ** 2
+    return min(max(p, min(model.p_min, model.p_max)), max(model.p_min, model.p_max))
+
+
+def reference_generate(config, seed):
+    """generate as an O(n^2) loop over every pair, with one scalar draw per
+    coordinate."""
+    rng = np.random.default_rng(seed)
+    side = config.area_side
+    gw = config.gateway_position or (side / 2.0, side / 2.0)
+    positions = [(float(gw[0]), float(gw[1]))]
+    for _ in range(1, config.nodes):
+        positions.append((float(rng.uniform(0.0, side)), float(rng.uniform(0.0, side))))
+    links = {}
+    for a, (ax, ay) in enumerate(positions):
+        for b in range(a + 1, len(positions)):
+            bx, by = positions[b]
+            dist = math.hypot(ax - bx, ay - by)
+            if dist <= config.radio_range:
+                ber = BitErrorRate(reference_ber(config.ber_model, dist, config.radio_range))
+                links[(a, b)] = ber
+                links[(b, a)] = ber
+    nodes = tuple(
+        Node(id=nid, rank=1.0, hop_id=0, position=pos) for nid, pos in enumerate(positions)
+    )
+    raw = Topology(nodes=nodes, gateway=0, links=links, frame=config.frame, channel=config.channel)
+    hopped = topo.assign_hop_ids(raw)
+    costs = analysis.network_path_costs(hopped)
+    return replace(hopped, nodes=tuple(replace(n, rank=1.0 + costs[n.id]) for n in hopped.nodes))
+
+
+class TestNearPairs:
+    def test_pairs_exactly_radio_range_apart_across_cells(self):
+        # the cells are a hair over 5 wide, starting at (0, 0): each pair
+        # below is exactly 5 apart and straddles a cell boundary, along an
+        # axis or diagonally
+        points = [
+            (0.0, 0.0), (5.0, 0.0), (10.0, 0.0), (15.0, 0.0), (4.0, 4.0), (7.0, 8.0),
+            (9.0, 1.0), (12.0, 5.0), (15.0, 12.0), (0.0, 15.0), (10.0, 12.0),
+        ]
+        across = [(1, 2), (2, 3), (4, 5), (5, 10), (6, 7), (8, 10)]
+        pairs = topo._near_pairs(points, 5.0)
+        brute = [
+            (a, b, math.hypot(ax - bx, ay - by))
+            for a, (ax, ay) in enumerate(points)
+            for b, (bx, by) in enumerate(points)
+            if a < b and math.hypot(ax - bx, ay - by) <= 5.0
+        ]
+        assert pairs == brute
+        assert all((a, b, 5.0) in pairs for a, b in across)
+
+    def test_a_hair_beyond_the_radius_is_no_link(self):
+        far = math.nextafter(5.0, math.inf)
+        assert topo._near_pairs([(0.0, 0.0), (far, 0.0)], 5.0) == []
+        assert topo._near_pairs([(0.0, 0.0), (5.0, 0.0)], 5.0) == [(0, 1, 5.0)]
+
+    def test_point_at_infinity_and_infinite_radius(self):
+        assert topo._near_pairs([(math.inf, 0.0), (1.0, 1.0)], 5.0) == []
+        assert topo._near_pairs([(0.0, 0.0), (1e300, 0.0)], math.inf) == [(0, 1, 1e300)]
 
 
 class TestHopAssignment:
