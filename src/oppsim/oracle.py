@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +24,9 @@ MAX_FORWARDERS_PER_HOP = 2
 MAX_STATE_SPACE = 64
 
 _MC_CHUNK = 65536
+_MC_ROWS = 4096
+# (sets x outcomes) cells in one block of the batch enumeration
+_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,52 @@ def exact_single_hop(forwarder_set: ForwarderSet) -> SingleHopExact:
         return SingleHopExact(expected_cost=float("inf"), overhead=0.0)
     expected_cost = 1.0 / p_some + elected_cost_mass / p_some
     return SingleHopExact(expected_cost=expected_cost, overhead=elected_cost_mass)
+
+
+def batch_sets(n: int) -> int:
+    """How many sets of size ``n`` fill one block of the batch enumeration."""
+    return max(1, _BATCH_CELLS >> n)
+
+
+def exact_single_hop_batch(sets: Sequence[ForwarderSet]) -> tuple[np.ndarray, np.ndarray]:
+    """``exact_single_hop`` over sets of one size at once: the arrays of
+    ``expected_cost`` and ``overhead``, bit-identical to the scalar loop.
+    Outcomes go in ``itertools.product`` order, probabilities multiply
+    column by column, and ``np.cumsum`` adds the elected mass in sequence,
+    carried across blocks of at most ``_BATCH_CELLS`` (set, outcome) cells;
+    a zero-probability outcome adds +0.0 where the scalar loop skips it.
+    Sets of mixed sizes make ragged arrays, which numpy rejects."""
+
+    n = len(sets[0]) if sets else 1
+    if n == 0:
+        raise ValueError("empty forwarder set")
+    if n > MAX_ENUMERATION_SIZE:
+        raise ValueError(
+            f"forwarder set of size {n} exceeds enumeration bound {MAX_ENUMERATION_SIZE}"
+        )
+    p = np.array([[e.p_link for e in fs.entries] for fs in sets], dtype=float)
+    y = np.array([[e.remaining_cost for e in fs.entries] for fs in sets], dtype=float)
+    p_none, mass = np.empty(len(sets)), np.zeros(len(sets))
+    rows, outcomes, span = batch_sets(n), 1 << n, min(1 << n, _BATCH_CELLS)
+    for start in range(0, outcomes, span):
+        code = np.arange(start, min(start + span, outcomes))[:, None] >> np.arange(n - 1, -1, -1)
+        hits = (code & 1).astype(bool)
+        winner = hits.argmax(axis=1)
+        for lo in range(0, len(sets), rows):
+            bp, by = p[lo : lo + rows], y[lo : lo + rows]
+            prob = np.ones((len(bp), len(hits)))
+            for j in range(n):
+                prob *= np.where(hits[:, j], bp[:, j, None], 1.0 - bp[:, j, None])
+            terms = prob * by[:, winner]
+            if start == 0:
+                p_none[lo : lo + rows] = prob[:, 0]
+                terms[:, 0] = 0.0  # nobody is elected when every member misses
+            carried = np.column_stack((mass[lo : lo + rows], terms))
+            mass[lo : lo + rows] = np.cumsum(carried, axis=1)[:, -1]
+    p_some = 1.0 - p_none
+    with np.errstate(all="ignore"):
+        expected_cost = np.where(p_some > 0.0, 1.0 / p_some + mass / p_some, np.inf)
+    return expected_cost, np.where(p_some > 0.0, mass, 0.0)
 
 
 @dataclass(frozen=True)
@@ -174,6 +223,16 @@ class FrameMissEstimates:
     trials: int
 
 
+def _any_bit_errored(rng: np.random.Generator, frames: int, bits: int, p: float) -> np.ndarray:
+    """Per frame of ``bits`` bits, whether any bit errored, drawn ``_MC_ROWS``
+    frames at a time: the same numbers as one ``(frames, bits)`` draw."""
+    errored = np.empty(frames, dtype=bool)
+    for lo in range(0, frames, _MC_ROWS):
+        hi = min(lo + _MC_ROWS, frames)
+        errored[lo:hi] = (rng.random((hi - lo, bits)) < p).any(axis=1)
+    return errored
+
+
 def bit_level_frame_oracle(
     p: float, frame: FrameParams, trials: int, seed: int
 ) -> FrameMissEstimates:
@@ -204,9 +263,8 @@ def bit_level_frame_oracle(
         chunk = min(remaining, _MC_CHUNK)
         all_micro_failed = np.ones(chunk, dtype=bool)
         for _ in range(r_m):
-            frame_bits_errored = rng.random((chunk, m)) < p
-            all_micro_failed &= frame_bits_errored.any(axis=1)
-        data_failed = (rng.random((chunk, d)) < p).any(axis=1)
+            all_micro_failed &= _any_bit_errored(rng, chunk, m, p)
+        data_failed = _any_bit_errored(rng, chunk, d, p)
         preamble_missed += int(all_micro_failed.sum())
         data_missed += int(data_failed.sum())
         joint_missed += int((all_micro_failed & data_failed).sum())

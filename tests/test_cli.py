@@ -395,6 +395,22 @@ class TestMainExitCodes:
         assert cli.main(["verify", "--grid", "sizes=x-y"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("sizes=1;probs=1.5;costs=1", "p_link must be a probability in [0, 1], got 1.5"),
+            ("sizes=2;probs=nan;costs=1", "p_link must be a probability in [0, 1], got nan"),
+            ("sizes=1;probs=0.5;costs=-1", "remaining_cost must be finite and >= 0, got -1.0"),
+            ("sizes=1;probs=0.5;costs=inf", "remaining_cost must be finite and >= 0, got inf"),
+            ("sizes=21;probs=0.5;costs=1", "forwarder set of size 21 exceeds enumeration bound 20"),
+        ],
+    )
+    def test_verify_invalid_grid_value_is_one(self, capsys, grid, message):
+        assert cli.main(["verify", "--grid", grid, "--trials", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: {message}\n"
+
     def test_infinite_area_side_is_one(self, tmp_path, capsys):
         path = write_cfg(
             tmp_path, "topology: {kind: generated, nodes: 10, area_side: .inf}\nsim: {replications: 10}\n"

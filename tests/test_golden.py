@@ -1,7 +1,9 @@
 """Golden outputs: sha256 of ``analyze``, ``simulate`` and ``sweep`` output
-for one small config per built-in topology kind.
+for one small config per built-in topology kind, and of ``verify`` output
+for the benchmark's grid and the default grid.
 
-The hashes were recorded before the config readers were rewritten, so a
+The hashes were recorded before the config readers were rewritten, and
+the ``verify`` ones before the single-hop enumeration was batched, so a
 refactor that changes any output byte (a value, a row, or the ``config=``
 digest) fails here.  A change that means to alter output re-records them
 and says why.
@@ -12,7 +14,7 @@ import hashlib
 import pytest
 import yaml
 
-from oppsim import cli
+from oppsim import cli, verification
 
 CONFIGS = {
     "chain": """
@@ -91,6 +93,24 @@ COMMANDS = {"analyze": cli.cmd_analyze, "simulate": cli.cmd_simulate, "sweep": c
 def test_output_matches_golden(kind, command):
     out = COMMANDS[command](yaml.safe_load(CONFIGS[kind]))
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[kind][command]
+
+
+VERIFY_GOLDEN = {
+    # the benchmark's verify-grid, at its trial count and seed 0
+    ("sizes=1-4;probs=0,0.5,1;costs=0,1,2.5", 200_000, 0): (
+        "7422e20294b012a0c325f8468f1703014997ba71b34c0f7f6277aab43aeea308"
+    ),
+    (None, 20_000, verification.DEFAULT_SEED): (
+        "68eceb51c682d52fdc3a0b5257765481d25b62e1945d5feff7b10fe3abfd1c3f"
+    ),
+}
+
+
+@pytest.mark.parametrize("grid, trials, seed", sorted(VERIFY_GOLDEN, key=str))
+def test_verify_output_matches_golden(grid, trials, seed):
+    report, code = verification.run_verification(grid, trials, seed)
+    assert code == 0
+    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_GOLDEN[grid, trials, seed]
 
 
 @pytest.mark.xfail(

@@ -1,6 +1,10 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppsim import analysis, oracle, topology as topo
 from oppsim.model import ForwarderEntry, ForwarderSet, FrameParams
@@ -49,6 +53,61 @@ class TestExactSingleHop:
         result = oracle.exact_single_hop(entries((1.0, 1.0), (1.0, 9.0)))
         assert result.overhead == pytest.approx(1.0)
         assert result.expected_cost == pytest.approx(2.0)
+
+
+# probabilities at the edges of [0, 1] and below the normal range
+EDGE_PROBS = st.sampled_from([0.0, 1.0, 5e-324, 2e-308, 1e-300, 0.1, 0.3, 0.5, 0.999999])
+TIED_COSTS = st.sampled_from([0.0, 1e-9, 0.3, 1.0, 7.0])
+
+
+@st.composite
+def same_size_sets(draw):
+    """Forwarder sets of one size, with few distinct costs, so ties are
+    broken by node ids given in a shuffled order."""
+    n = draw(st.integers(1, 6))
+    sets = []
+    for _ in range(draw(st.integers(1, 12))):
+        nodes = draw(st.permutations(range(n)))
+        probs = draw(st.lists(EDGE_PROBS | st.floats(0.0, 1.0), min_size=n, max_size=n))
+        costs = draw(st.lists(TIED_COSTS, min_size=n, max_size=n))
+        sets.append(ForwarderSet(tuple(map(ForwarderEntry, nodes, probs, costs))))
+    return sets
+
+
+class TestExactSingleHopBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(sets=same_size_sets(), cells=st.sampled_from([1, 3, 8, 50, 1 << 16]))
+    def test_equals_scalar_enumeration(self, sets, cells):
+        # a small cell cap splits the sets and the outcomes into blocks
+        with mock.patch.object(oracle, "_BATCH_CELLS", cells):
+            expected_cost, overhead = oracle.exact_single_hop_batch(sets)
+        assert expected_cost.shape == overhead.shape == (len(sets),)
+        for fs, cost, over in zip(sets, expected_cost.tolist(), overhead.tolist()):
+            exact = oracle.exact_single_hop(fs)
+            assert (cost, over) == (exact.expected_cost, exact.overhead)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty forwarder set"):
+            oracle.exact_single_hop_batch([ForwarderSet(())])
+
+    def test_enumeration_bound(self):
+        big = entries(*[(0.5, 1.0)] * (oracle.MAX_ENUMERATION_SIZE + 1))
+        with pytest.raises(ValueError, match="size 21 exceeds enumeration bound 20"):
+            oracle.exact_single_hop_batch([big])
+
+    def test_mixed_sizes_rejected(self):
+        # numpy refuses the ragged probability array
+        with pytest.raises(ValueError):
+            oracle.exact_single_hop_batch([entries((0.5, 1.0)), entries((0.5, 1.0), (0.5, 1.0))])
+
+    def test_largest_set_in_outcome_blocks(self):
+        # 2^20 outcomes in blocks of 2^16 cells, the elected mass carried over
+        big = entries(*[(0.5, float(i)) for i in range(oracle.MAX_ENUMERATION_SIZE)])
+        expected_cost, overhead = oracle.exact_single_hop_batch([big])
+        p_none = 0.5**oracle.MAX_ENUMERATION_SIZE
+        mass = sum(0.5 ** (i + 1) * i for i in range(oracle.MAX_ENUMERATION_SIZE))
+        assert overhead[0] == pytest.approx(mass, rel=1e-12)
+        assert expected_cost[0] == pytest.approx((1.0 + mass) / (1.0 - p_none), rel=1e-12)
 
 
 class TestExactTwoHop:
@@ -142,3 +201,37 @@ class TestBitLevelFrameOracle:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             oracle.bit_level_frame_oracle(0.01, self.FRAME, 0, seed=0)
+
+
+def whole_chunk_oracle(p, frame, trials, seed):
+    """The per-bit Monte Carlo as it drew before row blocks: every
+    ``(chunk, bits)`` matrix in one call.  Returns the three miss counts."""
+    rng = np.random.default_rng(seed)
+    preamble = data = joint = 0
+    remaining = trials
+    while remaining > 0:
+        chunk = min(remaining, oracle._MC_CHUNK)
+        all_micro_failed = np.ones(chunk, dtype=bool)
+        for _ in range(frame.preamble_frames):
+            all_micro_failed &= (rng.random((chunk, frame.micro_frame_bits)) < p).any(axis=1)
+        data_failed = (rng.random((chunk, frame.data_frame_bits)) < p).any(axis=1)
+        preamble += int(all_micro_failed.sum())
+        data += int(data_failed.sum())
+        joint += int((all_micro_failed & data_failed).sum())
+        remaining -= chunk
+    return preamble, data, joint
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_row_blocks_draw_the_whole_chunk_stream(p, seed):
+    frame = topo.DEFAULT_FRAME
+    for trials in (1, 4095, 4097, 65536, 65537, 131073):
+        preamble, data, joint = whole_chunk_oracle(p, frame, trials, seed)
+        assert oracle.bit_level_frame_oracle(p, frame, trials, seed) == oracle.FrameMissEstimates(
+            preamble_miss=preamble / trials,
+            data_miss=data / trials,
+            joint_miss=joint / trials,
+            decoded=(trials - preamble - data + joint) / trials,
+            trials=trials,
+        )

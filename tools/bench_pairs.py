@@ -14,8 +14,10 @@ on each side, the parent first on the 1st, 3rd, ... seed and second on the
 others, and reads each workload's ``.perfbench_out/result-*.json``.  The
 run length is run.py's own default, recorded as ``seconds``.  It also
 times the ROADMAP's layer baselines (``generate`` at 1000 nodes,
-``star_topology(6, 0.7)``, ``network_path_costs`` at 1000 nodes) on each
-side, best of k, in the same alternating order.
+``star_topology(6, 0.7)``, ``network_path_costs`` at 1000 nodes, verify-grid's
+single-hop grid alone as ``run_verification`` with one Monte Carlo trial,
+and the 200,000-trial ``bit_level_frame_oracle``) on each side, best of k,
+in the same alternating order.
 
 Per workload and end-to-end metric the output holds each side's q1, median
 and q3 of the benchmark's (scaled) value, the change's wins over the pairs
@@ -43,7 +45,7 @@ SIDES = ("parent", "change")
 LAYER_SNIPPET = r"""
 import json, sys, time
 sys.path.insert(0, "src")
-from oppsim import analysis, topology
+from oppsim import analysis, oracle, topology, verification
 
 def best(fn, k):
     times = []
@@ -61,6 +63,12 @@ print(json.dumps({
     "generate_1000_s": best(lambda: topology.generate(mesh_config, seed=1), 5),
     "star_topology_6_s": best(lambda: topology.star_topology(6, 0.7), 20),
     "network_path_costs_1000_s": best(lambda: analysis.network_path_costs(mesh), 5),
+    "verify_single_hop_grid_s": best(
+        lambda: verification.run_verification("sizes=1-4;probs=0,0.5,1;costs=0,1,2.5", trials=1), 5
+    ),
+    "bit_level_200k_s": best(
+        lambda: oracle.bit_level_frame_oracle(0.01, topology.DEFAULT_FRAME, 200_000, 0), 5
+    ),
 }))
 """
 
