@@ -23,7 +23,6 @@ underflow-risk regime ``n * p < 1e-8``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import model
@@ -33,6 +32,7 @@ from .model import (
     ForwarderSet,
     FrameParams,
     NodeId,
+    PathCostTable,
     Topology,
 )
 
@@ -168,42 +168,6 @@ def coordination_overhead(forwarder_set: ForwarderSet) -> float:
     Y * (1 - (1 - p)^N).
     """
     return _election(forwarder_set)[1]
-
-
-@dataclass(frozen=True)
-class PathCostTable:
-    """Per-node expected cost to reach the gateway.  The gateway entry is
-    pinned at zero; every other entry is >= 1 (at least one transmission)."""
-
-    gateway: NodeId
-    costs: Mapping[NodeId, float]
-
-    def __post_init__(self) -> None:
-        costs = dict(self.costs)
-        if self.gateway not in costs:
-            raise ValueError("cost table must include the gateway")
-        if costs[self.gateway] != 0.0:
-            raise ValueError(f"gateway cost must be 0, got {costs[self.gateway]!r}")
-        for node, y in costs.items():
-            y = float(y)
-            if not math.isfinite(y):
-                raise ValueError(f"cost of node {node!r} is not finite")
-            if node != self.gateway and y < 1.0:
-                raise ValueError(f"cost of node {node!r} must be >= 1, got {y!r}")
-            costs[node] = y
-        object.__setattr__(self, "costs", costs)
-
-    def __getitem__(self, node: NodeId) -> float:
-        try:
-            return self.costs[node]
-        except KeyError:
-            raise ValueError(f"unknown node id: {node!r}") from None
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self.costs
-
-    def items(self):
-        return self.costs.items()
 
 
 def forwarder_entries(

@@ -387,7 +387,7 @@ def _node_token(token: str) -> NodeId:
 
 def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelModel) -> Topology:
     """Parse the line-oriented topology format, then assign hop IDs and
-    ranks.  Parse failures name the offending line."""
+    solve the cost table.  Parse failures name the offending line."""
     path = Path(path)
     try:
         raw_lines = path.read_text().splitlines()
@@ -424,7 +424,7 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
             if nid in known:
                 raise ConfigError(f"{where}: duplicate node id {nid!r}")
             known.add(nid)
-            nodes.append(Node(id=nid, rank=1.0, hop_id=0, position=(x, y)))
+            nodes.append(Node(id=nid, hop_id=0, position=(x, y)))
         elif tokens[0] == "link":
             if len(tokens) != 4:
                 raise ConfigError(f"{where}: link line must be 'link a b p'")
@@ -512,7 +512,6 @@ def cmd_analyze(cfg: dict) -> str:
 
     if "topology" in cfg:
         topology_obj = _topology_for_run(cfg, frame, channel)
-        costs = analysis.network_path_costs(topology_obj)
         p_sw = channel.evaluated.p_sw
         lines.append(
             f"topology nodes={len(topology_obj.nodes)}"
@@ -529,11 +528,11 @@ def cmd_analyze(cfg: dict) -> str:
             )
         for node in topology_obj.nodes:
             base = (
-                f"node id={node.id} hop_id={node.hop_id} rank={_fmt(node.rank)}"
-                f" cost={_fmt(costs[node.id])}"
+                f"node id={node.id} hop_id={node.hop_id} rank={_fmt(topology_obj.rank(node.id))}"
+                f" cost={_fmt(topology_obj.costs[node.id])}"
             )
             if node.id != topology_obj.gateway:
-                fs = analysis.forwarder_entries(topology_obj, node.id, costs)
+                fs = analysis.forwarder_entries(topology_obj, node.id, topology_obj.costs)
                 failure = analysis.set_failure_probability(fs)
                 base += (
                     f" overhead={_fmt(analysis.coordination_overhead(fs))}"
@@ -563,16 +562,13 @@ def cmd_analyze(cfg: dict) -> str:
 def cmd_simulate(cfg: dict) -> str:
     frame, channel, sim, digest = _parsed(cfg)
     topology_obj = _topology_for_run(cfg, frame, channel)
-    costs = analysis.network_path_costs(topology_obj)
 
     rows = [
         "mode,replications,pdr,mean_duplicates,mean_transmissions,mean_hops,"
         "empirical_overhead,mean_energy_bits,hop_energy_ratio,seed,config"
     ]
     for mode in _MODES[sim["mode"]]:
-        metrics = engine.run_experiment(
-            topology_obj, engine.SimConfig(**{**sim, "mode": mode}), costs
-        )
+        metrics = engine.run_experiment(topology_obj, engine.SimConfig(**{**sim, "mode": mode}))
         mean_energy = metrics.mean_transmissions * frame.bits_per_transmission
         ratio = metrics.mean_hops / mean_energy if mean_energy > 0 else 0.0
         rows.append(
@@ -611,8 +607,9 @@ def _swept_topology(
         channel = replace(channel, channels=(evaluated,) + channel.channels[1:])
     built = _topology_for_run(cfg, frame, channel)
     if axis == "ber":
+        # the same link keys keep every hop ID, so only the costs change
         links = dict.fromkeys(built.links, BitErrorRate(float(value)))
-        built = topo.compute_ranks(topo.assign_hop_ids(replace(built, links=links)))
+        built = topo.compute_ranks(replace(built, links=links))
     return built
 
 
@@ -648,7 +645,6 @@ def cmd_sweep(cfg: dict) -> str:
                 {**topo_section, "forwarders": value}, "topology", _topology_kinds()
             )
             built = topo.star_topology(**star, frame=frame, channel=channel)
-            costs = analysis.network_path_costs(built)
             # the declared per-candidate delivery probability and remaining
             # cost define the analytic set; the builder realizes the same
             # probability inside the simulator
@@ -668,15 +664,14 @@ def cmd_sweep(cfg: dict) -> str:
             source = sim["source"]
             if source is None:
                 source = topo.deepest_node(built)
-            costs = analysis.network_path_costs(built)
-            analytic = analysis.forwarder_entries(built, source, costs)
+            analytic = analysis.forwarder_entries(built, source, built.costs)
 
         analytic_overhead = analysis.coordination_overhead(analytic)
         failure = analysis.set_failure_probability(analytic)
         retries = _guarded_retransmissions(failure)
         for mode in _MODES[sim["mode"]]:
             config = engine.SimConfig(**{**sim, "mode": mode, "source": source})
-            metrics = engine.run_experiment(built, config, costs)
+            metrics = engine.run_experiment(built, config)
             rows.append(
                 ",".join(
                     [

@@ -29,6 +29,8 @@ Structure: one private kernel, ``_deliver``, runs a replication over a
 candidates, each node's upstream candidates with their decode
 probabilities and election priority, and the overhearing probabilities of
 each (transmitter, observer) pair, the last two filled on first use).
+Ranks and costs are read from the topology's own cost table
+(``Topology.costs``); a topology without one is refused.
 ``run_experiment`` builds one plan per run and calls the kernel without an
 event list: it tallies transmissions, duplicate forwards, the first
 arrival's hop count and the elected winners, and builds no ``TraceEvent``.
@@ -51,7 +53,6 @@ from enum import Enum
 from functools import partial
 from operator import itemgetter
 
-from . import analysis
 from .model import (
     DeliveryTrace,
     EventKind,
@@ -144,9 +145,10 @@ class _Plan:
     ends instead of waiting for the cycle collector.
     """
 
-    def __init__(self, topology: Topology, costs: analysis.PathCostTable, config: SimConfig):
+    def __init__(self, topology: Topology, config: SimConfig):
         if config.source is not None:
             topology.node(config.source)
+        costs = topology.costs
         self.receiver = config.mode is ProtocolMode.RECEIVER_BASED
         self.gateway = topology.gateway
         self.sources = topology.non_gateway_ids()
@@ -329,24 +331,17 @@ def _deliver(
 
 
 def simulate_delivery(
-    topology: Topology,
-    costs: analysis.PathCostTable,
-    config: SimConfig,
-    replication_index: int,
+    topology: Topology, config: SimConfig, replication_index: int
 ) -> DeliveryTrace:
     """Run one end-to-end delivery attempt and return its full trace."""
     events: list[TraceEvent] = []
-    source = _deliver(_Plan(topology, costs, config), config, replication_index, events)[0]
+    source = _deliver(_Plan(topology, config), config, replication_index, events)[0]
     return DeliveryTrace(source, tuple(events))
 
 
-def run_experiment(
-    topology: Topology, config: SimConfig, costs: analysis.PathCostTable | None = None
-) -> Metrics:
+def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
     """Run ``config.replications`` independent delivery attempts and
-    aggregate, building no trace.  ``costs`` defaults to
-    ``analysis.network_path_costs(topology)``; a caller that already has
-    the table passes it.
+    aggregate, building no trace.
 
     ``empirical_coordination_overhead`` is the per-replication sum, over
     election events, of the elected forwarder's expected path cost - the
@@ -354,9 +349,8 @@ def run_experiment(
     gateway's cost is zero, so terminal hops contribute nothing).
     ``mean_duplicates`` counts duplicate-forward events per replication.
     """
-    if costs is None:
-        costs = analysis.network_path_costs(topology)
-    plan = _Plan(topology, costs, config)
+    plan = _Plan(topology, config)
+    costs = topology.costs
     attempted = config.replications
     succeeded = 0
     dup_events = 0

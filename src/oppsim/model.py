@@ -10,7 +10,7 @@ them as a list of violations so a caller can surface every problem at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -168,17 +168,48 @@ class ForwarderSet:
 
 
 @dataclass(frozen=True)
+class PathCostTable:
+    """Per-node expected cost to reach the gateway.  The gateway entry is
+    pinned at zero; every other entry is >= 1 (at least one transmission)."""
+
+    gateway: NodeId
+    costs: Mapping[NodeId, float]
+
+    def __post_init__(self) -> None:
+        costs = dict(self.costs)
+        if self.gateway not in costs:
+            raise ValueError("cost table must include the gateway")
+        if costs[self.gateway] != 0.0:
+            raise ValueError(f"gateway cost must be 0, got {costs[self.gateway]!r}")
+        for node, y in costs.items():
+            y = float(y)
+            if not math.isfinite(y):
+                raise ValueError(f"cost of node {node!r} is not finite")
+            if node != self.gateway and y < 1.0:
+                raise ValueError(f"cost of node {node!r} must be >= 1, got {y!r}")
+            costs[node] = y
+        object.__setattr__(self, "costs", costs)
+
+    def __getitem__(self, node: NodeId) -> float:
+        try:
+            return self.costs[node]
+        except KeyError:
+            raise ValueError(f"unknown node id: {node!r}") from None
+
+    def __contains__(self, node: NodeId) -> bool:
+        return node in self.costs
+
+
+@dataclass(frozen=True)
 class Node:
     """A network node.  ``position`` is decorative; distances never feed the
     model directly (the generator maps them to bit error rates instead)."""
 
     id: NodeId
-    rank: float
     hop_id: int
     position: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rank", _positive_real("rank", self.rank))
         _nonnegative_int("hop_id", self.hop_id)
         if self.position is not None:
             x, y = self.position
@@ -193,6 +224,10 @@ class Topology:
     The link map is expected to hold both directions of every link with the
     same bit error rate; :func:`validate` reports asymmetries instead of the
     constructor rejecting them, so that diagnostics cover whole files.
+
+    A built topology carries its cost table (:attr:`costs`, solved by
+    ``topology.compute_ranks``); a node's rank is 1 plus its cost.  A
+    ``replace`` or :meth:`with_hop_ids` copy carries no table.
     """
 
     nodes: tuple[Node, ...]
@@ -250,20 +285,29 @@ class Topology:
         upstream table, so the copy shares the other tables this topology
         has built."""
         nodes = tuple(replace(n, hop_id=hop_ids[n.id]) for n in self.nodes)
-        return self._sharing(nodes, ("_adjacency", "_non_gateway_ids"))
+        return self._copy(nodes, ("_adjacency", "_non_gateway_ids"))
 
-    def with_ranks(self, ranks: Mapping[NodeId, float]) -> Topology:
-        """A copy whose nodes have the given ranks.  Ranks feed none of the
-        neighbour tables, so the copy shares those this topology has built."""
-        nodes = tuple(replace(n, rank=ranks[n.id]) for n in self.nodes)
-        return self._sharing(nodes, ("_adjacency", "_upstream", "_non_gateway_ids"))
-
-    def _sharing(self, nodes: tuple[Node, ...], tables: tuple[str, ...]) -> Topology:
-        copy = replace(self, nodes=nodes)
-        for table in tables:
-            if table in self.__dict__:
-                copy.__dict__[table] = self.__dict__[table]
+    def _with_costs(self, costs: PathCostTable) -> Topology:
+        """A copy that carries ``costs`` and shares every table built here."""
+        copy = self._copy(self.nodes, ("_index", "_adjacency", "_upstream", "_non_gateway_ids"))
+        copy.__dict__["_costs"] = costs
         return copy
+
+    def _copy(self, nodes: tuple[Node, ...], tables: tuple[str, ...]) -> Topology:
+        # skips __post_init__: the copy shares the link dict, checked when
+        # this topology was built, and the named tables
+        copy = object.__new__(Topology)
+        copy.__dict__.update((f.name, getattr(self, f.name)) for f in fields(self))
+        copy.__dict__.update((t, self.__dict__[t]) for t in tables if t in self.__dict__)
+        copy.__dict__["nodes"] = nodes
+        return copy
+
+    @property
+    def costs(self) -> PathCostTable:
+        """Each node's expected path cost to the gateway."""
+        if "_costs" not in self.__dict__:
+            raise ValueError("topology carries no cost table; build it with topology.compute_ranks")
+        return self.__dict__["_costs"]
 
     def node(self, node_id: NodeId) -> Node:
         try:
@@ -295,7 +339,7 @@ class Topology:
         return self.node(node_id).hop_id
 
     def rank(self, node_id: NodeId) -> float:
-        return self.node(node_id).rank
+        return 1.0 + self.costs[node_id]
 
     def non_gateway_ids(self) -> tuple[NodeId, ...]:
         return self._non_gateway_ids

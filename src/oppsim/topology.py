@@ -6,8 +6,9 @@ rank-difference "distance" between two nodes inflates past their true
 hop separation; :func:`witness_topology` builds the minimal chain that
 exhibits the gap.
 
-Builders return fully prepared topologies: hop IDs assigned and ranks
-computed, ready for both the closed-form layer and the simulator.
+Builders return fully prepared topologies: hop IDs assigned and the cost
+table solved, once, by :func:`compute_ranks` (``Topology.costs``, from which
+``Topology.rank`` derives), ready for the closed forms and the simulator.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _ber_law(model: FixedBer | DistanceBer, radio_range: float) -> Callable[[flo
 
 def generate(config: GeneratorConfig, seed: int) -> Topology:
     """Place nodes uniformly at random, link every pair within radio range,
-    then assign hop IDs and ranks.  Node 0 is the gateway, at the area
+    then assign hop IDs and solve costs.  Node 0 is the gateway, at the area
     center unless a position is configured.  Raises
     DisconnectedTopologyError when some node cannot reach the gateway;
     callers may retry with another seed.
@@ -115,7 +116,7 @@ def generate(config: GeneratorConfig, seed: int) -> Topology:
         links[(b, a)] = ber
 
     nodes = tuple(
-        Node(id=nid, rank=1.0, hop_id=0, position=pos) for nid, pos in enumerate(positions)
+        Node(id=nid, hop_id=0, position=pos) for nid, pos in enumerate(positions)
     )
     return _prepared(nodes, 0, links, config.frame, config.channel)
 
@@ -200,9 +201,8 @@ def assign_hop_ids(topology: Topology) -> Topology:
 
 
 def compute_ranks(topology: Topology) -> Topology:
-    """Return a copy with rank = 1 + expected path cost (gateway rank 1)."""
-    costs = analysis.network_path_costs(topology)
-    return topology.with_ranks({nid: 1.0 + cost for nid, cost in costs.items()})
+    """Return a copy that carries its cost table: rank = 1 + path cost."""
+    return topology._with_costs(analysis.network_path_costs(topology))
 
 
 def hop_distance(topology: Topology, a: NodeId, b: NodeId) -> int:
@@ -275,12 +275,12 @@ def chain_topology(
         raise ValueError("chain needs at least one link")
     p_sw = channel.evaluated.p_sw
     links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
-    nodes = [Node(id=0, rank=1.0, hop_id=0, position=(0.0, 0.0))]
+    nodes = [Node(id=0, hop_id=0, position=(0.0, 0.0))]
     for k, target in enumerate(link_success):
         ber = BitErrorRate(ber_for_link_success(float(target), frame, p_sw))
         links[(k, k + 1)] = ber
         links[(k + 1, k)] = ber
-        nodes.append(Node(id=k + 1, rank=1.0, hop_id=0, position=(float(k + 1), 0.0)))
+        nodes.append(Node(id=k + 1, hop_id=0, position=(float(k + 1), 0.0)))
     return _prepared(tuple(nodes), 0, links, frame, channel)
 
 
@@ -302,9 +302,9 @@ def witness_topology(
     ber = BitErrorRate(ber_for_link_success(success, frame, p_sw))
     links = {(1, 3): ber, (3, 1): ber, (3, 5): ber, (5, 3): ber}
     nodes = (
-        Node(id=1, rank=1.0, hop_id=0, position=(0.0, 0.0)),
-        Node(id=3, rank=1.0, hop_id=0, position=(1.0, 0.0)),
-        Node(id=5, rank=1.0, hop_id=0, position=(2.0, 0.0)),
+        Node(id=1, hop_id=0, position=(0.0, 0.0)),
+        Node(id=3, hop_id=0, position=(1.0, 0.0)),
+        Node(id=5, hop_id=0, position=(2.0, 0.0)),
     )
     return _prepared(nodes, 1, links, frame, channel)
 
@@ -334,10 +334,10 @@ def star_topology(
     cross_ber = BitErrorRate(float(intercandidate_ber))
 
     source = forwarders + 1
-    nodes = [Node(id=0, rank=1.0, hop_id=0, position=(0.0, 0.0))]
+    nodes = [Node(id=0, hop_id=0, position=(0.0, 0.0))]
     links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
     for r in range(1, forwarders + 1):
-        nodes.append(Node(id=r, rank=1.0, hop_id=0, position=(1.0, float(r))))
+        nodes.append(Node(id=r, hop_id=0, position=(1.0, float(r))))
         links[(0, r)] = relay_ber
         links[(r, 0)] = relay_ber
         links[(r, source)] = up_ber
@@ -345,7 +345,7 @@ def star_topology(
         for other in range(1, r):
             links[(other, r)] = cross_ber
             links[(r, other)] = cross_ber
-    nodes.append(Node(id=source, rank=1.0, hop_id=0, position=(2.0, 0.0)))
+    nodes.append(Node(id=source, hop_id=0, position=(2.0, 0.0)))
     return _prepared(tuple(nodes), 0, links, frame, channel)
 
 
@@ -372,10 +372,10 @@ def diamond_topology(
         (1, 2): cross, (2, 1): cross,
     }
     nodes = (
-        Node(id=0, rank=1.0, hop_id=0, position=(0.0, 0.0)),
-        Node(id=1, rank=1.0, hop_id=0, position=(1.0, 1.0)),
-        Node(id=2, rank=1.0, hop_id=0, position=(1.0, -1.0)),
-        Node(id=3, rank=1.0, hop_id=0, position=(2.0, 0.0)),
+        Node(id=0, hop_id=0, position=(0.0, 0.0)),
+        Node(id=1, hop_id=0, position=(1.0, 1.0)),
+        Node(id=2, hop_id=0, position=(1.0, -1.0)),
+        Node(id=3, hop_id=0, position=(2.0, 0.0)),
     )
     return _prepared(nodes, 0, links, frame, channel)
 

@@ -34,10 +34,11 @@ def small_topology(kind, size, ber, intercandidate_ber, seed):
 
 def without_cross_links(t):
     """``t`` without its links between nodes of equal hop id; hop ids and
-    costs only follow links between different hop ids, so both stay."""
-    return replace(
+    costs only follow links between different hop ids, so both stay (the
+    re-linked copy carries no table, so it is costed again)."""
+    return topo.compute_ranks(replace(
         t, links={(a, b): v for (a, b), v in t.links.items() if t.hop_id(a) != t.hop_id(b)}
-    )
+    ))
 
 
 @st.composite

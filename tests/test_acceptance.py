@@ -228,11 +228,10 @@ def test_criterion_7_perfect_overhearing_never_duplicates():
     d = topo.diamond_topology(
         source_ber=(0.005, 0.005), relay_ber=(0.005, 0.005), intercandidate_ber=0.0
     )
-    costs = analysis.network_path_costs(d)
     cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, replications=reps, seed=77, source=3)
     duplicates = 0
     for i in range(reps):
-        trace = engine.simulate_delivery(d, costs, cfg, i)
+        trace = engine.simulate_delivery(d, cfg, i)
         duplicates += trace.count(EventKind.DUPLICATE_FORWARD)
     elapsed = time.perf_counter() - start
 

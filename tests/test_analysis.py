@@ -282,8 +282,9 @@ class TestNetworkCosts:
     def test_rank_is_one_plus_cost(self):
         topo = chain_topology([0.8, 0.8])
         costs = analysis.network_path_costs(topo)
+        assert topo.costs == costs
         for node in topo.nodes:
-            assert node.rank == pytest.approx(1.0 + costs[node.id])
+            assert topo.rank(node.id) == 1.0 + costs[node.id]
 
     def test_forwarder_entries_use_link_success(self):
         topo = chain_topology([0.8])
@@ -296,9 +297,9 @@ class TestNetworkCosts:
 
     def test_disconnected_node_raises(self):
         nodes = (
-            Node(id=0, rank=1.0, hop_id=0),
-            Node(id=1, rank=2.0, hop_id=1),
-            Node(id=2, rank=3.0, hop_id=2),
+            Node(id=0, hop_id=0),
+            Node(id=1, hop_id=1),
+            Node(id=2, hop_id=2),
         )
         topo = Topology(
             nodes=nodes,
@@ -342,7 +343,7 @@ class TestNetworkCostsFromPublicFunctions:
             topo.diamond_topology((0.02, 0.03), (0.01, 0.005), frame=frame, channel=channel),
         ]
         for t in shapes:
-            assert dict(analysis.network_path_costs(t).items()) == costs_from_public_functions(t)
+            assert analysis.network_path_costs(t).costs == costs_from_public_functions(t)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -364,4 +365,4 @@ class TestNetworkCostsFromPublicFunctions:
             t = topo.generate(config, seed=seed)
         except topo.DisconnectedTopologyError:
             reject()
-        assert dict(analysis.network_path_costs(t).items()) == costs_from_public_functions(t)
+        assert analysis.network_path_costs(t).costs == costs_from_public_functions(t)

@@ -373,6 +373,46 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestSolveCounts:
+    """A built topology carries its cost table, so each command solves a
+    topology's costs once, where it is built (twice for a ``ber`` point:
+    the built topology and its re-linked copy)."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = analysis.network_path_costs
+
+        def counted(t):
+            calls.append(t)
+            return solve(t)
+
+        monkeypatch.setattr(analysis, "network_path_costs", counted)
+        return calls
+
+    @pytest.mark.parametrize("command, sweep, expected", [
+        (cli.cmd_analyze, None, 1),
+        (cli.cmd_simulate, None, 1),
+        (cli.cmd_sweep, {"parameter": "forwarders", "values": [1, 2, 3]}, 3),
+        (cli.cmd_sweep, {"parameter": "p_sw", "values": [0.6, 0.8, 1.0]}, 3),
+        (cli.cmd_sweep, {"parameter": "ber", "values": [0.001, 0.01, 0.02]}, 6),
+    ])
+    def test_commands(self, solves, command, sweep, expected):
+        cfg = {
+            "topology": {"kind": "star", "forwarders": 2, "p_link": 0.6},
+            "sim": {"mode": "both", "replications": 20, "seed": 7},
+        }
+        if sweep:
+            cfg["sweep"] = sweep
+        command(cfg)
+        assert len(solves) == expected
+
+    def test_verify(self, solves):
+        _, code = verification.run_verification("sizes=1;probs=0.5;costs=1", trials=1_000, seed=5)
+        assert code == 0
+        assert len(solves) == 3
+
+
 class TestMainExitCodes:
     def test_analyze_ok(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "topology: {kind: witness}\n")

@@ -86,21 +86,20 @@ class TestSimulateDelivery:
     def test_deterministic(self):
         t = star()
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=3, source=4)
-        a = engine.simulate_delivery(t, costs_of(t), cfg, 17)
-        b = engine.simulate_delivery(t, costs_of(t), cfg, 17)
+        a = engine.simulate_delivery(t, cfg, 17)
+        b = engine.simulate_delivery(t, cfg, 17)
         assert a == b
 
     def test_replication_index_varies_outcome(self):
         t = star()
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=3, source=4)
-        c = costs_of(t)
-        traces = {engine.simulate_delivery(t, c, cfg, i).delivered for i in range(200)}
+        traces = {engine.simulate_delivery(t, cfg, i).delivered for i in range(200)}
         assert traces == {True, False}  # p_link=0.6 cubes to a real miss rate
 
     def test_gateway_source_is_trivially_delivered(self):
         t = star()
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=3, source=0)
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
+        trace = engine.simulate_delivery(t, cfg, 0)
         assert trace.delivered
         assert trace.transmissions == 0
         assert trace.first_arrival_hops == 0
@@ -108,7 +107,7 @@ class TestSimulateDelivery:
     def test_event_stream_shape(self):
         t = topo.chain_topology([1.0])
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=3, source=1)
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
+        trace = engine.simulate_delivery(t, cfg, 0)
         kinds = [e.kind for e in trace.events]
         assert kinds == [
             EventKind.TRANSMIT_PREAMBLE,
@@ -122,7 +121,7 @@ class TestSimulateDelivery:
     def test_event_times_monotone(self):
         t = star()
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=5, source=4)
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 2)
+        trace = engine.simulate_delivery(t, cfg, 2)
         times = [e.time for e in trace.events]
         assert times == sorted(times)
 
@@ -131,7 +130,7 @@ class TestSimulateDelivery:
         # 100-bit payload never decodes, so nothing can be forwarded
         t = topo.diamond_topology(source_ber=(0.4, 0.4), relay_ber=(0.4, 0.4))
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=1, source=3)
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
+        trace = engine.simulate_delivery(t, cfg, 0)
         assert not trace.delivered
         assert trace.count(EventKind.RECEIVE) == 0
 
@@ -139,22 +138,21 @@ class TestSimulateDelivery:
         channel = ChannelModel(channels=(Channel(1e-9, 0.5, 2e6),), noise_power=1e-9)
         t = topo.chain_topology([1.0], channel=channel)
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=1, source=1)
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
+        trace = engine.simulate_delivery(t, cfg, 0)
         assert not trace.delivered
 
     def test_max_hops_stops_the_walk(self):
         t = topo.chain_topology([1.0, 1.0, 1.0])
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=3, source=3, max_hops=2)
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
+        trace = engine.simulate_delivery(t, cfg, 0)
         assert not trace.delivered
         assert trace.transmissions <= 2
 
     def test_elected_forwarder_is_lowest_rank(self):
         t = star(2, 0.95)
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=2, source=3)
-        c = costs_of(t)
         for i in range(50):
-            trace = engine.simulate_delivery(t, c, cfg, i)
+            trace = engine.simulate_delivery(t, cfg, i)
             elected = [e for e in trace.events if e.kind is EventKind.ELECT]
             receives = [e for e in trace.events if e.kind is EventKind.RECEIVE]
             if not elected:
@@ -170,13 +168,12 @@ class TestSimulateDelivery:
         off = SimConfig(
             mode=ProtocolMode.RECEIVER_BASED, seed=6, source=4, suppression=False
         )
-        c = costs_of(t)
         dup_on = sum(
-            engine.simulate_delivery(t, c, on, i).count(EventKind.DUPLICATE_FORWARD)
+            engine.simulate_delivery(t, on, i).count(EventKind.DUPLICATE_FORWARD)
             for i in range(300)
         )
         dup_off = sum(
-            engine.simulate_delivery(t, c, off, i).count(EventKind.DUPLICATE_FORWARD)
+            engine.simulate_delivery(t, off, i).count(EventKind.DUPLICATE_FORWARD)
             for i in range(300)
         )
         assert dup_on == 0  # perfect overhearing between relays
@@ -184,11 +181,10 @@ class TestSimulateDelivery:
 
     def test_suppression_flag_ignored_by_sender_mode(self):
         t = star(3, 0.9)
-        c = costs_of(t)
         kw = dict(mode=ProtocolMode.SENDER_PRIORITIZED, seed=6, source=4)
         for i in range(100):
-            a = engine.simulate_delivery(t, c, SimConfig(suppression=True, **kw), i)
-            b = engine.simulate_delivery(t, c, SimConfig(suppression=False, **kw), i)
+            a = engine.simulate_delivery(t, SimConfig(suppression=True, **kw), i)
+            b = engine.simulate_delivery(t, SimConfig(suppression=False, **kw), i)
             assert a == b
 
     def test_broken_overhearing_duplicates_reach_gateway(self):
@@ -197,7 +193,7 @@ class TestSimulateDelivery:
         t = topo.diamond_topology(source_ber=(0.0, 0.0), relay_ber=(0.0, 0.0),
                                   intercandidate_ber=1.0)
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=9, source=3)
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
+        trace = engine.simulate_delivery(t, cfg, 0)
         assert trace.delivered
         assert trace.count(EventKind.DUPLICATE_FORWARD) == 1
         assert trace.duplicate_arrivals == 1
@@ -210,18 +206,17 @@ class TestSimulateDelivery:
         # both relays always hear; slot 1 is past the window in sender
         # ordering only when the second candidate would win, so in
         # receiver mode the winner at slot 0 always proceeds
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
+        trace = engine.simulate_delivery(t, cfg, 0)
         assert trace.delivered
 
     def test_modes_elect_identical_winners(self):
         t = star(4, 0.7)
-        c = costs_of(t)
         for i in range(150):
             r = engine.simulate_delivery(
-                t, c, SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=8, source=5), i
+                t, SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=8, source=5), i
             )
             s = engine.simulate_delivery(
-                t, c, SimConfig(mode=ProtocolMode.SENDER_PRIORITIZED, seed=8, source=5), i
+                t, SimConfig(mode=ProtocolMode.SENDER_PRIORITIZED, seed=8, source=5), i
             )
             r_elect = [(e.actor, e.sender, e.hops) for e in r.events if e.kind is EventKind.ELECT]
             s_elect = [(e.actor, e.sender, e.hops) for e in s.events if e.kind is EventKind.ELECT]
@@ -242,9 +237,8 @@ class TestRunExperiment:
     def test_uniform_source_draw_covers_nodes(self):
         t = topo.chain_topology([1.0, 1.0, 1.0])
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, replications=400, seed=13)
-        c = costs_of(t)
         sources = {
-            engine.simulate_delivery(t, c, cfg, i).source for i in range(400)
+            engine.simulate_delivery(t, cfg, i).source for i in range(400)
         }
         assert sources == {1, 2, 3}
 
@@ -283,7 +277,7 @@ class TestRunExperiment:
             cfg = SimConfig(**{"mode": ProtocolMode.RECEIVER_BASED, "replications": 300,
                                "seed": 5, "source": t.nodes[-1].id, **kw})
             c = costs_of(t)
-            traces = [engine.simulate_delivery(t, c, cfg, i) for i in range(300)]
+            traces = [engine.simulate_delivery(t, cfg, i) for i in range(300)]
             forwards = sum(tr.count(EventKind.DUPLICATE_FORWARD) for tr in traces)
             assert (forwards > 0) == (sum(tr.duplicate_arrivals for tr in traces) > 0) == duplicates
             assert engine.run_experiment(t, cfg) == metrics_from_traces(traces, c)
@@ -296,9 +290,8 @@ class TestRunExperiment:
         t, cfg = run
         cfg = replace(cfg, replications=replications)
         c = costs_of(t)
-        traces = [engine.simulate_delivery(t, c, cfg, i) for i in range(replications)]
+        traces = [engine.simulate_delivery(t, cfg, i) for i in range(replications)]
         assert engine.run_experiment(t, cfg) == metrics_from_traces(traces, c)
-        assert engine.run_experiment(t, cfg, c) == metrics_from_traces(traces, c)
 
     def test_builds_no_trace(self, monkeypatch):
         mesh = topo.generate(
@@ -322,7 +315,7 @@ class TestRunExperiment:
             e
             for t, cfg in runs
             for i in range(cfg.replications)
-            for e in engine.simulate_delivery(t, costs_of(t), cfg, i).events
+            for e in engine.simulate_delivery(t, cfg, i).events
         ]
         assert {e.kind for e in events} == set(EventKind)
         assert {e.reason for e in events} == {None, "max-hops", "window-closed"}
@@ -355,13 +348,13 @@ class TestHelpers:
     def test_first_arrival_hops_none_without_delivery(self):
         t = topo.diamond_topology(source_ber=(0.4, 0.4), relay_ber=(0.4, 0.4))
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=2, source=3)
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
+        trace = engine.simulate_delivery(t, cfg, 0)
         assert trace.first_arrival_hops is None
 
     def test_energy_bits_counts_data_transmissions(self):
         t = topo.chain_topology([1.0, 1.0])
         cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=2, source=2)
-        trace = engine.simulate_delivery(t, costs_of(t), cfg, 0)
+        trace = engine.simulate_delivery(t, cfg, 0)
         assert trace.transmissions == 2
         out = cli.cmd_simulate(
             {

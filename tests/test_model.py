@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oppsim.analysis import network_path_costs
 from oppsim.model import (
     BitErrorRate,
     Channel,
@@ -17,6 +18,7 @@ from oppsim.model import (
     TraceEvent,
     validate,
 )
+from oppsim.topology import compute_ranks
 
 
 def make_frame(**kw):
@@ -101,9 +103,9 @@ def test_forwarder_set_canonical_order():
 
 def _tiny_topology(links=None):
     nodes = (
-        Node(id=0, rank=1.0, hop_id=0),
-        Node(id=1, rank=2.0, hop_id=1),
-        Node(id=2, rank=3.0, hop_id=2),
+        Node(id=0, hop_id=0),
+        Node(id=1, hop_id=1),
+        Node(id=2, hop_id=2),
     )
     if links is None:
         links = {(0, 1): 0.01, (1, 0): 0.01, (1, 2): 0.01, (2, 1): 0.01}
@@ -120,20 +122,22 @@ def test_topology_accessors():
     assert topo.has_link(0, 1) and not topo.has_link(0, 2)
     assert topo.ber(0, 1) == 0.01
     assert topo.hop_id(2) == 2
-    assert topo.rank(1) == 2.0
+    assert compute_ranks(topo).rank(1) == 1.0 + network_path_costs(topo)[1]
     assert topo.non_gateway_ids() == (1, 2)
     with pytest.raises(ValueError, match=r"^unknown node id: 9$"):
         topo.upstream_neighbors(9)
 
 
-def test_with_ranks_shares_neighbour_tables():
+def test_compute_ranks_shares_neighbour_tables():
     topo = _tiny_topology()
     upstream = topo.upstream_neighbors(2)
-    ranked = topo.with_ranks({0: 1.0, 1: 5.0, 2: 9.0})
-    assert [n.rank for n in ranked.nodes] == [1.0, 5.0, 9.0]
-    assert ranked.rank(1) == 5.0 and topo.rank(1) == 2.0
+    ranked = compute_ranks(topo)
+    assert ranked.costs == network_path_costs(topo)
+    assert [ranked.rank(n.id) for n in ranked.nodes] == [1.0 + ranked.costs[i] for i in (0, 1, 2)]
+    with pytest.raises(ValueError, match="compute_ranks"):
+        topo.rank(1)
     assert ranked.upstream_neighbors(2) is upstream
-    assert ranked.links == topo.links and ranked.nodes != topo.nodes
+    assert ranked.links is topo.links and ranked.nodes is topo.nodes
 
 
 def test_with_hop_ids_shares_adjacency_and_rebuilds_upstream():
@@ -157,7 +161,7 @@ def test_topology_rejects_self_link():
 
 
 def test_validate_reports_duplicate_node_ids():
-    nodes = (Node(id=0, rank=1.0, hop_id=0), Node(id=0, rank=2.0, hop_id=1))
+    nodes = (Node(id=0, hop_id=0), Node(id=0, hop_id=1))
     topo = Topology(
         nodes=nodes, gateway=0, links={}, frame=make_frame(), channel=make_channel()
     )
@@ -183,8 +187,8 @@ def test_validate_reports_disconnected_node():
 
 def test_validate_reports_gateway_hop_id():
     nodes = (
-        Node(id=0, rank=1.0, hop_id=3),
-        Node(id=1, rank=2.0, hop_id=1),
+        Node(id=0, hop_id=3),
+        Node(id=1, hop_id=1),
     )
     topo = Topology(
         nodes=nodes,
@@ -198,7 +202,7 @@ def test_validate_reports_gateway_hop_id():
 
 
 def test_validate_reports_unknown_gateway():
-    nodes = (Node(id=1, rank=2.0, hop_id=1),)
+    nodes = (Node(id=1, hop_id=1),)
     topo = Topology(
         nodes=nodes, gateway=7, links={}, frame=make_frame(), channel=make_channel()
     )
@@ -207,7 +211,7 @@ def test_validate_reports_unknown_gateway():
 
 
 def test_validate_reports_dangling_link_endpoint():
-    topo_nodes = (Node(id=0, rank=1.0, hop_id=0), Node(id=1, rank=2.0, hop_id=1))
+    topo_nodes = (Node(id=0, hop_id=0), Node(id=1, hop_id=1))
     topo = Topology(
         nodes=topo_nodes,
         gateway=0,

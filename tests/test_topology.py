@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppsim import analysis, topology as topo
+from oppsim import analysis, cli, engine, topology as topo
+from oppsim.engine import ProtocolMode, SimConfig
 from oppsim.model import BitErrorRate, Channel, ChannelModel, FrameParams, Node, Topology
 
 
@@ -254,7 +255,7 @@ class TestGenerate:
             nodes=1000, area_side=100.0, radio_range=8.0, ber_model=topo.DistanceBer(0.0, 0.005)
         )
         g = topo.generate(cfg, seed=1)
-        digest = hashlib.sha256(repr((g.nodes, g.links)).encode()).hexdigest()
+        digest = hashlib.sha256(ranked_repr(g).encode()).hexdigest()
         assert digest == "d51a0bb7d25776d1ad1136862345a1d288d079c92bbb7680eadbaf2227034862"
 
     @settings(max_examples=200, deadline=None)
@@ -308,13 +309,24 @@ class TestGenerate:
         )
 
 
+def ranked_repr(t):
+    """repr((nodes, links)) as it read when each node stored its rank,
+    1 + cost, between its id and its hop id."""
+    nodes = ", ".join(
+        f"Node(id={n.id!r}, rank={t.rank(n.id)!r}, hop_id={n.hop_id!r}, position={n.position!r})"
+        for n in t.nodes
+    )
+    return f"(({nodes}), {t.links!r})"
+
+
 def _outcome(build, config, seed):
-    """Nodes and link items in iteration order, or the error raised."""
+    """Nodes, link items in iteration order and the cost table, or the
+    error raised."""
     try:
         t = build(config, seed)
     except ValueError as exc:
         return type(exc), str(exc)
-    return t.nodes, list(t.links.items())
+    return t.nodes, list(t.links.items()), t.costs
 
 
 def reference_ber(model, distance, radio_range):
@@ -344,12 +356,11 @@ def reference_generate(config, seed):
                 links[(a, b)] = ber
                 links[(b, a)] = ber
     nodes = tuple(
-        Node(id=nid, rank=1.0, hop_id=0, position=pos) for nid, pos in enumerate(positions)
+        Node(id=nid, hop_id=0, position=pos) for nid, pos in enumerate(positions)
     )
     raw = Topology(nodes=nodes, gateway=0, links=links, frame=config.frame, channel=config.channel)
     hopped = topo.assign_hop_ids(raw)
-    costs = analysis.network_path_costs(hopped)
-    return replace(hopped, nodes=tuple(replace(n, rank=1.0 + costs[n.id]) for n in hopped.nodes))
+    return topo.compute_ranks(hopped)
 
 
 class TestNearPairs:
@@ -385,9 +396,9 @@ class TestNearPairs:
 class TestHopAssignment:
     def test_bfs_hop_ids(self):
         nodes = (
-            Node(id=0, rank=1.0, hop_id=0),
-            Node(id=1, rank=1.0, hop_id=0),
-            Node(id=2, rank=1.0, hop_id=0),
+            Node(id=0, hop_id=0),
+            Node(id=1, hop_id=0),
+            Node(id=2, hop_id=0),
         )
         links = {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.0, (2, 1): 0.0, (0, 2): 0.0, (2, 0): 0.0}
         raw = Topology(
@@ -401,7 +412,7 @@ class TestHopAssignment:
         assert [n.hop_id for n in assigned.nodes] == [0, 1, 1]
 
     def test_unreachable_node_named(self):
-        nodes = (Node(id=0, rank=1.0, hop_id=0), Node(id=7, rank=1.0, hop_id=0))
+        nodes = (Node(id=0, hop_id=0), Node(id=7, hop_id=0))
         raw = Topology(
             nodes=nodes,
             gateway=0,
@@ -441,3 +452,46 @@ def test_frame_override_propagates():
     chain = topo.chain_topology([0.9], frame=frame)
     assert chain.frame == frame
     assert analysis.link_success(chain.ber(0, 1), frame, 1.0) == pytest.approx(0.9, abs=1e-12)
+
+
+def _file_round_trip(tmp_path):
+    path = tmp_path / "star.topo"
+    cli.write_topology_file(topo.star_topology(3, 0.6, intercandidate_ber=0.01), path)
+    return cli.read_topology_file(path, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+
+
+BUILDERS = {
+    "chain": lambda tmp_path: topo.chain_topology([0.8, 0.6, 0.9]),
+    "star": lambda tmp_path: topo.star_topology(3, 0.6, remaining_cost=1.7),
+    "diamond": lambda tmp_path: topo.diamond_topology(),
+    "witness": lambda tmp_path: topo.witness_topology(),
+    "generated": lambda tmp_path: topo.generate(
+        topo.GeneratorConfig(nodes=30, area_side=100.0, radio_range=30.0,
+                             ber_model=topo.DistanceBer()),
+        seed=2,
+    ),
+    "file": _file_round_trip,
+}
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_built_topology_owns_its_cost_table(kind, tmp_path):
+    t = BUILDERS[kind](tmp_path)
+    assert t.costs == analysis.network_path_costs(t)
+    for n in t.nodes:
+        assert t.rank(n.id) == 1.0 + t.costs[n.id]
+    # a copy may have other links or hop ids, so it carries no table, and
+    # whatever reads one refuses it
+    hop_ids = {n.id: n.hop_id for n in t.nodes}
+    cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, replications=2)
+    for copy in (replace(t), replace(t, links=dict(t.links)), t.with_hop_ids(hop_ids)):
+        assert copy == t
+        for read in (
+            lambda: copy.costs,
+            lambda: copy.rank(t.gateway),
+            lambda: engine.run_experiment(copy, cfg),
+            lambda: engine.simulate_delivery(copy, cfg, 0),
+        ):
+            with pytest.raises(ValueError, match="compute_ranks"):
+                read()
+        assert topo.compute_ranks(copy).costs == t.costs

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppsim import analysis, engine, topology as topo
+from oppsim import engine, topology as topo
 from oppsim.engine import ProtocolMode, SimConfig
 from oppsim.model import EventKind
 
@@ -64,9 +64,8 @@ EXPECTED = {
 def case_traces(name):
     build, overrides = CASES[name]
     t = build()
-    costs = analysis.network_path_costs(t)
     cfg = SimConfig(seed=7, **overrides)
-    return tuple(engine.simulate_delivery(t, costs, cfg, i) for i in range(20))
+    return tuple(engine.simulate_delivery(t, cfg, i) for i in range(20))
 
 
 def canonical(traces) -> bytes:
@@ -137,5 +136,5 @@ def check_well_formed(trace, t, cfg):
 @given(run=small_runs(), replication=st.integers(min_value=0, max_value=1000))
 def test_every_trace_is_well_formed(run, replication):
     t, cfg = run
-    trace = engine.simulate_delivery(t, analysis.network_path_costs(t), cfg, replication)
+    trace = engine.simulate_delivery(t, cfg, replication)
     check_well_formed(trace, t, cfg)

@@ -17,7 +17,8 @@ times the ROADMAP's layer baselines (``generate`` at 1000 nodes,
 ``star_topology(6, 0.7)``, ``network_path_costs`` at 1000 nodes, verify-grid's
 single-hop grid alone as ``run_verification`` with one Monte Carlo trial,
 and the 200,000-trial ``bit_level_frame_oracle``) on each side, best of k,
-in the same alternating order.
+in the same alternating order, and records each side's source-line count
+of ``src/oppsim/*.py`` (as ``wc -l`` counts them) as ``source_lines``.
 
 Per workload and end-to-end metric the output holds each side's q1, median
 and q3 of the benchmark's (scaled) value, the change's wins over the pairs
@@ -113,6 +114,11 @@ def layer_times(side_dir: Path) -> dict:
     done = subprocess.run([sys.executable, "-c", LAYER_SNIPPET], cwd=side_dir, check=True,
                           capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def source_lines(side_dir: Path) -> int:
+    """Lines of the package's modules, as ``wc -l src/oppsim/*.py`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (side_dir / "src" / "oppsim").glob("*.py"))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -230,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         dirs = {"parent": Path(tmp), "change": ROOT}
         parent_commit = export(args.parent, dirs["parent"])
+        lines = {side: source_lines(dirs[side]) for side in SIDES}
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
@@ -245,6 +252,7 @@ def main(argv: list[str] | None = None) -> int:
                 "command": "python3 perfbench/run.py --workload all --seed S",
                 "seconds": first and first["seconds"],
                 "parent_commit": parent_commit,
+                "source_lines": lines,
                 "env": first and first["env"],
                 "pairs": pairs,
                 **summarise(runs, layers, benchmark, args.claim),
