@@ -386,8 +386,8 @@ def _node_token(token: str) -> NodeId:
 
 
 def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelModel) -> Topology:
-    """Parse the line-oriented topology format, then assign hop IDs and
-    solve the cost table.  Parse failures name the offending line."""
+    """Parse the line-oriented topology format and prepare its links
+    (``topology.prepare``).  Parse failures name the offending line."""
     path = Path(path)
     try:
         raw_lines = path.read_text().splitlines()
@@ -395,7 +395,7 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
         raise ConfigError(f"cannot read topology {path}: {exc}") from exc
 
     nodes: list[Node] = []
-    links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
+    edges: list[tuple[NodeId, NodeId, BitErrorRate]] = []
     declared = None
     gateway: NodeId | None = None
     known: set[NodeId] = set()
@@ -436,8 +436,7 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
                 ber = BitErrorRate(float(tokens[3]))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
-            links[(a, b)] = ber
-            links[(b, a)] = ber
+            edges.append((a, b, ber))
         else:
             raise ConfigError(f"{where}: unknown directive {tokens[0]!r}")
 
@@ -448,8 +447,7 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
     if gateway not in known:
         raise ConfigError(f"{path}: gateway {gateway!r} has no node line")
     try:
-        built = Topology(nodes=tuple(nodes), gateway=gateway, links=links, frame=frame, channel=channel)
-        return topo.compute_ranks(topo.assign_hop_ids(built))
+        return topo.prepare(tuple(nodes), gateway, edges, frame, channel)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -597,20 +595,16 @@ def cmd_simulate(cfg: dict) -> str:
 _SWEEP_AXES = ("forwarders", "ber", "p_sw", "preamble_frames", "data_frame_bits")
 
 
-def _swept_topology(
-    cfg: dict, frame: FrameParams, channel: ChannelModel, axis: str, value
-) -> Topology:
-    if axis in ("preamble_frames", "data_frame_bits"):
-        frame = replace(frame, **{axis: int(value)})
-    elif axis == "p_sw":
-        evaluated = replace(channel.evaluated, p_sw=float(value))
-        channel = replace(channel, channels=(evaluated,) + channel.channels[1:])
-    built = _topology_for_run(cfg, frame, channel)
-    if axis == "ber":
-        # the same link keys keep every hop ID, so only the costs change
-        links = dict.fromkeys(built.links, BitErrorRate(float(value)))
-        built = topo.compute_ranks(replace(built, links=links))
-    return built
+def _point(cfg: dict, axis: str, value) -> dict:
+    """``cfg`` with the swept key set: ``topology.forwarders``,
+    ``frame.<axis>``, or ``p_sw`` of ``channel.channels[0]``."""
+    if axis == "forwarders":
+        return {**cfg, "topology": {**_section(cfg, "topology"), axis: value}}
+    if axis == "p_sw":
+        channel = _section(cfg, "channel")
+        first, *rest = channel.get("channels") or [{}]
+        return {**cfg, "channel": {**channel, "channels": [{**first, axis: value}, *rest]}}
+    return {**cfg, "frame": {**_section(cfg, "frame"), axis: value}}
 
 
 def cmd_sweep(cfg: dict) -> str:
@@ -629,38 +623,35 @@ def cmd_sweep(cfg: dict) -> str:
         raise ConfigError("empty sweep: no values to run")
 
     frame, channel, sim, digest = _parsed(cfg)
-    topo_section = _section(cfg, "topology")
+    if axis == "forwarders" and _section(cfg, "topology").get("kind") != "star":
+        raise ConfigError("sweeping 'forwarders' requires topology.kind 'star'")
+    if axis == "ber":
+        base = _topology_for_run(cfg, frame, channel)
 
     rows = [
         f"{axis},analytic_overhead,empirical_overhead,pdr,mean_duplicates,"
         "retransmissions,mean_transmissions,mode,seed,config"
     ]
     for value in values:
-        if axis == "forwarders":
-            if topo_section.get("kind") != "star":
-                raise ConfigError("sweeping 'forwarders' requires topology.kind 'star'")
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"forwarder counts must be positive integers, got {value!r}")
-            _, star = _kind_args(
-                {**topo_section, "forwarders": value}, "topology", _topology_kinds()
-            )
-            built = topo.star_topology(**star, frame=frame, channel=channel)
-            # the declared per-candidate delivery probability and remaining
-            # cost define the analytic set; the builder realizes the same
-            # probability inside the simulator
-            analytic = ForwarderSet(
-                tuple(
-                    ForwarderEntry(
-                        node=r, p_link=star["p_link"], remaining_cost=star["remaining_cost"]
-                    )
-                    for r in range(1, value + 1)
-                )
-            )
-            source: NodeId | None = value + 1
-        else:
+        if axis == "ber":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"sweep values must be numbers, got {value!r}")
-            built = _swept_topology(cfg, frame, channel, axis, value)
+            # the same links keep every hop ID; only the rates and costs change
+            ber = BitErrorRate(float(value))
+            edges = [(a, b, ber) for a, b in _undirected_links(base)]
+            built = topo.prepare(base.nodes, base.gateway, edges, frame, channel)
+        else:
+            point = _point(cfg, axis, value)
+            built = _topology_for_run(point, parse_frame(point), parse_channel(point))
+        if axis == "forwarders":
+            # the declared per-candidate delivery probability and remaining
+            # cost define the analytic set; the builder realizes the same
+            # probability inside the simulator.  The star's source is N + 1.
+            _, star = _kind_args(point["topology"], "topology", _topology_kinds())
+            declared = (star["p_link"], star["remaining_cost"])
+            analytic = ForwarderSet(tuple(ForwarderEntry(r, *declared) for r in range(1, value + 1)))
+            source = value + 1
+        else:
             source = sim["source"]
             if source is None:
                 source = topo.deepest_node(built)

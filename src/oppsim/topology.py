@@ -6,9 +6,12 @@ rank-difference "distance" between two nodes inflates past their true
 hop separation; :func:`witness_topology` builds the minimal chain that
 exhibits the gap.
 
-Builders return fully prepared topologies: hop IDs assigned and the cost
-table solved, once, by :func:`compute_ranks` (``Topology.costs``, from which
-``Topology.rank`` derives), ready for the closed forms and the simulator.
+Every topology is built by one recipe, :func:`prepare`: it takes
+undirected ``(a, b, ber)`` edges, stores each link in both directions,
+assigns hop IDs and solves the cost table, once, with :func:`compute_ranks`
+(``Topology.costs``, from which ``Topology.rank`` derives).  The builders
+below and the CLI's topology-file reader only say which edges there are,
+so what they return is ready for the closed forms and the simulator.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -109,16 +112,14 @@ def generate(config: GeneratorConfig, seed: int) -> Topology:
     positions += map(tuple, rng.uniform(0.0, side, size=(config.nodes - 1, 2)).tolist())
 
     ber_law = _ber_law(config.ber_model, config.radio_range)
-    links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
-    for a, b, dist in _near_pairs(positions, config.radio_range):
-        ber = BitErrorRate(ber_law(dist))
-        links[(a, b)] = ber
-        links[(b, a)] = ber
-
+    edges = (
+        (a, b, BitErrorRate(ber_law(dist)))
+        for a, b, dist in _near_pairs(positions, config.radio_range)
+    )
     nodes = tuple(
         Node(id=nid, hop_id=0, position=pos) for nid, pos in enumerate(positions)
     )
-    return _prepared(nodes, 0, links, config.frame, config.channel)
+    return prepare(nodes, 0, edges, config.frame, config.channel)
 
 
 # Cells are this factor wider than the radio range.  Rounding in the
@@ -255,7 +256,20 @@ def ber_for_reception(target: float, frame: FrameParams, p_sw: float) -> float:
     return _bisect(analysis.reception_probability, target, frame, p_sw)
 
 
-def _prepared(nodes, gateway, links, frame, channel) -> Topology:
+def prepare(
+    nodes: tuple[Node, ...],
+    gateway: NodeId,
+    edges: Iterable[tuple[NodeId, NodeId, BitErrorRate]],
+    frame: FrameParams,
+    channel: ChannelModel,
+) -> Topology:
+    """The topology with each undirected edge ``(a, b, ber)`` stored as
+    ``(a, b)`` then ``(b, a)`` (a repeated edge keeps its first place and
+    takes its last rate), hop IDs assigned and the cost table solved."""
+    links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
+    for a, b, ber in edges:
+        links[(a, b)] = ber
+        links[(b, a)] = ber
     # no name holds the copy without hop IDs, so it is freed before the costs are solved
     topo = assign_hop_ids(
         Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
@@ -274,14 +288,12 @@ def chain_topology(
     if not link_success:
         raise ValueError("chain needs at least one link")
     p_sw = channel.evaluated.p_sw
-    links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
+    edges = []
     nodes = [Node(id=0, hop_id=0, position=(0.0, 0.0))]
     for k, target in enumerate(link_success):
-        ber = BitErrorRate(ber_for_link_success(float(target), frame, p_sw))
-        links[(k, k + 1)] = ber
-        links[(k + 1, k)] = ber
+        edges.append((k, k + 1, BitErrorRate(ber_for_link_success(float(target), frame, p_sw))))
         nodes.append(Node(id=k + 1, hop_id=0, position=(float(k + 1), 0.0)))
-    return _prepared(tuple(nodes), 0, links, frame, channel)
+    return prepare(tuple(nodes), 0, edges, frame, channel)
 
 
 def witness_topology(
@@ -300,13 +312,12 @@ def witness_topology(
     p_sw = channel.evaluated.p_sw
     success = 2.0 / far_cost
     ber = BitErrorRate(ber_for_link_success(success, frame, p_sw))
-    links = {(1, 3): ber, (3, 1): ber, (3, 5): ber, (5, 3): ber}
     nodes = (
         Node(id=1, hop_id=0, position=(0.0, 0.0)),
         Node(id=3, hop_id=0, position=(1.0, 0.0)),
         Node(id=5, hop_id=0, position=(2.0, 0.0)),
     )
-    return _prepared(nodes, 1, links, frame, channel)
+    return prepare(nodes, 1, [(1, 3, ber), (3, 5, ber)], frame, channel)
 
 
 def star_topology(
@@ -335,18 +346,13 @@ def star_topology(
 
     source = forwarders + 1
     nodes = [Node(id=0, hop_id=0, position=(0.0, 0.0))]
-    links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
+    edges = []
     for r in range(1, forwarders + 1):
         nodes.append(Node(id=r, hop_id=0, position=(1.0, float(r))))
-        links[(0, r)] = relay_ber
-        links[(r, 0)] = relay_ber
-        links[(r, source)] = up_ber
-        links[(source, r)] = up_ber
-        for other in range(1, r):
-            links[(other, r)] = cross_ber
-            links[(r, other)] = cross_ber
+        edges += [(0, r, relay_ber), (r, source, up_ber)]
+        edges += [(other, r, cross_ber) for other in range(1, r)]
     nodes.append(Node(id=source, hop_id=0, position=(2.0, 0.0)))
-    return _prepared(tuple(nodes), 0, links, frame, channel)
+    return prepare(tuple(nodes), 0, edges, frame, channel)
 
 
 def diamond_topology(
@@ -364,20 +370,14 @@ def diamond_topology(
     b1, b2 = (BitErrorRate(float(b)) for b in source_ber)
     g1, g2 = (BitErrorRate(float(b)) for b in relay_ber)
     cross = BitErrorRate(float(intercandidate_ber))
-    links = {
-        (0, 1): g1, (1, 0): g1,
-        (0, 2): g2, (2, 0): g2,
-        (1, 3): b1, (3, 1): b1,
-        (2, 3): b2, (3, 2): b2,
-        (1, 2): cross, (2, 1): cross,
-    }
+    edges = [(0, 1, g1), (0, 2, g2), (1, 3, b1), (2, 3, b2), (1, 2, cross)]
     nodes = (
         Node(id=0, hop_id=0, position=(0.0, 0.0)),
         Node(id=1, hop_id=0, position=(1.0, 1.0)),
         Node(id=2, hop_id=0, position=(1.0, -1.0)),
         Node(id=3, hop_id=0, position=(2.0, 0.0)),
     )
-    return _prepared(nodes, 0, links, frame, channel)
+    return prepare(nodes, 0, edges, frame, channel)
 
 
 def deepest_node(topology: Topology) -> NodeId:

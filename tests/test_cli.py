@@ -375,8 +375,8 @@ class TestVerifyCommand:
 
 class TestSolveCounts:
     """A built topology carries its cost table, so each command solves a
-    topology's costs once, where it is built (twice for a ``ber`` point:
-    the built topology and its re-linked copy)."""
+    topology's costs once, where it is built.  A ``ber`` sweep builds the
+    configured topology once and re-links it once per point: 1 + points."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -395,7 +395,7 @@ class TestSolveCounts:
         (cli.cmd_simulate, None, 1),
         (cli.cmd_sweep, {"parameter": "forwarders", "values": [1, 2, 3]}, 3),
         (cli.cmd_sweep, {"parameter": "p_sw", "values": [0.6, 0.8, 1.0]}, 3),
-        (cli.cmd_sweep, {"parameter": "ber", "values": [0.001, 0.01, 0.02]}, 6),
+        (cli.cmd_sweep, {"parameter": "ber", "values": [0.001, 0.01, 0.02]}, 4),
     ])
     def test_commands(self, solves, command, sweep, expected):
         cfg = {
@@ -407,10 +407,56 @@ class TestSolveCounts:
         command(cfg)
         assert len(solves) == expected
 
+    def test_analyze_topology_file(self, solves, tmp_path):
+        path = tmp_path / "star.topo"
+        cli.write_topology_file(topo.star_topology(2, 0.6), path)
+        solves.clear()
+        cli.cmd_analyze({"topology": {"kind": "file", "path": str(path)}})
+        assert len(solves) == 1
+
     def test_verify(self, solves):
         _, code = verification.run_verification("sizes=1;probs=0.5;costs=1", trials=1_000, seed=5)
         assert code == 0
         assert len(solves) == 3
+
+
+class TestSweepPointErrors:
+    """A sweep point is the config with the swept key set, so it fails as
+    ``simulate`` fails on that config: one stderr line, nothing on stdout."""
+
+    def run(self, tmp_path, capsys, command, text):
+        assert cli.main([command, write_cfg(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_fractional_frame_value_is_one(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "sweep", (
+            "topology: {kind: chain, link_success: [0.9]}\n"
+            "sim: {replications: 10}\n"
+            "sweep: {parameter: preamble_frames, values: [1, 1.9]}\n"
+        ))
+        assert err == "config error: frame.preamble_frames must be an integer, got 1.9\n"
+
+    def test_invalid_star_fails_alike_in_simulate_and_sweep(self, tmp_path, capsys):
+        star = (
+            "topology: {kind: star, forwarders: 2, p_link: 0.6, remaining_cost: 0.5}\n"
+            "sim: {replications: 10}\n"
+        )
+        expected = "config error: topology: remaining_cost must be >= 1, got 0.5\n"
+        assert self.run(tmp_path, capsys, "simulate", star) == expected
+        sweep = star + "sweep: {parameter: forwarders, values: [1, 2]}\n"
+        assert self.run(tmp_path, capsys, "sweep", sweep) == expected
+
+    def test_out_of_range_p_sw_names_the_channel(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "sweep", (
+            "topology: {kind: chain, link_success: [1.0]}\n"
+            "sim: {replications: 10}\n"
+            "sweep: {parameter: p_sw, values: [0.5, 1.5]}\n"
+        ))
+        assert err == (
+            "config error: channel.channels[0]: p_sw must be a probability in [0, 1], got 1.5\n"
+        )
 
 
 class TestMainExitCodes:

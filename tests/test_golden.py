@@ -9,12 +9,13 @@ digest) fails here.  A change that means to alter output re-records them
 and says why.
 """
 
+import csv
 import hashlib
 
 import pytest
 import yaml
 
-from oppsim import cli, verification
+from oppsim import cli, topology as topo, verification
 
 CONFIGS = {
     "chain": """
@@ -93,6 +94,39 @@ COMMANDS = {"analyze": cli.cmd_analyze, "simulate": cli.cmd_simulate, "sweep": c
 def test_output_matches_golden(kind, command):
     out = COMMANDS[command](yaml.safe_load(CONFIGS[kind]))
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[kind][command]
+
+
+def csv_rows(text):
+    return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+
+
+EMPIRICAL = ("empirical_overhead", "pdr", "mean_duplicates", "mean_transmissions")
+
+
+@pytest.mark.parametrize("kind", ["star", "diamond", "witness", "generated"])
+def test_sweep_rows_equal_simulate_on_each_point(kind):
+    """Each sweep point is the run ``simulate`` makes on the config with
+    the swept key set, from the source the sweep uses."""
+    cfg = yaml.safe_load(CONFIGS[kind])
+    axis = cfg["sweep"]["parameter"]
+    swept = csv_rows(cli.cmd_sweep(cfg))
+    for value in cfg["sweep"]["values"]:
+        point = yaml.safe_load(CONFIGS[kind])
+        if axis == "forwarders":
+            point["topology"]["forwarders"] = value
+            point["sim"]["source"] = value + 1
+        elif axis == "p_sw":
+            point["channel"]["channels"][0]["p_sw"] = value
+        else:
+            point.setdefault("frame", {})[axis] = value
+        if point["sim"].get("source") is None:
+            frame, channel = cli.parse_frame(point), cli.parse_channel(point)
+            point["sim"]["source"] = topo.deepest_node(cli.build_topology(point, frame, channel))
+        simulated = {row["mode"]: row for row in csv_rows(cli.cmd_simulate(point))}
+        rows = [row for row in swept if float(row[axis]) == value]
+        assert [row["mode"] for row in rows] == list(simulated)
+        for row in rows:
+            assert [row[c] for c in EMPIRICAL] == [simulated[row["mode"]][c] for c in EMPIRICAL]
 
 
 VERIFY_GOLDEN = {

@@ -393,6 +393,41 @@ class TestNearPairs:
         assert topo._near_pairs([(0.0, 0.0), (1e300, 0.0)], math.inf) == [(0, 1, 1e300)]
 
 
+@st.composite
+def connected_edges(draw):
+    """Node count, gateway and an edge list over int ids that reaches every
+    node: a random spanning tree plus extra edges, repeats allowed, in a
+    random order with random rates."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    gateway = draw(st.integers(min_value=0, max_value=n - 1))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs += draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=10))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    pairs = draw(st.permutations(pairs))
+    rate = st.floats(min_value=0.0, max_value=0.05).map(BitErrorRate)
+    return n, gateway, [(a, b, draw(rate)) for a, b in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_edges())
+def test_prepare_stores_each_edge_both_ways(drawn):
+    n, gateway, edges = drawn
+    nodes = tuple(Node(id=i, hop_id=0, position=(float(i), 0.0)) for i in range(n))
+    t = topo.prepare(nodes, gateway, edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+    links = {}
+    for a, b, ber in edges:
+        links[(a, b)] = ber
+        links[(b, a)] = ber
+    raw = Topology(nodes=nodes, gateway=gateway, links=links,
+                   frame=topo.DEFAULT_FRAME, channel=topo.DEFAULT_CHANNEL)
+    reference = topo.compute_ranks(topo.assign_hop_ids(raw))
+    assert list(t.links.items()) == list(reference.links.items())
+    assert t.nodes == reference.nodes
+    assert t.costs == reference.costs
+
+
 class TestHopAssignment:
     def test_bfs_hop_ids(self):
         nodes = (
