@@ -14,6 +14,10 @@ Conventions
   instead of papering over it.
 * ``expected_retransmissions`` excludes the first attempt: a per-attempt
   failure probability f costs f / (1 - f) extra transmissions.
+* The closed forms are total over their domain: a forwarder set that no
+  member can receive from costs ``inf``, and a certain failure (f = 1)
+  needs ``inf`` retransmissions.  Only ``network_path_costs`` refuses such
+  a set, because a node's cost must be finite to enter the next node's set.
 
 Floating-point policy: probabilities are computed in double precision and
 ``(1 - p) ** n`` switches to ``exp(n * log1p(-p))`` only in the
@@ -35,10 +39,6 @@ from .model import (
     PathCostTable,
     Topology,
 )
-
-
-class UnreachableForwarderSetError(ValueError):
-    """Raised when no member of a forwarder set can ever receive."""
 
 
 class DisconnectedNodeError(ValueError):
@@ -147,14 +147,13 @@ def total_path_cost(forwarder_set: ForwarderSet) -> float:
     First term: expected transmissions until at least one member receives
     (geometric in the all-miss probability).  Second term: expected
     remaining cost of the elected member - the first receiver in canonical
-    order - conditioned on somebody receiving.
+    order - conditioned on somebody receiving.  ``inf`` when no member can
+    receive.
     """
     all_miss, elected_mass = _election(forwarder_set)
     p_some = 1.0 - all_miss
     if p_some <= 0.0:
-        raise UnreachableForwarderSetError(
-            "unreachable forwarder set: every link probability is 0"
-        )
+        return math.inf
     return 1.0 / p_some + elected_mass / p_some
 
 
@@ -203,8 +202,9 @@ def network_path_costs(topology: Topology) -> PathCostTable:
     )
     costs: dict[NodeId, float] = {topology.gateway: 0.0}
     for node in order:
-        fs = forwarder_entries(topology, node, costs)
-        costs[node] = total_path_cost(fs)
+        costs[node] = total_path_cost(forwarder_entries(topology, node, costs))
+        if math.isinf(costs[node]):
+            raise ValueError("unreachable forwarder set: every link probability is 0")
     return PathCostTable(gateway=topology.gateway, costs=costs)
 
 
@@ -218,10 +218,11 @@ def set_failure_probability(forwarder_set: ForwarderSet) -> float:
 
 def expected_retransmissions(failure: float) -> float:
     """Expected retransmissions beyond the first attempt when each attempt
-    independently fails with probability ``failure``: f / (1 - f)."""
+    independently fails with probability ``failure``: f / (1 - f), and
+    ``inf`` for a failure that is certain."""
     failure = model._probability("failure", failure)
-    if failure >= 1.0:
-        raise ValueError("failure probability 1 never succeeds")
+    if failure == 1.0:
+        return math.inf
     return failure / (1.0 - failure)
 
 

@@ -288,10 +288,10 @@ def parse_sim(cfg: dict) -> dict:
     params = {**SIM_DEFAULTS, **_read(_section(cfg, "sim"), "sim", SIM_FIELDS)}
     if params["mode"] not in _MODES:
         raise ConfigError(f"sim.mode must be one of {sorted(_MODES)}, got {params['mode']!r}")
-    if params["replications"] < 1:
-        raise ConfigError("sim.replications must be >= 1")
-    if params["seed"] < 0:
-        raise ConfigError("sim.seed must be >= 0")
+    try:
+        engine.SimConfig(**{**params, "mode": _MODES[params["mode"]][0]})
+    except ValueError as exc:
+        raise ConfigError(f"sim: {exc}") from exc
     return params
 
 
@@ -423,6 +423,8 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
                 raise ConfigError(f"{where}: bad coordinates") from None
             if nid in known:
                 raise ConfigError(f"{where}: duplicate node id {nid!r}")
+            if nodes and type(nid) is not type(nodes[0].id):
+                raise ConfigError(f"{where}: node ids mix integers and strings")
             known.add(nid)
             nodes.append(Node(id=nid, hop_id=0, position=(x, y)))
         elif tokens[0] == "link":
@@ -463,19 +465,6 @@ def _csv_preamble(seed: int, digest: str) -> list[str]:
     ]
 
 
-def _guarded_cost(fs: ForwarderSet) -> float:
-    try:
-        return analysis.total_path_cost(fs)
-    except analysis.UnreachableForwarderSetError:
-        return float("inf")
-
-
-def _guarded_retransmissions(failure: float) -> float:
-    if failure >= 1.0:
-        return float("inf")
-    return analysis.expected_retransmissions(failure)
-
-
 def _parsed(cfg: dict) -> tuple[FrameParams, ChannelModel, dict, str]:
     """The frame, channel and sim sections, and the config digest."""
     return parse_frame(cfg), parse_channel(cfg), parse_sim(cfg), config_digest(cfg)
@@ -503,9 +492,9 @@ def cmd_analyze(cfg: dict) -> str:
         failure = analysis.set_failure_probability(fs)
         lines.append(
             f"set index={i} size={len(fs)}"
-            f" cost={_fmt(_guarded_cost(fs))}"
+            f" cost={_fmt(analysis.total_path_cost(fs))}"
             f" overhead={_fmt(analysis.coordination_overhead(fs))}"
-            f" failure={_fmt(failure)} retransmissions={_fmt(_guarded_retransmissions(failure))} {suffix}"
+            f" failure={_fmt(failure)} retransmissions={_fmt(analysis.expected_retransmissions(failure))} {suffix}"
         )
 
     if "topology" in cfg:
@@ -534,7 +523,7 @@ def cmd_analyze(cfg: dict) -> str:
                 failure = analysis.set_failure_probability(fs)
                 base += (
                     f" overhead={_fmt(analysis.coordination_overhead(fs))}"
-                    f" failure={_fmt(failure)} retransmissions={_fmt(_guarded_retransmissions(failure))}"
+                    f" failure={_fmt(failure)} retransmissions={_fmt(analysis.expected_retransmissions(failure))}"
                 )
             base += (
                 f" hop_distance_gateway={topo.hop_distance(topology_obj, node.id, topology_obj.gateway)}"
@@ -632,12 +621,15 @@ def cmd_sweep(cfg: dict) -> str:
         f"{axis},analytic_overhead,empirical_overhead,pdr,mean_duplicates,"
         "retransmissions,mean_transmissions,mode,seed,config"
     ]
-    for value in values:
+    for i, value in enumerate(values):
         if axis == "ber":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"sweep values must be numbers, got {value!r}")
+            try:
+                ber = BitErrorRate(float(value))
+            except ValueError as exc:
+                raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
             # the same links keep every hop ID; only the rates and costs change
-            ber = BitErrorRate(float(value))
             edges = [(a, b, ber) for a, b in _undirected_links(base)]
             built = topo.prepare(base.nodes, base.gateway, edges, frame, channel)
         else:
@@ -659,7 +651,7 @@ def cmd_sweep(cfg: dict) -> str:
 
         analytic_overhead = analysis.coordination_overhead(analytic)
         failure = analysis.set_failure_probability(analytic)
-        retries = _guarded_retransmissions(failure)
+        retries = analysis.expected_retransmissions(failure)
         for mode in _MODES[sim["mode"]]:
             config = engine.SimConfig(**{**sim, "mode": mode, "source": source})
             metrics = engine.run_experiment(built, config)

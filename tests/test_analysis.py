@@ -135,9 +135,8 @@ class TestPathCost:
         fs = entries((1.0, 2.0), (0.3, 5.0))
         assert analysis.total_path_cost(fs) == pytest.approx(3.0, abs=1e-15)
 
-    def test_unreachable_set_raises(self):
-        with pytest.raises(analysis.UnreachableForwarderSetError):
-            analysis.total_path_cost(entries((0.0, 1.0), (0.0, 2.0)))
+    def test_unreachable_set_costs_inf(self):
+        assert analysis.total_path_cost(entries((0.0, 1.0), (0.0, 2.0))) == math.inf
 
     def test_order_is_by_cost_not_declaration(self):
         # same set declared in both orders must agree
@@ -231,9 +230,13 @@ class TestSetFailureAndRetries:
         # half the attempts fail: one extra transmission on average
         assert analysis.expected_retransmissions(0.5) == pytest.approx(1.0)
 
-    def test_certain_failure_rejected(self):
+    def test_certain_failure_needs_inf_retransmissions(self):
+        assert analysis.expected_retransmissions(1.0) == math.inf
+
+    @pytest.mark.parametrize("failure", [1.5, math.nan])
+    def test_failure_outside_unit_interval_rejected(self, failure):
         with pytest.raises(ValueError):
-            analysis.expected_retransmissions(1.0)
+            analysis.expected_retransmissions(failure)
 
     @given(st.floats(min_value=0.0, max_value=0.99))
     def test_retransmissions_monotone(self, f):

@@ -43,6 +43,15 @@ def kind_cfg(kind):
     return cfg
 
 
+def fails_with(tmp_path, capsys, command, text):
+    """The stderr of ``oppsim <command>`` on a config that exits 1 with
+    nothing on stdout."""
+    assert cli.main([command, write_cfg(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -141,6 +150,15 @@ class TestTopologyFiles:
         path.write_text("nodes 2 gateway 0\nnode 0 0 0\nnode 0 1 0\n")
         with pytest.raises(ConfigError, match=r"t\.topo:3"):
             cli.read_topology_file(path, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+
+    def test_mixed_node_ids_name_line(self, tmp_path, capsys):
+        path = tmp_path / "t.topo"
+        path.write_text(
+            "nodes 3 gateway 1\nnode 1 0 0\nnode a 1 0\nnode 2 1 1\n"
+            "link 1 a 0.01\nlink 1 2 0.01\n"
+        )
+        err = fails_with(tmp_path, capsys, "analyze", f"topology: {{kind: file, path: {path}}}\n")
+        assert err == f"config error: {path}:3: node ids mix integers and strings\n"
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "t.topo"
@@ -366,6 +384,15 @@ class TestVerifyCommand:
         assert "breach" in report
         assert "result=fail" in report
 
+    def test_finite_cost_of_unreachable_set_is_caught(self, monkeypatch):
+        monkeypatch.setattr(analysis, "total_path_cost", lambda fs: 1.0)
+        report, code = verification.run_verification("sizes=1;probs=0;costs=1", trials=1_000, seed=5)
+        assert code == 2
+        assert (
+            "verify breach case=single-hop-grid probs=(0.0,) costs=(1.0,)"
+            " closed-form accepted an unreachable set\n"
+        ) in report
+
     def test_overhead_fault_injection_is_caught(self, monkeypatch):
         real = analysis.coordination_overhead
         monkeypatch.setattr(analysis, "coordination_overhead", lambda fs: real(fs) * 1.001)
@@ -424,14 +451,8 @@ class TestSweepPointErrors:
     """A sweep point is the config with the swept key set, so it fails as
     ``simulate`` fails on that config: one stderr line, nothing on stdout."""
 
-    def run(self, tmp_path, capsys, command, text):
-        assert cli.main([command, write_cfg(tmp_path, text)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        return captured.err
-
     def test_fractional_frame_value_is_one(self, tmp_path, capsys):
-        err = self.run(tmp_path, capsys, "sweep", (
+        err = fails_with(tmp_path, capsys, "sweep", (
             "topology: {kind: chain, link_success: [0.9]}\n"
             "sim: {replications: 10}\n"
             "sweep: {parameter: preamble_frames, values: [1, 1.9]}\n"
@@ -444,12 +465,12 @@ class TestSweepPointErrors:
             "sim: {replications: 10}\n"
         )
         expected = "config error: topology: remaining_cost must be >= 1, got 0.5\n"
-        assert self.run(tmp_path, capsys, "simulate", star) == expected
+        assert fails_with(tmp_path, capsys, "simulate", star) == expected
         sweep = star + "sweep: {parameter: forwarders, values: [1, 2]}\n"
-        assert self.run(tmp_path, capsys, "sweep", sweep) == expected
+        assert fails_with(tmp_path, capsys, "sweep", sweep) == expected
 
     def test_out_of_range_p_sw_names_the_channel(self, tmp_path, capsys):
-        err = self.run(tmp_path, capsys, "sweep", (
+        err = fails_with(tmp_path, capsys, "sweep", (
             "topology: {kind: chain, link_success: [1.0]}\n"
             "sim: {replications: 10}\n"
             "sweep: {parameter: p_sw, values: [0.5, 1.5]}\n"
@@ -457,6 +478,53 @@ class TestSweepPointErrors:
         assert err == (
             "config error: channel.channels[0]: p_sw must be a probability in [0, 1], got 1.5\n"
         )
+
+
+class TestConfigErrorLines:
+    """Configs that exit 1 with one stderr line and nothing on stdout."""
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_unreachable_topology_is_one(self, tmp_path, capsys, command):
+        err = fails_with(tmp_path, capsys, command, (
+            "topology: {kind: diamond, source_ber: [1.0, 1.0]}\nsim: {replications: 10}\n"
+        ))
+        assert err == (
+            "config error: topology: unreachable forwarder set: every link probability is 0\n"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("replications", 0, "replications must be a positive integer, got 0"),
+            ("seed", -1, "seed must be a nonnegative integer, got -1"),
+            ("max_hops", 0, "max_hops must be a positive integer, got 0"),
+            ("election_slots", 0, "election_slots must be a positive integer, got 0"),
+        ],
+    )
+    def test_out_of_range_sim_key(self, tmp_path, capsys, command, key, value, message):
+        err = fails_with(tmp_path, capsys, command, (
+            f"topology: {{kind: chain, link_success: [0.9]}}\nsim: {{{key}: {value}}}\n"
+        ))
+        assert err == f"config error: sim: {message}\n"
+
+    def test_out_of_range_ber_names_the_value(self, tmp_path, capsys):
+        err = fails_with(tmp_path, capsys, "sweep", (
+            "topology: {kind: chain, link_success: [0.9]}\n"
+            "sim: {replications: 10}\n"
+            "sweep: {parameter: ber, values: [0.01, 1.5]}\n"
+        ))
+        assert err == (
+            "config error: sweep.values[1]: bit error rate must be a probability in [0, 1], got 1.5\n"
+        )
+
+    def test_unreachable_ber_point_is_one(self, tmp_path, capsys):
+        err = fails_with(tmp_path, capsys, "sweep", (
+            "topology: {kind: star, forwarders: 2, p_link: 0.6}\n"
+            "sim: {replications: 10}\n"
+            "sweep: {parameter: ber, values: [0.5, 1.0]}\n"
+        ))
+        assert err == "validation error: unreachable forwarder set: every link probability is 0\n"
 
 
 class TestMainExitCodes:
