@@ -33,7 +33,7 @@ from .model import (
     Node,
     NodeId,
     Topology,
-    validate,
+    validate,  # re-exported only: every topology that prepare builds passes it
 )
 from .verification import DEFAULT_SEED, DEFAULT_TRIALS
 
@@ -470,16 +470,6 @@ def _parsed(cfg: dict) -> tuple[FrameParams, ChannelModel, dict, str]:
     return parse_frame(cfg), parse_channel(cfg), parse_sim(cfg), config_digest(cfg)
 
 
-def _topology_for_run(cfg: dict, frame: FrameParams, channel: ChannelModel) -> Topology:
-    built = build_topology(cfg, frame, channel)
-    violations = validate(built)
-    if violations:
-        raise ConfigError(
-            "invalid topology: " + "; ".join(f"[{v.code}] {v.message}" for v in violations)
-        )
-    return built
-
-
 # ------------------------------------------------------------- analyze --
 
 
@@ -498,7 +488,7 @@ def cmd_analyze(cfg: dict) -> str:
         )
 
     if "topology" in cfg:
-        topology_obj = _topology_for_run(cfg, frame, channel)
+        topology_obj = build_topology(cfg, frame, channel)
         p_sw = channel.evaluated.p_sw
         lines.append(
             f"topology nodes={len(topology_obj.nodes)}"
@@ -548,7 +538,7 @@ def cmd_analyze(cfg: dict) -> str:
 
 def cmd_simulate(cfg: dict) -> str:
     frame, channel, sim, digest = _parsed(cfg)
-    topology_obj = _topology_for_run(cfg, frame, channel)
+    topology_obj = build_topology(cfg, frame, channel)
 
     rows = [
         "mode,replications,pdr,mean_duplicates,mean_transmissions,mean_hops,"
@@ -615,7 +605,7 @@ def cmd_sweep(cfg: dict) -> str:
     if axis == "forwarders" and _section(cfg, "topology").get("kind") != "star":
         raise ConfigError("sweeping 'forwarders' requires topology.kind 'star'")
     if axis == "ber":
-        base = _topology_for_run(cfg, frame, channel)
+        base = build_topology(cfg, frame, channel)
 
     rows = [
         f"{axis},analytic_overhead,empirical_overhead,pdr,mean_duplicates,"
@@ -627,14 +617,14 @@ def cmd_sweep(cfg: dict) -> str:
                 raise ConfigError(f"sweep values must be numbers, got {value!r}")
             try:
                 ber = BitErrorRate(float(value))
+                # the same links keep every hop ID; only the rates and costs change
+                edges = [(a, b, ber) for a, b in _undirected_links(base)]
+                built = topo.prepare(base.nodes, base.gateway, edges, frame, channel)
             except ValueError as exc:
                 raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
-            # the same links keep every hop ID; only the rates and costs change
-            edges = [(a, b, ber) for a, b in _undirected_links(base)]
-            built = topo.prepare(base.nodes, base.gateway, edges, frame, channel)
         else:
             point = _point(cfg, axis, value)
-            built = _topology_for_run(point, parse_frame(point), parse_channel(point))
+            built = build_topology(point, parse_frame(point), parse_channel(point))
         if axis == "forwarders":
             # the declared per-candidate delivery probability and remaining
             # cost define the analytic set; the builder realizes the same

@@ -1,9 +1,14 @@
 """Closed forms against the oracles, over a grid of forwarder sets.
 
-``run_verification`` is what ``oppsim verify`` runs.  It checks three
-cases: every single-hop set of the grid against exhaustive enumeration,
-a few two-hop chains against the absorbing-walk oracle, and the frame
-miss factors against the per-bit Monte Carlo.
+``run_verification`` is what ``oppsim verify`` runs.  Each of its three
+cases is a list of errors held to one tolerance: every single-hop set of
+the grid against exhaustive enumeration (cost and overhead, 1e-12), a few
+chains' costs against the absorbing-walk oracle and their known values
+(1e-12), and the frame miss factors against the per-bit Monte Carlo (3
+binomial standard errors; a closed factor of 0 or 1 has none, so any
+estimate off it breaches).  An error passes only if ``err <= tolerance``,
+so a NaN breaches and counts as ``inf`` in its case's worst value, and a
+case reads ``status=fail`` exactly when it has a breach line.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ DEFAULT_SEED = 20_240
 SINGLE_HOP_TOLERANCE = 1e-12
 COMPOSITION_TOLERANCE = 1e-12
 FRAME_SIGMA_TOLERANCE = 3.0
+
+# scenario, per-link success probabilities, known cost of the far end
+COMPOSITIONS = (
+    ("lossless-two-hop", (1.0, 1.0), 2.0),
+    ("partial-two-hop", (0.8, 0.8), 2.5),
+    ("single-lossy-hop", (0.5,), 2.0),
+)
 
 
 class GridError(ValueError):
@@ -62,108 +74,92 @@ def _parse_grid(spec: str | None):
     return grid["sizes"], grid["probs"], grid["costs"]
 
 
-def run_verification(
-    grid: str | None = None, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
-) -> tuple[str, int]:
-    """Closed-form versus oracle checks; returns (report, exit_code)."""
-    sizes, probs, costs = _parse_grid(grid)
-    lines: list[str] = []
-    breaches: list[str] = []
-
+def _single_hop_checks(sizes, probs, costs):
+    """Per grid set, the errors of its cost and of its overhead."""
     # one validated entry per (node, prob index, cost index), built when the
     # grid first meets it, so a bad value fails where it always did
     entry = functools.cache(lambda node, pi, ci: ForwarderEntry(node, probs[pi], costs[ci]))
-    sets_checked = 0
-    max_err = 0.0
     for n in sizes:
         points = product(product(range(len(probs)), repeat=n), product(range(len(costs)), repeat=n))
         while block := list(islice(points, oracle.batch_sets(n))):
             sets = [ForwarderSet(tuple(map(entry, range(n), pis, cis))) for pis, cis in block]
             exact = [values.tolist() for values in oracle.exact_single_hop_batch(sets)]
             for (pis, cis), fs, exact_cost, exact_overhead in zip(block, sets, *exact):
-                closed_overhead = analysis.coordination_overhead(fs)
-                closed_cost = analysis.total_path_cost(fs)
-                err = abs(closed_overhead - exact_overhead)
-                if not math.isinf(exact_cost):
-                    err = max(err, abs(closed_cost - exact_cost))
-                elif not math.isinf(closed_cost):
-                    breaches.append(
-                        "verify breach case=single-hop-grid"
-                        f" probs={tuple(probs[i] for i in pis)}"
-                        f" costs={tuple(costs[i] for i in cis)}"
-                        " closed-form accepted an unreachable set"
-                    )
-                max_err = max(max_err, err)
-                sets_checked += 1
-                if err > SINGLE_HOP_TOLERANCE:
-                    breaches.append(
-                        "verify breach case=single-hop-grid"
-                        f" probs={tuple(probs[i] for i in pis)}"
-                        f" costs={tuple(costs[i] for i in cis)}"
-                        f" closed=({closed_cost:.12g}, {closed_overhead:.12g})"
-                        f" oracle=({exact_cost:.12g}, {exact_overhead:.12g})"
+                for quantity, closed, value in (
+                    ("cost", analysis.total_path_cost(fs), exact_cost),
+                    ("overhead", analysis.coordination_overhead(fs), exact_overhead),
+                ):
+                    # equal values, both inf included, are no error
+                    yield (abs(closed - value) if closed != value else 0.0), lambda err: (
+                        f"probs={tuple(probs[i] for i in pis)} costs={tuple(costs[i] for i in cis)}"
+                        f" quantity={quantity} closed={closed:.12g} oracle={value:.12g}"
                         f" error={err:.3e}"
                     )
-    lines.append(
-        f"verify case=single-hop-grid sets={sets_checked} max_abs_error={max_err:.3e}"
-        f" tolerance={SINGLE_HOP_TOLERANCE:g}"
-        f" status={'pass' if max_err <= SINGLE_HOP_TOLERANCE else 'fail'}"
-    )
 
-    compositions = [
-        ("lossless-two-hop", [1.0, 1.0], 2.0),
-        ("partial-two-hop", [0.8, 0.8], 2.5),
-        ("single-lossy-hop", [0.5], 2.0),
-    ]
-    comp_err = 0.0
-    for name, successes, expected in compositions:
-        chain = topo.chain_topology(successes)
-        far = len(successes)
+
+def _composition_checks():
+    """Per chain, the far end's cost against the oracle and its known value."""
+    for name, successes, expected in COMPOSITIONS:
+        chain, far = topo.chain_topology(successes), len(successes)
         closed = chain.costs[far]
         spec_links = {
             node: ((node - 1, analysis.link_success(chain.ber(node, node - 1), chain.frame, 1.0)),)
             for node in range(1, far + 1)
         }
-        exact_cost = oracle.exact_two_hop(oracle.ChainSpec(source=far, gateway=0, links=spec_links))
-        err = max(abs(closed - exact_cost), abs(closed - expected))
-        comp_err = max(comp_err, err)
-        if err > COMPOSITION_TOLERANCE:
-            breaches.append(
-                f"verify breach case=two-hop-composition scenario={name}"
-                f" closed={closed:.12g} oracle={exact_cost:.12g} expected={expected:.12g}"
+        exact = oracle.exact_two_hop(oracle.ChainSpec(source=far, gateway=0, links=spec_links))
+        for against, value in (("oracle", exact), ("expected", expected)):
+            yield abs(closed - value), lambda err: (
+                f"scenario={name} closed={closed:.12g} {against}={value:.12g} error={err:.3e}"
             )
-    lines.append(
-        f"verify case=two-hop-composition scenarios={len(compositions)}"
-        f" max_abs_error={comp_err:.3e} tolerance={COMPOSITION_TOLERANCE:g}"
-        f" status={'pass' if comp_err <= COMPOSITION_TOLERANCE else 'fail'}"
-    )
 
-    frame = topo.DEFAULT_FRAME
-    p = 0.01
+
+def _frame_checks(trials: int, seed: int):
+    """Per frame factor, the estimate's distance from the closed value in
+    binomial standard errors."""
+    frame, p = topo.DEFAULT_FRAME, 0.01
     estimates = oracle.bit_level_frame_oracle(p, frame, trials, seed)
-    closed_factors = {
-        "preamble_miss": analysis.preamble_miss_probability(p, frame),
-        "data_miss": analysis.data_miss_probability(p, frame),
-        "joint_miss": analysis.failure_probability(p, frame, 1.0),
-    }
-    max_sigma = 0.0
-    for name, closed_value in closed_factors.items():
+    for name, closed in (
+        ("preamble_miss", analysis.preamble_miss_probability(p, frame)),
+        ("data_miss", analysis.data_miss_probability(p, frame)),
+        ("joint_miss", analysis.failure_probability(p, frame, 1.0)),
+    ):
         est = getattr(estimates, name)
-        se = math.sqrt(closed_value * (1.0 - closed_value) / trials)
-        sigma = abs(est - closed_value) / se if se > 0 else 0.0
-        max_sigma = max(max_sigma, sigma)
-        if sigma > FRAME_SIGMA_TOLERANCE:
-            breaches.append(
-                f"verify breach case=bit-level-frames factor={name}"
-                f" closed={closed_value:.12g} estimate={est:.12g} sigma={sigma:.2f}"
-            )
-    lines.append(
-        f"verify case=bit-level-frames trials={trials} max_sigma={max_sigma:.2f}"
-        f" tolerance={FRAME_SIGMA_TOLERANCE:g}"
-        f" status={'pass' if max_sigma <= FRAME_SIGMA_TOLERANCE else 'fail'}"
-    )
+        se = math.sqrt(closed * (1.0 - closed) / trials)
+        # a closed value of 0 or 1 has no spread: only itself is within it
+        sigma = abs(est - closed) / se if se > 0 else (0.0 if est == closed else math.inf)
+        yield sigma, lambda err: (
+            f"factor={name} closed={closed:.12g} estimate={est:.12g} sigma={err:.2f}"
+        )
 
-    lines.extend(breaches)
-    code = 2 if breaches else 0
+
+def run_verification(
+    grid: str | None = None, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
+) -> tuple[str, int]:
+    """Closed-form versus oracle checks; returns (report, exit_code)."""
+    sizes, probs, costs = _parse_grid(grid)
+    sets = sum((len(probs) * len(costs)) ** n for n in sizes)
+    cases = (
+        ("single-hop-grid", f"sets={sets} max_abs_error={{:.3e}}", SINGLE_HOP_TOLERANCE,
+         _single_hop_checks(sizes, probs, costs)),
+        ("two-hop-composition", f"scenarios={len(COMPOSITIONS)} max_abs_error={{:.3e}}",
+         COMPOSITION_TOLERANCE, _composition_checks()),
+        ("bit-level-frames", f"trials={trials} max_sigma={{:.2f}}", FRAME_SIGMA_TOLERANCE,
+         _frame_checks(trials, seed)),
+    )
+    lines, breaches = [], []
+    for case, summary, tolerance, checks in cases:
+        worst, failed = 0.0, len(breaches)
+        for err, detail in checks:
+            # the one comparison, so a NaN breaches; ``detail`` reads the
+            # check's variables, so it formats before the checks move on
+            if not err <= tolerance:
+                breaches.append(f"verify breach case={case} {detail(err)}")
+                err = math.inf if math.isnan(err) else err
+            if err > worst:
+                worst = err
+        lines.append(f"verify case={case} {summary.format(worst)} tolerance={tolerance:g}"
+                     f" status={'fail' if len(breaches) > failed else 'pass'}")
+
+    lines += breaches
     lines.append(f"verify result={'fail' if breaches else 'pass'} breaches={len(breaches)}")
-    return "\n".join(lines) + "\n", code
+    return "\n".join(lines) + "\n", 2 if breaches else 0

@@ -29,6 +29,12 @@ def entries(pairs):
     )
 
 
+def nan_as_inf(err: float) -> float:
+    """An error to fold with max(): a NaN would drop out of the fold, so it
+    counts as the worst error there is."""
+    return math.inf if math.isnan(err) else err
+
+
 def test_criterion_1_single_hop_grid_matches_oracle():
     # every forwarder set of size 1..4 over a fixed probability/cost grid:
     # closed-form cost and overhead against exhaustive enumeration
@@ -44,14 +50,13 @@ def test_criterion_1_single_hop_grid_matches_oracle():
             for cost_combo in product(costs, repeat=n):
                 fs = entries(zip(prob_combo, cost_combo))
                 exact = oracle.exact_single_hop(fs)
-                err = abs(analysis.coordination_overhead(fs) - exact.overhead)
                 closed_cost = analysis.total_path_cost(fs)
-                if math.isinf(exact.expected_cost):
-                    if not math.isinf(closed_cost):
-                        err = float("inf")  # closed form accepted a dead set
-                else:
-                    err = max(err, abs(closed_cost - exact.expected_cost))
-                max_err = max(max_err, err)
+                # equal costs, both inf for a dead set included, are no error
+                cost_err = 0.0 if closed_cost == exact.expected_cost else abs(
+                    closed_cost - exact.expected_cost
+                )
+                overhead_err = abs(analysis.coordination_overhead(fs) - exact.overhead)
+                max_err = max(max_err, nan_as_inf(cost_err), nan_as_inf(overhead_err))
                 checked += 1
     elapsed = time.perf_counter() - start
 
@@ -80,7 +85,7 @@ def test_criterion_2_bit_level_oracle_confirms_frame_factors():
     worst_z, worst_name = 0.0, ""
     for name, value in closed.items():
         se = math.sqrt(value * (1.0 - value) / trials)
-        z = abs(getattr(est, name) - value) / se
+        z = nan_as_inf(abs(getattr(est, name) - value) / se)
         if z > worst_z:
             worst_z, worst_name = z, name
     elapsed = time.perf_counter() - start

@@ -1,9 +1,14 @@
 import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
-from oppsim import analysis, cli, topology as topo, verification
+from oppsim import analysis, cli, oracle, topology as topo, verification
 from oppsim.cli import ConfigError
 from oppsim.model import ForwarderEntry, ForwarderSet
 
@@ -371,18 +376,41 @@ class TestVerifyCommand:
         with pytest.raises(verification.GridError):
             verification.run_verification("sizes=x-y")
 
-    def test_fault_injection_is_caught(self, monkeypatch):
-        # negative control: corrupt the closed form and the grid must breach
-        real = analysis.total_path_cost
-
-        def skewed(fs):
-            return real(fs) + 1e-6
-
-        monkeypatch.setattr(analysis, "total_path_cost", skewed)
-        report, code = verification.run_verification("sizes=1;probs=0.5;costs=1", trials=1_000, seed=5)
+    @pytest.mark.parametrize("case, grid, faults", [
+        # a closed form off by a little
+        ("single-hop-grid", "sizes=1;probs=0.5;costs=1",
+         [(analysis, "total_path_cost", lambda real: lambda fs: real(fs) + 1e-6)]),
+        ("single-hop-grid", "sizes=2;probs=0.5;costs=1",
+         [(analysis, "coordination_overhead", lambda real: lambda fs: real(fs) * 1.001)]),
+        # a finite cost for a set that no member can receive from
+        ("single-hop-grid", "sizes=1;probs=0;costs=1",
+         [(analysis, "total_path_cost", lambda real: lambda fs: 1.0)]),
+        # a NaN is no agreement
+        ("single-hop-grid", "sizes=1;probs=0.5;costs=1",
+         [(analysis, "coordination_overhead", lambda real: lambda fs: math.nan)]),
+        ("bit-level-frames", "sizes=1;probs=0.5;costs=1",
+         [(analysis, "failure_probability", lambda real: lambda p, frame, p_sw: math.nan)]),
+        ("two-hop-composition", "sizes=1;probs=0.5;costs=1",
+         [(oracle, "exact_two_hop", lambda real: lambda spec: math.nan)]),
+        # a closed factor of 0 or 1 has no spread, so no estimate off it passes
+        ("bit-level-frames", "sizes=1;probs=0.5;costs=1",
+         [(analysis, "preamble_miss_probability", lambda real: lambda p, frame: 0.0),
+          (analysis, "data_miss_probability", lambda real: lambda p, frame: 1.0)]),
+    ], ids=["cost-skew", "overhead-skew", "unreachable-finite-cost", "overhead-nan",
+            "failure-nan", "two-hop-oracle-nan", "degenerate-frame-factors"])
+    def test_fault_injection_is_caught(self, monkeypatch, case, grid, faults):
+        # negative controls: corrupt a closed form or an oracle and its case
+        # must fail; a case reads fail exactly when it has a breach line
+        for module, name, fault in faults:
+            monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        report, code = verification.run_verification(grid, trials=1_000, seed=5)
         assert code == 2
-        assert "breach" in report
-        assert "result=fail" in report
+        breaches = report.count("\nverify breach ")
+        assert report.endswith(f"\nverify result=fail breaches={breaches}\n")
+        assert f"\nverify breach case={case} " in report
+        for summary in report.splitlines()[:3]:
+            name = summary.split()[1].removeprefix("case=")
+            assert summary.endswith(" status=fail") == (f"verify breach case={name} " in report)
 
     def test_finite_cost_of_unreachable_set_is_caught(self, monkeypatch):
         monkeypatch.setattr(analysis, "total_path_cost", lambda fs: 1.0)
@@ -390,14 +418,8 @@ class TestVerifyCommand:
         assert code == 2
         assert (
             "verify breach case=single-hop-grid probs=(0.0,) costs=(1.0,)"
-            " closed-form accepted an unreachable set\n"
+            " quantity=cost closed=1 oracle=inf error=inf\n"
         ) in report
-
-    def test_overhead_fault_injection_is_caught(self, monkeypatch):
-        real = analysis.coordination_overhead
-        monkeypatch.setattr(analysis, "coordination_overhead", lambda fs: real(fs) * 1.001)
-        report, code = verification.run_verification("sizes=2;probs=0.5;costs=1", trials=1_000, seed=5)
-        assert code == 2
 
 
 class TestSolveCounts:
@@ -524,7 +546,9 @@ class TestConfigErrorLines:
             "sim: {replications: 10}\n"
             "sweep: {parameter: ber, values: [0.5, 1.0]}\n"
         ))
-        assert err == "validation error: unreachable forwarder set: every link probability is 0\n"
+        assert err == (
+            "config error: sweep.values[1]: unreachable forwarder set: every link probability is 0\n"
+        )
 
 
 class TestMainExitCodes:
@@ -540,6 +564,21 @@ class TestMainExitCodes:
 
     def test_missing_config_is_one(self, tmp_path):
         assert cli.main(["simulate", str(tmp_path / "missing.yaml")]) == 1
+
+    def test_entry_points(self, tmp_path, monkeypatch, capsys):
+        # the module run as a program, and the console script's function
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "oppsim", "verify", "--grid", "sizes=1", "--trials", "1000"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "verify result=pass breaches=0"
+        monkeypatch.setattr(sys, "argv", ["oppsim", "simulate", str(tmp_path / "missing.yaml")])
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint()
+        assert exit_.value.code == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config ")
 
     def test_verify_ok_is_zero(self, capsys):
         code = cli.main(["verify", "--grid", "sizes=1;probs=0,1;costs=1", "--trials", "2000"])

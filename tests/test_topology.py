@@ -1,6 +1,8 @@
 import hashlib
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from oppsim import analysis, cli, engine, topology as topo
 from oppsim.engine import ProtocolMode, SimConfig
-from oppsim.model import BitErrorRate, Channel, ChannelModel, FrameParams, Node, Topology
+from oppsim.model import (
+    BitErrorRate, Channel, ChannelModel, FrameParams, Node, Topology, validate,
+)
 
 
 def bisect_200(law, target, frame, p_sw):
@@ -512,6 +516,7 @@ BUILDERS = {
 @pytest.mark.parametrize("kind", BUILDERS)
 def test_built_topology_owns_its_cost_table(kind, tmp_path):
     t = BUILDERS[kind](tmp_path)
+    assert validate(t) == []
     assert t.costs == analysis.network_path_costs(t)
     for n in t.nodes:
         assert t.rank(n.id) == 1.0 + t.costs[n.id]
@@ -530,3 +535,20 @@ def test_built_topology_owns_its_cost_table(kind, tmp_path):
             with pytest.raises(ValueError, match="compute_ranks"):
                 read()
         assert topo.compute_ranks(copy).costs == t.costs
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_edges(), st.booleans())
+def test_prepared_topology_passes_validate(drawn, string_ids):
+    # prepare stores both directions of each link and assign_hop_ids reaches
+    # every node from a gateway at hop 0, so the CLI runs no validate pass
+    n, gateway, edges = drawn
+    ids = [f"n{i}" if string_ids else i for i in range(n)]
+    nodes = tuple(Node(id=ids[i], hop_id=0, position=(float(i), 0.0)) for i in range(n))
+    edges = [(ids[a], ids[b], ber) for a, b, ber in edges]
+    t = topo.prepare(nodes, ids[gateway], edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+    assert validate(t) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.topo"
+        cli.write_topology_file(t, path)
+        assert validate(cli.read_topology_file(path, t.frame, t.channel)) == []
