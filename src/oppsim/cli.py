@@ -1,10 +1,12 @@
 """Command-line interface: analyze, simulate, sweep, verify.
 
 Configs are YAML mappings (the one supported dialect; see README for the
-schema).  Tables come out as CSV with ``#``-prefixed provenance comments;
-reports come out as one-record-per-line ``key=value`` text.  Every record
-carries the seed and a short config digest so any row can be reproduced
-from the file alone.
+schema).  ``read_spec`` reads a config once, section by section, into the
+frozen ``RunSpec`` that every command runs from; a sweep point is that
+spec with its swept field replaced.  Tables come out as CSV with
+``#``-prefixed provenance comments; reports come out as
+one-record-per-line ``key=value`` text.  Every record carries the seed and
+a short config digest so any row can be reproduced from the file alone.
 
 Exit codes: 0 success, 1 validation or config error, 2 verification
 failure.
@@ -17,7 +19,8 @@ import hashlib
 import inspect
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import yaml
@@ -81,9 +84,21 @@ def _section(cfg: dict, name: str) -> dict:
     return value
 
 
+@contextmanager
+def _config_errors(where: str):
+    """A ValueError raised inside, reported as a config error at ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 # A field table maps each key of a config section to the kind of value it
 # takes: one of these types, or ``list`` for a non-empty list of numbers,
-# or ``tuple`` for a pair of numbers.
+# or ``tuple`` for a pair of numbers, or ``BER_KINDS`` for a mapping that
+# names a bit error rate model, which is built where it is read.
 # kind -> (accepted Python types, how an error names them)
 _KINDS = {
     int: (int, "an integer"),
@@ -95,7 +110,10 @@ _KINDS = {
 }
 
 
-def _checked(name: str, value, kind: type):
+def _checked(name: str, value, kind):
+    if kind is BER_KINDS:
+        ber, args = _kind_args(_checked(name, value, dict), name, BER_KINDS, default_kind="fixed")
+        return BER_KINDS[ber][0](**args)
     if kind in (list, tuple):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{name} must be a non-empty list of numbers")
@@ -109,7 +127,7 @@ def _checked(name: str, value, kind: type):
     return float(value) if kind is float else value
 
 
-def _read(section: dict, where: str, table: dict[str, type]) -> dict:
+def _read(section: dict, where: str, table: dict) -> dict:
     """The checked values of the keys ``section`` sets.  An absent or null
     key is left out, so the caller's default applies."""
     return {
@@ -119,7 +137,7 @@ def _read(section: dict, where: str, table: dict[str, type]) -> dict:
     }
 
 
-def _read_list(value, where: str, table: dict[str, type], build) -> list:
+def _read_list(value, where: str, table: dict, build) -> list:
     """``build(i, values)`` for the i-th mapping of the non-empty list
     ``value``, with the values it sets read through ``table``."""
     if not isinstance(value, list) or not value:
@@ -129,15 +147,12 @@ def _read_list(value, where: str, table: dict[str, type], build) -> list:
         name = f"{where}[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{name} must be a mapping")
-        values = _read(entry, name, table)
-        try:
-            built.append(build(i, values))
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+        with _config_errors(name):
+            built.append(build(i, _read(entry, name, table)))
     return built
 
 
-def _defaults(target, table: dict[str, type]) -> dict:
+def _defaults(target, table: dict) -> dict:
     """The defaults that ``target``'s parameters give the table's keys."""
     params = inspect.signature(target).parameters
     return {
@@ -172,43 +187,16 @@ BER_KINDS = {
 
 
 def _kind_args(section: dict, where: str, kinds: dict, default_kind: str | None = None):
-    """The builder that ``section``'s kind names and its keyword arguments:
+    """The kind that ``section`` names and its builder's keyword arguments:
     the section's values over the builder's own defaults."""
-    kind = _read(section, where, {"kind": str}).get("kind", default_kind)
+    kind = section.get("kind")
+    kind = default_kind if kind is None else _checked(f"{where}.kind", kind, str)
     if kind is None:
         raise ConfigError(f"{where}.kind is required")
     if kind not in kinds:
         raise ConfigError(f"unknown {where}.kind {kind!r}")
     builder, table = kinds[kind]
-    args = {**_defaults(builder, table), **_read(section, where, table)}
-    missing = [key for key in table if key not in args]
-    if missing:
-        raise ConfigError(f"{where} kind {kind!r} needs {' and '.join(missing)}")
-    return builder, args
-
-
-def parse_frame(cfg: dict) -> FrameParams:
-    values = _read(_section(cfg, "frame"), "frame", FRAME_FIELDS)
-    try:
-        return replace(topo.DEFAULT_FRAME, **values)
-    except ValueError as exc:
-        raise ConfigError(f"frame: {exc}") from exc
-
-
-def parse_channel(cfg: dict) -> ChannelModel:
-    section = _section(cfg, "channel")
-    raw_channels = section.get("channels")
-    channels = topo.DEFAULT_CHANNEL.channels
-    if raw_channels is not None:
-        channels = _read_list(
-            raw_channels, "channel.channels", CHANNEL_FIELDS,
-            lambda i, values: replace(topo.DEFAULT_CHANNEL.evaluated, **values),
-        )
-    values = _read(section, "channel", {"noise_power": float})
-    try:
-        return replace(topo.DEFAULT_CHANNEL, channels=tuple(channels), **values)
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from exc
+    return kind, {**_defaults(builder, table), **_read(section, where, table)}
 
 
 def _generated_topology(
@@ -216,22 +204,13 @@ def _generated_topology(
     area_side: float = 100.0,
     radio_range: float = 30.0,
     seed: int = 1,
-    ber: dict | None = None,
+    ber: topo.FixedBer | topo.DistanceBer = topo.FixedBer(),
     gateway_position: tuple[float, float] | None = None,
     *,
     frame: FrameParams,
     channel: ChannelModel,
 ) -> Topology:
-    ber_model, args = _kind_args(ber or {}, "topology.ber", BER_KINDS, default_kind="fixed")
-    gen = topo.GeneratorConfig(
-        nodes=nodes,
-        area_side=area_side,
-        radio_range=radio_range,
-        ber_model=ber_model(**args),
-        frame=frame,
-        channel=channel,
-        gateway_position=gateway_position,
-    )
+    gen = topo.GeneratorConfig(nodes, area_side, radio_range, ber, frame, channel, gateway_position)
     return topo.generate(gen, seed=seed)
 
 
@@ -251,30 +230,11 @@ def _topology_kinds() -> dict:
         "witness": (topo.witness_topology, {"far_cost": float}),
         "generated": (
             _generated_topology,
-            {
-                "nodes": int,
-                "area_side": float,
-                "radio_range": float,
-                "seed": int,
-                "ber": dict,
-                "gateway_position": tuple,
-            },
+            {"nodes": int, "area_side": float, "radio_range": float, "seed": int,
+             "ber": BER_KINDS, "gateway_position": tuple},
         ),
         "file": (read_topology_file, {"path": str}),
     }
-
-
-def build_topology(cfg: dict, frame: FrameParams, channel: ChannelModel) -> Topology:
-    section = _section(cfg, "topology")
-    if not section:
-        raise ConfigError("missing 'topology' section")
-    builder, args = _kind_args(section, "topology", _topology_kinds())
-    try:
-        return builder(**args, frame=frame, channel=channel)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"topology: {exc}") from exc
 
 
 _MODES = {
@@ -284,15 +244,81 @@ _MODES = {
 }
 
 
-def parse_sim(cfg: dict) -> dict:
-    params = {**SIM_DEFAULTS, **_read(_section(cfg, "sim"), "sim", SIM_FIELDS)}
-    if params["mode"] not in _MODES:
-        raise ConfigError(f"sim.mode must be one of {sorted(_MODES)}, got {params['mode']!r}")
-    try:
-        engine.SimConfig(**{**params, "mode": _MODES[params["mode"]][0]})
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
-    return params
+@dataclass(frozen=True)
+class RunSpec:
+    """A config read once: what every command runs from."""
+
+    frame: FrameParams
+    channel: ChannelModel
+    sim: engine.SimConfig  # run once per mode, with its mode replaced
+    modes: tuple[engine.ProtocolMode, ...]
+    kind: str | None  # the topology's kind; None without a topology
+    args: dict  # the kind's builder arguments, fully defaulted
+    written: dict  # topology, forwarder_sets and sweep, as written
+    hashes_sim: bool  # the config has a sim or a topology section
+    digest: str = ""
+
+    def build(self) -> Topology:
+        """The topology, built with the spec's frame and channel."""
+        if self.kind is None:
+            raise ConfigError("missing 'topology' section")
+        builder, table = _topology_kinds()[self.kind]
+        missing = [key for key in table if key not in self.args]
+        if missing:
+            raise ConfigError(f"topology kind {self.kind!r} needs {' and '.join(missing)}")
+        with _config_errors("topology"):
+            return builder(**self.args, frame=self.frame, channel=self.channel)
+
+    def as_dict(self) -> dict:
+        """What the digest hashes, as a config that reads back into this
+        spec.  Legacy: frame, channel and sim fully defaulted, topology,
+        forwarder_sets and sweep (parameter and values) as written."""
+        out = {
+            "frame": asdict(self.frame),
+            "channel": {"noise_power": self.channel.noise_power, "channels": [asdict(c) for c in self.channel.channels]},
+            **self.written,
+        }
+        if "sweep" in out:
+            out["sweep"] = {key: out["sweep"].get(key) for key in ("parameter", "values")}
+        if self.hashes_sim:
+            mode = next(name for name, modes in _MODES.items() if modes == self.modes)
+            out["sim"] = {**asdict(self.sim), "mode": mode}
+        return out
+
+
+def read_spec(cfg: dict) -> RunSpec:
+    """Read ``cfg`` once, in the order frame, channel, sim, topology.  The
+    topology is not built: ``RunSpec.build`` builds it."""
+    with _config_errors("frame"):
+        frame = replace(topo.DEFAULT_FRAME, **_read(_section(cfg, "frame"), "frame", FRAME_FIELDS))
+
+    section = _section(cfg, "channel")
+    channels = topo.DEFAULT_CHANNEL.channels
+    if section.get("channels") is not None:
+        channels = _read_list(
+            section["channels"], "channel.channels", CHANNEL_FIELDS,
+            lambda i, values: replace(topo.DEFAULT_CHANNEL.evaluated, **values),
+        )
+    with _config_errors("channel"):
+        values = _read(section, "channel", {"noise_power": float})
+        channel = replace(topo.DEFAULT_CHANNEL, channels=tuple(channels), **values)
+
+    sim = {**SIM_DEFAULTS, **_read(_section(cfg, "sim"), "sim", SIM_FIELDS)}
+    mode = sim.pop("mode")
+    if mode not in _MODES:
+        raise ConfigError(f"sim.mode must be one of {sorted(_MODES)}, got {mode!r}")
+    with _config_errors("sim"):
+        sim = engine.SimConfig(mode=_MODES[mode][0], **sim)
+
+    written = {key: dict(_section(cfg, key)) for key in ("topology", "sweep") if key in cfg}
+    if "forwarder_sets" in cfg:
+        written["forwarder_sets"] = cfg["forwarder_sets"]
+    kind, args = None, {}
+    if written.get("topology"):
+        kind, args = _kind_args(written["topology"], "topology", _topology_kinds())
+    spec = RunSpec(frame, channel, sim, _MODES[mode], kind, args, written, "sim" in cfg or "topology" in cfg)
+    canonical = json.dumps(spec.as_dict(), sort_keys=True, default=str)
+    return replace(spec, digest=hashlib.sha256(canonical.encode()).hexdigest()[:12])
 
 
 FORWARDER_FIELDS = {"node": NodeId, "p_link": float, "remaining_cost": float}
@@ -317,36 +343,6 @@ def parse_forwarder_sets(cfg: dict) -> list[ForwarderSet]:
         except TypeError:
             raise ConfigError(f"forwarder_sets[{i}] mixes integer and string node ids") from None
     return sets
-
-
-def effective_config(cfg: dict) -> dict:
-    """The fully defaulted configuration: re-ingesting it reproduces the
-    run exactly."""
-    frame = parse_frame(cfg)
-    channel = parse_channel(cfg)
-    out: dict = {
-        "frame": asdict(frame),
-        "channel": {
-            "noise_power": channel.noise_power,
-            "channels": [asdict(c) for c in channel.channels],
-        },
-    }
-    if "topology" in cfg:
-        out["topology"] = dict(_section(cfg, "topology"))
-    if "forwarder_sets" in cfg:
-        out["forwarder_sets"] = cfg["forwarder_sets"]
-    if "sim" in cfg or "topology" in cfg:
-        out["sim"] = parse_sim(cfg)
-    if "sweep" in cfg:
-        sweep = _section(cfg, "sweep")
-        out["sweep"] = {"parameter": sweep.get("parameter"), "values": sweep.get("values")}
-    return out
-
-
-def config_digest(cfg: dict) -> str:
-    effective = effective_config(cfg)
-    canonical = json.dumps(effective, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 # ------------------------------------------------------- topology files --
@@ -465,20 +461,15 @@ def _csv_preamble(seed: int, digest: str) -> list[str]:
     ]
 
 
-def _parsed(cfg: dict) -> tuple[FrameParams, ChannelModel, dict, str]:
-    """The frame, channel and sim sections, and the config digest."""
-    return parse_frame(cfg), parse_channel(cfg), parse_sim(cfg), config_digest(cfg)
-
-
 # ------------------------------------------------------------- analyze --
 
 
-def cmd_analyze(cfg: dict) -> str:
-    frame, channel, sim, digest = _parsed(cfg)
-    suffix = f"seed={sim['seed']} config={digest} retransmissions_convention={RETRY_CONVENTION}"
+def cmd_analyze(spec: RunSpec) -> str:
+    frame, channel = spec.frame, spec.channel
+    suffix = f"seed={spec.sim.seed} config={spec.digest} retransmissions_convention={RETRY_CONVENTION}"
     lines: list[str] = []
 
-    for i, fs in enumerate(parse_forwarder_sets(cfg)):
+    for i, fs in enumerate(parse_forwarder_sets(spec.written)):
         failure = analysis.set_failure_probability(fs)
         lines.append(
             f"set index={i} size={len(fs)}"
@@ -487,8 +478,8 @@ def cmd_analyze(cfg: dict) -> str:
             f" failure={_fmt(failure)} retransmissions={_fmt(analysis.expected_retransmissions(failure))} {suffix}"
         )
 
-    if "topology" in cfg:
-        topology_obj = build_topology(cfg, frame, channel)
+    if "topology" in spec.written:
+        topology_obj = spec.build()
         p_sw = channel.evaluated.p_sw
         lines.append(
             f"topology nodes={len(topology_obj.nodes)}"
@@ -536,17 +527,16 @@ def cmd_analyze(cfg: dict) -> str:
 # ------------------------------------------------------------- simulate --
 
 
-def cmd_simulate(cfg: dict) -> str:
-    frame, channel, sim, digest = _parsed(cfg)
-    topology_obj = build_topology(cfg, frame, channel)
+def cmd_simulate(spec: RunSpec) -> str:
+    topology_obj = spec.build()
 
     rows = [
         "mode,replications,pdr,mean_duplicates,mean_transmissions,mean_hops,"
         "empirical_overhead,mean_energy_bits,hop_energy_ratio,seed,config"
     ]
-    for mode in _MODES[sim["mode"]]:
-        metrics = engine.run_experiment(topology_obj, engine.SimConfig(**{**sim, "mode": mode}))
-        mean_energy = metrics.mean_transmissions * frame.bits_per_transmission
+    for mode in spec.modes:
+        metrics = engine.run_experiment(topology_obj, replace(spec.sim, mode=mode))
+        mean_energy = metrics.mean_transmissions * spec.frame.bits_per_transmission
         ratio = metrics.mean_hops / mean_energy if mean_energy > 0 else 0.0
         rows.append(
             ",".join(
@@ -560,12 +550,12 @@ def cmd_simulate(cfg: dict) -> str:
                     _fmt(metrics.empirical_coordination_overhead),
                     _fmt(mean_energy),
                     _fmt(ratio),
-                    str(sim["seed"]),
-                    digest,
+                    str(spec.sim.seed),
+                    spec.digest,
                 ]
             )
         )
-    return "\n".join(_csv_preamble(sim["seed"], digest) + rows) + "\n"
+    return "\n".join(_csv_preamble(spec.sim.seed, spec.digest) + rows) + "\n"
 
 
 # ---------------------------------------------------------------- sweep --
@@ -574,20 +564,29 @@ def cmd_simulate(cfg: dict) -> str:
 _SWEEP_AXES = ("forwarders", "ber", "p_sw", "preamble_frames", "data_frame_bits")
 
 
-def _point(cfg: dict, axis: str, value) -> dict:
-    """``cfg`` with the swept key set: ``topology.forwarders``,
-    ``frame.<axis>``, or ``p_sw`` of ``channel.channels[0]``."""
+def _swept(spec: RunSpec, axis: str, value) -> RunSpec:
+    """``spec`` with the swept key set to ``value``, checked as that config
+    key is: ``topology.forwarders``, ``frame.<axis>``, or ``p_sw`` of
+    ``channel.channels[0]``.  A null value leaves the key at its default,
+    as it does in a config."""
     if axis == "forwarders":
-        return {**cfg, "topology": {**_section(cfg, "topology"), axis: value}}
+        if value is None:  # the star has no default
+            raise ConfigError("topology kind 'star' needs forwarders")
+        return replace(spec, args={**spec.args, axis: _checked(f"topology.{axis}", value, int)})
     if axis == "p_sw":
-        channel = _section(cfg, "channel")
-        first, *rest = channel.get("channels") or [{}]
-        return {**cfg, "channel": {**channel, "channels": [{**first, axis: value}, *rest]}}
-    return {**cfg, "frame": {**_section(cfg, "frame"), axis: value}}
+        first, *rest = spec.channel.channels
+        default = topo.DEFAULT_CHANNEL.evaluated.p_sw
+        p_sw = _checked("channel.channels[0].p_sw", default if value is None else value, float)
+        with _config_errors("channel.channels[0]"):
+            return replace(spec, channel=replace(spec.channel, channels=(replace(first, p_sw=p_sw), *rest)))
+    default = getattr(topo.DEFAULT_FRAME, axis)
+    bits = _checked(f"frame.{axis}", default if value is None else value, int)
+    with _config_errors("frame"):
+        return replace(spec, frame=replace(spec.frame, **{axis: bits}))
 
 
-def cmd_sweep(cfg: dict) -> str:
-    sweep = _section(cfg, "sweep")
+def cmd_sweep(spec: RunSpec) -> str:
+    sweep = spec.written.get("sweep")
     if not sweep:
         raise ConfigError("missing 'sweep' section")
     axis = sweep.get("parameter")
@@ -601,11 +600,10 @@ def cmd_sweep(cfg: dict) -> str:
     if not values:
         raise ConfigError("empty sweep: no values to run")
 
-    frame, channel, sim, digest = _parsed(cfg)
-    if axis == "forwarders" and _section(cfg, "topology").get("kind") != "star":
+    if axis == "forwarders" and spec.kind != "star":
         raise ConfigError("sweeping 'forwarders' requires topology.kind 'star'")
     if axis == "ber":
-        base = build_topology(cfg, frame, channel)
+        base = spec.build()
 
     rows = [
         f"{axis},analytic_overhead,empirical_overhead,pdr,mean_duplicates,"
@@ -615,26 +613,23 @@ def cmd_sweep(cfg: dict) -> str:
         if axis == "ber":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"sweep values must be numbers, got {value!r}")
-            try:
+            with _config_errors(f"sweep.values[{i}]"):
                 ber = BitErrorRate(float(value))
                 # the same links keep every hop ID; only the rates and costs change
                 edges = [(a, b, ber) for a, b in _undirected_links(base)]
-                built = topo.prepare(base.nodes, base.gateway, edges, frame, channel)
-            except ValueError as exc:
-                raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
+                built = topo.prepare(base.nodes, base.gateway, edges, spec.frame, spec.channel)
         else:
-            point = _point(cfg, axis, value)
-            built = build_topology(point, parse_frame(point), parse_channel(point))
+            point = _swept(spec, axis, value)
+            built = point.build()
         if axis == "forwarders":
             # the declared per-candidate delivery probability and remaining
             # cost define the analytic set; the builder realizes the same
             # probability inside the simulator.  The star's source is N + 1.
-            _, star = _kind_args(point["topology"], "topology", _topology_kinds())
-            declared = (star["p_link"], star["remaining_cost"])
+            declared = (point.args["p_link"], point.args["remaining_cost"])
             analytic = ForwarderSet(tuple(ForwarderEntry(r, *declared) for r in range(1, value + 1)))
             source = value + 1
         else:
-            source = sim["source"]
+            source = spec.sim.source
             if source is None:
                 source = topo.deepest_node(built)
             analytic = analysis.forwarder_entries(built, source, built.costs)
@@ -642,9 +637,8 @@ def cmd_sweep(cfg: dict) -> str:
         analytic_overhead = analysis.coordination_overhead(analytic)
         failure = analysis.set_failure_probability(analytic)
         retries = analysis.expected_retransmissions(failure)
-        for mode in _MODES[sim["mode"]]:
-            config = engine.SimConfig(**{**sim, "mode": mode, "source": source})
-            metrics = engine.run_experiment(built, config)
+        for mode in spec.modes:
+            metrics = engine.run_experiment(built, replace(spec.sim, mode=mode, source=source))
             rows.append(
                 ",".join(
                     [
@@ -656,12 +650,12 @@ def cmd_sweep(cfg: dict) -> str:
                         _fmt(retries),
                         _fmt(metrics.mean_transmissions),
                         mode.value,
-                        str(sim["seed"]),
-                        digest,
+                        str(spec.sim.seed),
+                        spec.digest,
                     ]
                 )
             )
-    return "\n".join(_csv_preamble(sim["seed"], digest) + rows) + "\n"
+    return "\n".join(_csv_preamble(spec.sim.seed, spec.digest) + rows) + "\n"
 
 
 # ----------------------------------------------------------------- main --
@@ -703,7 +697,7 @@ def main(argv: list[str] | None = None) -> int:
             _write_output(report, args.out)
             return code
         command = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sweep": cmd_sweep}
-        _write_output(command[args.command](load_config(args.config)), args.out)
+        _write_output(command[args.command](read_spec(load_config(args.config))), args.out)
         return 0
     except (ConfigError, verification.GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

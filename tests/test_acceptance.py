@@ -13,6 +13,8 @@ import math
 import time
 from itertools import product
 
+import pytest
+
 from oppsim import analysis, cli, engine, oracle, topology as topo
 from oppsim.engine import ProtocolMode, SimConfig
 from oppsim.model import EventKind, ForwarderEntry, ForwarderSet
@@ -85,7 +87,9 @@ def test_criterion_2_bit_level_oracle_confirms_frame_factors():
     worst_z, worst_name = 0.0, ""
     for name, value in closed.items():
         se = math.sqrt(value * (1.0 - value) / trials)
-        z = nan_as_inf(abs(getattr(est, name) - value) / se)
+        err = abs(getattr(est, name) - value)
+        # a closed factor of 0 or 1 has no spread: only itself is within it
+        z = nan_as_inf(err / se if se > 0 else (0.0 if err == 0 else math.inf))
         if z > worst_z:
             worst_z, worst_name = z, name
     elapsed = time.perf_counter() - start
@@ -97,6 +101,14 @@ def test_criterion_2_bit_level_oracle_confirms_frame_factors():
         f"{trials} trials, worst factor {worst_name} at {worst_z:.2f} sigma "
         f"(limit 3), {elapsed:.1f}s of {budget:g}s",
     )
+
+
+def test_criterion_2_reports_an_estimate_off_a_degenerate_factor(monkeypatch):
+    # negative control: a closed factor of exactly 0 has no binomial spread,
+    # so the estimate off it fails the criterion through its own report
+    monkeypatch.setattr(analysis, "preamble_miss_probability", lambda p, frame: 0.0)
+    with pytest.raises(AssertionError, match="criterion-2: .* worst factor preamble_miss at inf sigma"):
+        test_criterion_2_bit_level_oracle_confirms_frame_factors()
 
 
 def test_criterion_3_hop_count_disagrees_with_rank_distance():

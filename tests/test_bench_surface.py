@@ -1,4 +1,5 @@
-"""The package surface that ``perfbench/spans.py`` traces.
+"""The package surface and the outputs that the benchmark in ``perfbench/``
+depends on.
 
 A traced benchmark run wraps each function its ``TARGETS`` names, by
 attribute on its ``oppsim`` module, and reads ``.links`` and every node's
@@ -7,33 +8,42 @@ the tests never look these names up that way, so a function that only
 ``topology.prepare`` calls (``assign_hop_ids``, ``compute_ranks``) could be
 deleted or renamed with every other test passing.  These tests read the
 benchmark's tables as they are and fail first.
+
+Every benchmark run also checks each CLI output against the sha256 in
+``perfbench/golden.json``; a few variants of each workload are checked
+here too, so a change to any output byte fails the tests first.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from oppsim import topology as topo
+from oppsim import cli, topology as topo
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    spans = importlib.util.module_from_spec(spec)
-    # its dataclass looks its own module up while the module runs
-    sys.modules[spec.name] = spans
+def load(name):
+    """The module ``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its own module up while the module runs
+    sys.modules[spec.name] = module
     try:
-        spec.loader.exec_module(spans)
+        spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return spans
+    return module
 
 
-SPANS = load_spans()
+SPANS = load("spans")
+WORKLOADS = load("workloads")
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 # a small call of each builder the benchmark counts links and hop IDs of
 BUILDER_CALLS = {
@@ -67,3 +77,16 @@ def test_builder_results_expose_links_and_hop_ids(name):
     assert len(built.links) > 0
     assert all(isinstance(n.hop_id, int) for n in built.nodes)
     assert max(n.hop_id for n in built.nodes) >= 1
+
+
+@pytest.mark.parametrize("variant", [0, 1, WORKLOADS.VARIANTS - 1])
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_output_matches_benchmark_golden(name, variant, tmp_path, capsys):
+    workload = WORKLOADS.WORKLOADS[name]
+    config = workload.config(variant)
+    path = tmp_path / f"{name}-variant{variant}.yaml"
+    if config is not None:
+        path.write_text(config)
+    assert cli.main(workload.argv(variant, str(path))) == 0
+    output = capsys.readouterr().out
+    assert hashlib.sha256(output.encode()).hexdigest() == GOLDEN[name][str(variant)]

@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,49 +75,52 @@ class TestConfigParsing:
             cli.load_config(path)
 
     def test_frame_defaults(self):
-        frame = cli.parse_frame({})
+        frame = cli.read_spec({}).frame
         assert (frame.micro_frame_bits, frame.preamble_frames, frame.data_frame_bits) == (8, 2, 100)
 
     def test_frame_type_error_names_key(self):
         with pytest.raises(ConfigError, match="preamble_frames"):
-            cli.parse_frame({"frame": {"preamble_frames": "two"}})
+            cli.read_spec({"frame": {"preamble_frames": "two"}})
 
     def test_channel_defaults(self):
-        channel = cli.parse_channel({})
+        channel = cli.read_spec({}).channel
         assert channel.evaluated.p_sw == 1.0
         assert channel.noise_power == 1e-9
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="sim.mode"):
-            cli.parse_sim({"sim": {"mode": "psychic"}})
+            cli.read_spec({"sim": {"mode": "psychic"}})
 
     def test_generated_needs_nodes(self):
         with pytest.raises(ConfigError, match="topology kind 'generated' needs nodes"):
-            cli.build_topology(
-                {"topology": {"kind": "generated"}}, cli.parse_frame({}), cli.parse_channel({})
-            )
+            cli.read_spec({"topology": {"kind": "generated"}}).build()
 
     def test_unknown_topology_kind(self):
         with pytest.raises(ConfigError, match="nosuch"):
-            cli.build_topology({"topology": {"kind": "nosuch"}}, cli.parse_frame({}), cli.parse_channel({}))
+            cli.read_spec({"topology": {"kind": "nosuch"}}).build()
 
     @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
     def test_effective_config_idempotent(self, kind):
         cfg = kind_cfg(kind)
-        eff = cli.effective_config(cfg)
-        assert cli.effective_config(eff) == eff
+        eff = cli.read_spec(cfg).as_dict()
+        assert cli.read_spec(eff).as_dict() == eff
 
     @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
     def test_digest_stable_under_defaulting(self, kind):
         cfg = kind_cfg(kind)
-        eff = cli.effective_config(cfg)
-        assert cli.config_digest(cfg) == cli.config_digest(eff)
-        assert len(cli.config_digest(cfg)) == 12
+        eff = cli.read_spec(cfg).as_dict()
+        assert cli.read_spec(cfg).digest == cli.read_spec(eff).digest
+        assert len(cli.read_spec(cfg).digest) == 12
+
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+    def test_spec_round_trips_through_yaml(self, kind):
+        spec = cli.read_spec(kind_cfg(kind))
+        assert cli.read_spec(yaml.safe_load(yaml.safe_dump(spec.as_dict()))) == spec
 
     def test_digest_tracks_content(self):
         a = yaml.safe_load(STAR_CFG)
         b = yaml.safe_load(STAR_CFG.replace("p_link: 0.6", "p_link: 0.7"))
-        assert cli.config_digest(a) != cli.config_digest(b)
+        assert cli.read_spec(a).digest != cli.read_spec(b).digest
 
 
 class TestTopologyFiles:
@@ -184,7 +189,7 @@ class TestAnalyzeCommand:
                 ]
             ]
         }
-        out = cli.cmd_analyze(cfg)
+        out = cli.cmd_analyze(cli.read_spec(cfg))
         line = next(l for l in out.splitlines() if l.startswith("set "))
         assert "cost=2.33333333333" in line
         assert "overhead=0.75" in line
@@ -199,7 +204,7 @@ class TestAnalyzeCommand:
     def test_forwarder_entry_defaults(self):
         # node = the entry's index, p_link 1.0, remaining_cost 0.0
         sets = [[{}, {"p_link": 0.5}], [{"node": "a", "remaining_cost": 2.0}]]
-        out = cli.cmd_analyze({"forwarder_sets": sets})
+        out = cli.cmd_analyze(cli.read_spec({"forwarder_sets": sets}))
         assert [l.split(" seed=")[0] for l in out.splitlines()] == [
             "set index=0 size=2 cost=1 overhead=0 failure=0 retransmissions=0",
             "set index=1 size=1 cost=3 overhead=2 failure=0 retransmissions=0",
@@ -222,34 +227,34 @@ class TestAnalyzeCommand:
 
     def test_unreachable_explicit_set_reports_inf(self):
         cfg = {"forwarder_sets": [[{"node": 0, "p_link": 0.0, "remaining_cost": 1.0}]]}
-        out = cli.cmd_analyze(cfg)
+        out = cli.cmd_analyze(cli.read_spec(cfg))
         assert "cost=inf" in out and "retransmissions=inf" in out
 
     def test_witness_distances_side_by_side(self):
-        out = cli.cmd_analyze({"topology": {"kind": "witness"}})
+        out = cli.cmd_analyze(cli.read_spec({"topology": {"kind": "witness"}}))
         far = next(l for l in out.splitlines() if l.startswith("node id=5"))
         assert "hop_distance_gateway=2" in far
         assert "rank_distance_gateway=3.04" in far
 
     def test_every_record_carries_provenance(self):
-        out = cli.cmd_analyze({"topology": {"kind": "witness"}})
+        out = cli.cmd_analyze(cli.read_spec({"topology": {"kind": "witness"}}))
         for line in out.splitlines():
             assert "seed=" in line and "config=" in line and "retransmissions_convention=" in line
 
     def test_channel_record_reports_potential_bandwidth(self):
-        out = cli.cmd_analyze({"topology": {"kind": "witness"}})
+        out = cli.cmd_analyze(cli.read_spec({"topology": {"kind": "witness"}}))
         channel = next(l for l in out.splitlines() if l.startswith("channel "))
         assert "potential_bandwidth_hz=1000000" in channel
 
     def test_empty_config_rejected(self):
         with pytest.raises(ConfigError):
-            cli.cmd_analyze({})
+            cli.cmd_analyze(cli.read_spec({}))
 
 
 class TestSimulateCommand:
     def test_csv_shape(self, tmp_path):
         cfg = yaml.safe_load(STAR_CFG)
-        out = cli.cmd_simulate(cfg)
+        out = cli.cmd_simulate(cli.read_spec(cfg))
         lines = out.splitlines()
         comments = [l for l in lines if l.startswith("#")]
         rows = [l for l in lines if not l.startswith("#")]
@@ -258,22 +263,22 @@ class TestSimulateCommand:
         assert len(rows) == 2
         assert rows[1].startswith("receiver_based,400,")
         row = dict(zip(rows[0].split(","), rows[1].split(",")))
-        bits = cli.parse_frame(cfg).bits_per_transmission
+        bits = cli.read_spec(cfg).frame.bits_per_transmission
         assert float(row["mean_energy_bits"]) == pytest.approx(
             float(row["mean_transmissions"]) * bits, rel=1e-11
         )
 
     def test_both_modes_two_rows(self):
         cfg = yaml.safe_load(STAR_CFG.replace("mode: receiver_based", "mode: both"))
-        rows = [l for l in cli.cmd_simulate(cfg).splitlines() if not l.startswith("#")]
+        rows = [l for l in cli.cmd_simulate(cli.read_spec(cfg)).splitlines() if not l.startswith("#")]
         assert len(rows) == 3
         assert rows[1].startswith("receiver_based,")
         assert rows[2].startswith("sender_prioritized,")
 
     def test_byte_identical_reruns(self):
         cfg = yaml.safe_load(STAR_CFG)
-        a = cli.cmd_simulate(cfg)
-        b = cli.cmd_simulate(yaml.safe_load(STAR_CFG))
+        a = cli.cmd_simulate(cli.read_spec(cfg))
+        b = cli.cmd_simulate(cli.read_spec(yaml.safe_load(STAR_CFG)))
         assert hashlib.sha256(a.encode()).hexdigest() == hashlib.sha256(b.encode()).hexdigest()
 
 
@@ -284,7 +289,7 @@ class TestSweepCommand:
             "sim": {"replications": 200, "seed": 7},
             "sweep": {"parameter": "forwarders", "values": [1, 2, 3]},
         }
-        rows = [l for l in cli.cmd_sweep(cfg).splitlines() if not l.startswith("#")]
+        rows = [l for l in cli.cmd_sweep(cli.read_spec(cfg)).splitlines() if not l.startswith("#")]
         assert rows[0].startswith("forwarders,analytic_overhead,empirical_overhead,pdr,")
         assert len(rows) == 4
         # analytic column must reproduce the equal-cost closed form
@@ -299,7 +304,7 @@ class TestSweepCommand:
             "sim": {"replications": 50, "seed": 3},
             "sweep": {"parameter": "ber", "values": [0.001, 0.01]},
         }
-        rows = [l for l in cli.cmd_sweep(cfg).splitlines() if not l.startswith("#")]
+        rows = [l for l in cli.cmd_sweep(cli.read_spec(cfg)).splitlines() if not l.startswith("#")]
         assert len(rows) == 3
         # a single-candidate hop pins overhead to exactly one transmission
         # worth of elected cost, so the ber axis must show through retries
@@ -314,7 +319,7 @@ class TestSweepCommand:
             "sim": {"replications": 50, "seed": 3},
             "sweep": {"parameter": "p_sw", "values": [0.5, 1.0]},
         }
-        rows = [l for l in cli.cmd_sweep(cfg).splitlines() if not l.startswith("#")]
+        rows = [l for l in cli.cmd_sweep(cli.read_spec(cfg)).splitlines() if not l.startswith("#")]
         assert len(rows) == 3
 
     def test_frame_axes(self):
@@ -323,9 +328,9 @@ class TestSweepCommand:
             "sim": {"replications": 20, "seed": 3},
             "sweep": {"parameter": "preamble_frames", "values": [1, 4]},
         }
-        assert len(cli.cmd_sweep(cfg).splitlines()) == 6
+        assert len(cli.cmd_sweep(cli.read_spec(cfg)).splitlines()) == 6
         cfg["sweep"] = {"parameter": "data_frame_bits", "values": [50, 200]}
-        assert len(cli.cmd_sweep(cfg).splitlines()) == 6
+        assert len(cli.cmd_sweep(cli.read_spec(cfg)).splitlines()) == 6
 
     def test_multi_axis_rejected(self):
         cfg = {
@@ -333,7 +338,7 @@ class TestSweepCommand:
             "sweep": {"parameter": ["forwarders", "ber"], "values": [1]},
         }
         with pytest.raises(ConfigError, match="single-axis"):
-            cli.cmd_sweep(cfg)
+            cli.cmd_sweep(cli.read_spec(cfg))
 
     def test_empty_values_rejected(self):
         cfg = {
@@ -341,7 +346,7 @@ class TestSweepCommand:
             "sweep": {"parameter": "forwarders", "values": []},
         }
         with pytest.raises(ConfigError, match="empty sweep"):
-            cli.cmd_sweep(cfg)
+            cli.cmd_sweep(cli.read_spec(cfg))
 
     def test_forwarders_axis_needs_star(self):
         cfg = {
@@ -349,7 +354,7 @@ class TestSweepCommand:
             "sweep": {"parameter": "forwarders", "values": [1]},
         }
         with pytest.raises(ConfigError, match="star"):
-            cli.cmd_sweep(cfg)
+            cli.cmd_sweep(cli.read_spec(cfg))
 
 
 class TestVerifyCommand:
@@ -453,20 +458,73 @@ class TestSolveCounts:
         }
         if sweep:
             cfg["sweep"] = sweep
-        command(cfg)
+        command(cli.read_spec(cfg))
         assert len(solves) == expected
 
     def test_analyze_topology_file(self, solves, tmp_path):
         path = tmp_path / "star.topo"
         cli.write_topology_file(topo.star_topology(2, 0.6), path)
         solves.clear()
-        cli.cmd_analyze({"topology": {"kind": "file", "path": str(path)}})
+        cli.cmd_analyze(cli.read_spec({"topology": {"kind": "file", "path": str(path)}}))
         assert len(solves) == 1
 
     def test_verify(self, solves):
         _, code = verification.run_verification("sizes=1;probs=0.5;costs=1", trials=1_000, seed=5)
         assert code == 0
         assert len(solves) == 3
+
+
+class TestReadCounts:
+    """Each command reads the config once, and a sweep point is the spec
+    with its swept field replaced, so no section is read again for a run
+    or for a point.  A read is one ``cli._read`` call; its section is its
+    ``where`` up to the first ``.`` or ``[``."""
+
+    TOPOLOGY = {
+        "star": "topology: {kind: star, forwarders: 2, p_link: 0.6}\n",
+        "generated": (
+            "topology: {kind: generated, nodes: 20, radio_range: 40.0, seed: 2,"
+            " ber: {kind: distance, p_max: 0.02}}\n"
+        ),
+    }
+    SIM = "sim: {mode: both, replications: 20, seed: 7}\n"
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counts = collections.Counter()
+        read = cli._read
+
+        def counted(section, where, table):
+            counts[re.split(r"[.\[]", where)[0]] += 1
+            return read(section, where, table)
+
+        monkeypatch.setattr(cli, "_read", counted)
+        return counts
+
+    def run(self, tmp_path, reads, command, text):
+        reads.clear()
+        assert cli.main([command, write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+        return dict(reads)
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_commands_read_each_section_once(self, tmp_path, reads, command):
+        counts = self.run(tmp_path, reads, command, self.TOPOLOGY["star"] + self.SIM)
+        assert counts == {"frame": 1, "channel": 1, "sim": 1, "topology": 1}
+
+    @pytest.mark.parametrize("kind, axis, values", [
+        ("star", "forwarders", [1, 2, 3]),
+        ("star", "ber", [0.001, 0.01, 0.02]),
+        ("star", "p_sw", [0.6, 0.8, 1.0]),
+        ("star", "preamble_frames", [1, 2, 3]),
+        ("star", "data_frame_bits", [50, 100, 200]),
+        ("generated", "p_sw", [0.6, 0.8, 1.0]),
+        ("generated", "data_frame_bits", [50, 100, 200]),
+    ])
+    def test_sweep_points_read_no_section_again(self, tmp_path, reads, kind, axis, values):
+        config = self.TOPOLOGY[kind] + self.SIM + "sweep: {parameter: %s, values: %s}\n"
+        one = self.run(tmp_path, reads, "sweep", config % (axis, values[:1]))
+        three = self.run(tmp_path, reads, "sweep", config % (axis, values))
+        assert all(three[section] <= one.get(section, 0) for section in three), (one, three)
 
 
 class TestSweepPointErrors:

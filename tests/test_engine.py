@@ -357,10 +357,10 @@ class TestHelpers:
         trace = engine.simulate_delivery(t, cfg, 0)
         assert trace.transmissions == 2
         out = cli.cmd_simulate(
-            {
+            cli.read_spec({
                 "topology": {"kind": "chain", "link_success": [1.0, 1.0]},
                 "sim": {"mode": "receiver_based", "seed": 2, "source": 2, "replications": 1},
-            }
+            })
         )
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         row = dict(zip(rows[0].split(","), rows[1].split(",")))

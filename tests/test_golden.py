@@ -92,7 +92,7 @@ COMMANDS = {"analyze": cli.cmd_analyze, "simulate": cli.cmd_simulate, "sweep": c
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_output_matches_golden(kind, command):
-    out = COMMANDS[command](yaml.safe_load(CONFIGS[kind]))
+    out = COMMANDS[command](cli.read_spec(yaml.safe_load(CONFIGS[kind])))
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[kind][command]
 
 
@@ -109,7 +109,7 @@ def test_sweep_rows_equal_simulate_on_each_point(kind):
     the swept key set, from the source the sweep uses."""
     cfg = yaml.safe_load(CONFIGS[kind])
     axis = cfg["sweep"]["parameter"]
-    swept = csv_rows(cli.cmd_sweep(cfg))
+    swept = csv_rows(cli.cmd_sweep(cli.read_spec(cfg)))
     for value in cfg["sweep"]["values"]:
         point = yaml.safe_load(CONFIGS[kind])
         if axis == "forwarders":
@@ -120,9 +120,8 @@ def test_sweep_rows_equal_simulate_on_each_point(kind):
         else:
             point.setdefault("frame", {})[axis] = value
         if point["sim"].get("source") is None:
-            frame, channel = cli.parse_frame(point), cli.parse_channel(point)
-            point["sim"]["source"] = topo.deepest_node(cli.build_topology(point, frame, channel))
-        simulated = {row["mode"]: row for row in csv_rows(cli.cmd_simulate(point))}
+            point["sim"]["source"] = topo.deepest_node(cli.read_spec(point).build())
+        simulated = {row["mode"]: row for row in csv_rows(cli.cmd_simulate(cli.read_spec(point)))}
         rows = [row for row in swept if float(row[axis]) == value]
         assert [row["mode"] for row in rows] == list(simulated)
         for row in rows:
@@ -154,4 +153,4 @@ def test_verify_output_matches_golden(grid, trials, seed):
 def test_explicit_default_does_not_change_digest():
     implicit = {"topology": {"kind": "star", "forwarders": 3, "p_link": 0.6}}
     explicit = {"topology": {"kind": "star", "forwarders": 3, "p_link": 0.6, "remaining_cost": 1.0}}
-    assert cli.config_digest(implicit) == cli.config_digest(explicit)
+    assert cli.read_spec(implicit).digest == cli.read_spec(explicit).digest

@@ -40,13 +40,19 @@ def without(mapping, key):
 
 def test_sections_show_the_parser_defaults():
     shown = yaml.safe_load(CONFIG_BLOCK)
-    assert cli.parse_frame(shown) == cli.parse_frame({})
-    assert cli.parse_channel(shown) == cli.parse_channel({})
-    assert cli.parse_sim(shown) == cli.parse_sim({})
+    spec, default = cli.read_spec(shown), cli.read_spec({})
+    assert spec.frame == default.frame
+    assert spec.channel == default.channel
+    assert (spec.sim, spec.modes) == (default.sim, default.modes)
     defaulted = [[{} for _ in entries] for entries in shown["forwarder_sets"]]
     assert cli.parse_forwarder_sets(shown) == cli.parse_forwarder_sets(
         {"forwarder_sets": defaulted}
     )
+
+
+def test_reference_config_round_trips_through_yaml():
+    spec = cli.read_spec(yaml.safe_load(CONFIG_BLOCK))
+    assert cli.read_spec(yaml.safe_load(yaml.safe_dump(spec.as_dict()))) == spec
 
 
 @pytest.mark.parametrize("section, key", sorted(required(CONFIG_BLOCK)))
@@ -54,17 +60,15 @@ def test_required_keys_of_the_sections(section, key):
     shown = yaml.safe_load(CONFIG_BLOCK)
     shown[section] = without(shown[section], key)
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
-        cli.cmd_sweep(shown)
+        cli.cmd_sweep(cli.read_spec(shown))
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_topology_kinds_show_the_builder_defaults(kind, tmp_path, monkeypatch):
     (tmp_path / "nodes.topo").write_text(TOPOLOGY_FILE)
     monkeypatch.chdir(tmp_path)
-    frame, channel = cli.parse_frame({}), cli.parse_channel({})
-
     def build(section):
-        return cli.build_topology({"topology": {"kind": kind, **section}}, frame, channel)
+        return cli.read_spec({"topology": {"kind": kind, **section}}).build()
 
     shown = KINDS[kind]
     needed = {key: shown[key] for top, key in required(KINDS_BLOCK) if top == kind}
@@ -77,10 +81,8 @@ def test_topology_kinds_show_the_builder_defaults(kind, tmp_path, monkeypatch):
 def test_distance_ber_shows_its_defaults():
     line = next(l for l in KINDS_BLOCK.splitlines() if l.strip().startswith("ber:"))
     shown = yaml.safe_load(line.split("# or ")[1])
-    frame, channel = cli.parse_frame({}), cli.parse_channel({})
-
     def build(ber):
         section = {"kind": "generated", "nodes": KINDS["generated"]["nodes"], "ber": ber}
-        return cli.build_topology({"topology": section}, frame, channel)
+        return cli.read_spec({"topology": section}).build()
 
     assert build(shown) == build({"kind": "distance"})
