@@ -567,20 +567,15 @@ _SWEEP_AXES = ("forwarders", "ber", "p_sw", "preamble_frames", "data_frame_bits"
 def _swept(spec: RunSpec, axis: str, value) -> RunSpec:
     """``spec`` with the swept key set to ``value``, checked as that config
     key is: ``topology.forwarders``, ``frame.<axis>``, or ``p_sw`` of
-    ``channel.channels[0]``.  A null value leaves the key at its default,
-    as it does in a config."""
+    ``channel.channels[0]``."""
     if axis == "forwarders":
-        if value is None:  # the star has no default
-            raise ConfigError("topology kind 'star' needs forwarders")
         return replace(spec, args={**spec.args, axis: _checked(f"topology.{axis}", value, int)})
     if axis == "p_sw":
         first, *rest = spec.channel.channels
-        default = topo.DEFAULT_CHANNEL.evaluated.p_sw
-        p_sw = _checked("channel.channels[0].p_sw", default if value is None else value, float)
+        p_sw = _checked("channel.channels[0].p_sw", value, float)
         with _config_errors("channel.channels[0]"):
             return replace(spec, channel=replace(spec.channel, channels=(replace(first, p_sw=p_sw), *rest)))
-    default = getattr(topo.DEFAULT_FRAME, axis)
-    bits = _checked(f"frame.{axis}", default if value is None else value, int)
+    bits = _checked(f"frame.{axis}", value, int)
     with _config_errors("frame"):
         return replace(spec, frame=replace(spec.frame, **{axis: bits}))
 
@@ -610,9 +605,11 @@ def cmd_sweep(spec: RunSpec) -> str:
         "retransmissions,mean_transmissions,mode,seed,config"
     ]
     for i, value in enumerate(values):
+        # a null value is no sweep point: unlike a null config key, it has no default
+        number = not isinstance(value, bool) and isinstance(value, (int, float))
+        if value is None or axis == "ber" and not number:
+            raise ConfigError(f"sweep values must be numbers, got {value!r}")
         if axis == "ber":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"sweep values must be numbers, got {value!r}")
             with _config_errors(f"sweep.values[{i}]"):
                 ber = BitErrorRate(float(value))
                 # the same links keep every hop ID; only the rates and costs change

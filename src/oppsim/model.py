@@ -10,7 +10,7 @@ them as a list of violations so a caller can surface every problem at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -225,9 +225,9 @@ class Topology:
     same bit error rate; :func:`validate` reports asymmetries instead of the
     constructor rejecting them, so that diagnostics cover whole files.
 
-    A built topology carries its cost table (:attr:`costs`, solved by
-    ``topology.compute_ranks``); a node's rank is 1 plus its cost.  A
-    ``replace`` or :meth:`with_hop_ids` copy carries no table.
+    ``topology.prepare`` builds each topology once, with its hop IDs, and
+    stores its cost table (:attr:`costs`); a node's rank is 1 plus its
+    cost.  A hand-built or ``replace``d topology carries no table.
     """
 
     nodes: tuple[Node, ...]
@@ -280,33 +280,11 @@ class Topology:
     def _non_gateway_ids(self) -> tuple[NodeId, ...]:
         return tuple(sorted(n.id for n in self.nodes if n.id != self.gateway))
 
-    def with_hop_ids(self, hop_ids: Mapping[NodeId, int]) -> Topology:
-        """A copy whose nodes have the given hop IDs.  Hop IDs feed only the
-        upstream table, so the copy shares the other tables this topology
-        has built."""
-        nodes = tuple(replace(n, hop_id=hop_ids[n.id]) for n in self.nodes)
-        return self._copy(nodes, ("_adjacency", "_non_gateway_ids"))
-
-    def _with_costs(self, costs: PathCostTable) -> Topology:
-        """A copy that carries ``costs`` and shares every table built here."""
-        copy = self._copy(self.nodes, ("_index", "_adjacency", "_upstream", "_non_gateway_ids"))
-        copy.__dict__["_costs"] = costs
-        return copy
-
-    def _copy(self, nodes: tuple[Node, ...], tables: tuple[str, ...]) -> Topology:
-        # skips __post_init__: the copy shares the link dict, checked when
-        # this topology was built, and the named tables
-        copy = object.__new__(Topology)
-        copy.__dict__.update((f.name, getattr(self, f.name)) for f in fields(self))
-        copy.__dict__.update((t, self.__dict__[t]) for t in tables if t in self.__dict__)
-        copy.__dict__["nodes"] = nodes
-        return copy
-
     @property
     def costs(self) -> PathCostTable:
         """Each node's expected path cost to the gateway."""
         if "_costs" not in self.__dict__:
-            raise ValueError("topology carries no cost table; build it with topology.compute_ranks")
+            raise ValueError("topology carries no cost table; build it with topology.prepare")
         return self.__dict__["_costs"]
 
     def node(self, node_id: NodeId) -> Node:

@@ -8,17 +8,17 @@ exhibits the gap.
 
 Every topology is built by one recipe, :func:`prepare`: it takes
 undirected ``(a, b, ber)`` edges, stores each link in both directions,
-assigns hop IDs and solves the cost table, once, with :func:`compute_ranks`
-(``Topology.costs``, from which ``Topology.rank`` derives).  The builders
-below and the CLI's topology-file reader only say which edges there are,
-so what they return is ready for the closed forms and the simulator.
+assigns hop IDs (:func:`assign_hop_ids`), constructs the one ``Topology``
+and solves its cost table once (:func:`compute_ranks`; ``Topology.rank``
+derives from ``Topology.costs``).  The builders below and the CLI's
+topology-file reader only say which edges there are, so what they return
+is ready for the closed forms and the simulator.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -178,32 +178,36 @@ def _near_pairs(
     return pairs
 
 
-def _bfs_hops(topology: Topology) -> dict[NodeId, int]:
-    hops = {topology.gateway: 0}
-    frontier = deque([topology.gateway])
-    while frontier:
-        current = frontier.popleft()
-        for nbr in topology.neighbors(current):
+def assign_hop_ids(
+    nodes: tuple[Node, ...], gateway: NodeId, links: Iterable[tuple[NodeId, NodeId]]
+) -> dict[NodeId, int]:
+    """Each node's hop ID: its breadth-first distance from the gateway over
+    ``links``, ordered node pairs stored in both directions.  Raises
+    DisconnectedTopologyError naming the first unreachable node."""
+    adjacency: dict[NodeId, list[NodeId]] = {n.id: [] for n in nodes}
+    if gateway not in adjacency:
+        raise ValueError(f"unknown node id: {gateway!r}")
+    try:
+        for a, b in links:
+            adjacency[a].append(b)
+    except KeyError:
+        raise ValueError(f"link ({a!r}, {b!r}) references an unknown node") from None
+    hops = {gateway: 0}
+    frontier = [gateway]
+    for current in frontier:  # reaches the nodes appended meanwhile
+        for nbr in adjacency[current]:
             if nbr not in hops:
                 hops[nbr] = hops[current] + 1
                 frontier.append(nbr)
+    for n in nodes:
+        if n.id not in hops:
+            raise DisconnectedTopologyError(f"disconnected node: {n.id!r} cannot reach the gateway")
     return hops
 
 
-def assign_hop_ids(topology: Topology) -> Topology:
-    """Return a copy with hop IDs set to breadth-first distances from the
-    gateway.  Raises DisconnectedTopologyError naming the first unreachable
-    node."""
-    hops = _bfs_hops(topology)
-    for n in topology.nodes:
-        if n.id not in hops:
-            raise DisconnectedTopologyError(f"disconnected node: {n.id!r} cannot reach the gateway")
-    return topology.with_hop_ids(hops)
-
-
-def compute_ranks(topology: Topology) -> Topology:
-    """Return a copy that carries its cost table: rank = 1 + path cost."""
-    return topology._with_costs(analysis.network_path_costs(topology))
+def compute_ranks(topology: Topology) -> None:
+    """Store its cost table on a topology just built: rank = 1 + path cost."""
+    object.__setattr__(topology, "_costs", analysis.network_path_costs(topology))
 
 
 def hop_distance(topology: Topology, a: NodeId, b: NodeId) -> int:
@@ -270,11 +274,15 @@ def prepare(
     for a, b, ber in edges:
         links[(a, b)] = ber
         links[(b, a)] = ber
-    # no name holds the copy without hop IDs, so it is freed before the costs are solved
-    topo = assign_hop_ids(
-        Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
-    )
-    return compute_ranks(topo)
+    hops = assign_hop_ids(nodes, gateway, links)
+    nodes = tuple(replace(n, hop_id=hops[n.id]) for n in nodes)
+    topology = Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
+    # the topology holds its own copy of the link map; freeing this one
+    # before the cost solve builds the neighbour tables lowers the build's
+    # peak memory
+    del links
+    compute_ranks(topology)
+    return topology
 
 
 def chain_topology(

@@ -2,7 +2,6 @@
 topology (star, diamond or generated graph) and a ``SimConfig`` over every
 simulator knob."""
 
-from dataclasses import replace
 from functools import lru_cache
 
 from hypothesis import assume
@@ -33,12 +32,13 @@ def small_topology(kind, size, ber, intercandidate_ber, seed):
 
 
 def without_cross_links(t):
-    """``t`` without its links between nodes of equal hop id; hop ids and
-    costs only follow links between different hop ids, so both stay (the
-    re-linked copy carries no table, so it is costed again)."""
-    return topo.compute_ranks(replace(
-        t, links={(a, b): v for (a, b), v in t.links.items() if t.hop_id(a) != t.hop_id(b)}
-    ))
+    """``t`` prepared again from its links between nodes of different hop
+    ids only; a shortest path never uses a link between equal hop ids, so
+    removing those moves no hop id."""
+    kept = [(a, b, v) for (a, b), v in t.links.items() if t.hop_id(a) != t.hop_id(b)]
+    rebuilt = topo.prepare(t.nodes, t.gateway, kept, t.frame, t.channel)
+    assert rebuilt.nodes == t.nodes
+    return rebuilt
 
 
 @st.composite

@@ -4,10 +4,12 @@ depends on.
 A traced benchmark run wraps each function its ``TARGETS`` names, by
 attribute on its ``oppsim`` module, and reads ``.links`` and every node's
 ``hop_id`` off what its ``BUILDERS`` return.  Untraced runs and the rest of
-the tests never look these names up that way, so a function that only
-``topology.prepare`` calls (``assign_hop_ids``, ``compute_ranks``) could be
-deleted or renamed with every other test passing.  These tests read the
-benchmark's tables as they are and fail first.
+the tests never look these names up that way.  ``topology.assign_hop_ids``
+and ``topology.compute_ranks`` remain ``topology.prepare``'s steps only so
+that the benchmark's spans still resolve (ROADMAP item 1 moves the span to
+``prepare``); nothing else calls them, so either could be deleted or
+renamed with every other test passing.  These tests read the benchmark's
+tables as they are and fail first.
 
 Every benchmark run also checks each CLI output against the sha256 in
 ``perfbench/golden.json``; a few variants of each workload are checked

@@ -539,6 +539,21 @@ class TestSweepPointErrors:
         ))
         assert err == "config error: frame.preamble_frames must be an integer, got 1.9\n"
 
+    @pytest.mark.parametrize("axis, first", [
+        ("forwarders", 1), ("ber", 0.01), ("p_sw", 1), ("preamble_frames", 1),
+        ("data_frame_bits", 1),
+    ])
+    def test_null_value_is_no_point_on_any_axis(self, tmp_path, capsys, axis, first):
+        # a null config key takes its default, but a null sweep value would
+        # run that default under a row labelled None
+        err = fails_with(tmp_path, capsys, "sweep", (
+            "topology: {kind: star, forwarders: 2, p_link: 0.6}\n"
+            "frame: {preamble_frames: 3}\n"
+            "sim: {replications: 10}\n"
+            f"sweep: {{parameter: {axis}, values: [{first}, null]}}\n"
+        ))
+        assert err == "config error: sweep values must be numbers, got None\n"
+
     def test_invalid_star_fails_alike_in_simulate_and_sweep(self, tmp_path, capsys):
         star = (
             "topology: {kind: star, forwarders: 2, p_link: 0.6, remaining_cost: 0.5}\n"

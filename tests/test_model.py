@@ -18,7 +18,7 @@ from oppsim.model import (
     TraceEvent,
     validate,
 )
-from oppsim.topology import compute_ranks
+from oppsim.topology import prepare
 
 
 def make_frame(**kw):
@@ -114,6 +114,12 @@ def _tiny_topology(links=None):
     )
 
 
+def _prepared(topo):
+    """``topo`` built again through ``prepare``, from its own links."""
+    edges = [(a, b, ber) for (a, b), ber in topo.links.items()]
+    return prepare(topo.nodes, topo.gateway, edges, topo.frame, topo.channel)
+
+
 def test_topology_accessors():
     topo = _tiny_topology()
     assert topo.neighbors(1) == (0, 2)
@@ -122,7 +128,7 @@ def test_topology_accessors():
     assert topo.has_link(0, 1) and not topo.has_link(0, 2)
     assert topo.ber(0, 1) == 0.01
     assert topo.hop_id(2) == 2
-    assert compute_ranks(topo).rank(1) == 1.0 + network_path_costs(topo)[1]
+    assert _prepared(topo).rank(1) == 1.0 + network_path_costs(topo)[1]
     assert topo.non_gateway_ids() == (1, 2)
     with pytest.raises(ValueError, match=r"^unknown node id: 9$"):
         topo.upstream_neighbors(9)
@@ -130,24 +136,16 @@ def test_topology_accessors():
 
 def test_compute_ranks_shares_neighbour_tables():
     topo = _tiny_topology()
-    upstream = topo.upstream_neighbors(2)
-    ranked = compute_ranks(topo)
+    ranked = _prepared(topo)
+    # the cost solve ran on the topology prepare returns, so the upstream
+    # table it built is the one that topology serves
+    upstream = ranked.__dict__["_upstream"]
     assert ranked.costs == network_path_costs(topo)
     assert [ranked.rank(n.id) for n in ranked.nodes] == [1.0 + ranked.costs[i] for i in (0, 1, 2)]
-    with pytest.raises(ValueError, match="compute_ranks"):
+    with pytest.raises(ValueError, match="topology.prepare"):
         topo.rank(1)
-    assert ranked.upstream_neighbors(2) is upstream
-    assert ranked.links is topo.links and ranked.nodes is topo.nodes
-
-
-def test_with_hop_ids_shares_adjacency_and_rebuilds_upstream():
-    topo = _tiny_topology()
-    neighbours = topo.neighbors(1)
-    assert topo.upstream_neighbors(0) == ()
-    flipped = topo.with_hop_ids({0: 2, 1: 1, 2: 0})
-    assert [n.hop_id for n in flipped.nodes] == [2, 1, 0]
-    assert flipped.neighbors(1) is neighbours
-    assert flipped.upstream_neighbors(0) == (1,) and topo.upstream_neighbors(0) == ()
+    assert ranked.upstream_neighbors(2) is upstream[2]
+    assert ranked.links == topo.links and ranked.nodes == topo.nodes
 
 
 def test_topology_coerces_float_links():

@@ -308,7 +308,7 @@ class TestGenerate:
             gateway_position=gateway,
         )
         seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
-        assert _outcome(topo.generate, config, seed) == _outcome(
+        assert _outcome(lambda c, s: built(topo.generate(c, s)), config, seed) == _outcome(
             reference_generate, config, seed
         )
 
@@ -324,13 +324,11 @@ def ranked_repr(t):
 
 
 def _outcome(build, config, seed):
-    """Nodes, link items in iteration order and the cost table, or the
-    error raised."""
+    """What ``build`` returns, or the error it raises."""
     try:
-        t = build(config, seed)
+        return build(config, seed)
     except ValueError as exc:
         return type(exc), str(exc)
-    return t.nodes, list(t.links.items()), t.costs
 
 
 def reference_ber(model, distance, radio_range):
@@ -362,9 +360,33 @@ def reference_generate(config, seed):
     nodes = tuple(
         Node(id=nid, hop_id=0, position=pos) for nid, pos in enumerate(positions)
     )
-    raw = Topology(nodes=nodes, gateway=0, links=links, frame=config.frame, channel=config.channel)
-    hopped = topo.assign_hop_ids(raw)
-    return topo.compute_ranks(hopped)
+    return reference_prepare(nodes, 0, links, config.frame, config.channel)
+
+
+def reference_prepare(nodes, gateway, links, frame, channel):
+    """What prepare builds from the directed link map ``links``, without
+    its steps: hop IDs by relaxing every link until none shortens a path
+    (Bellman-Ford with unit weights), then the costs solved on a topology
+    built by hand with them.  Nodes, link items in order, cost table."""
+    hops = {gateway: 0}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in links:
+            if a in hops and hops[a] + 1 < hops.get(b, math.inf):
+                hops[b] = hops[a] + 1
+                changed = True
+    for n in nodes:
+        if n.id not in hops:
+            raise topo.DisconnectedTopologyError(f"disconnected node: {n.id!r} cannot reach the gateway")
+    nodes = tuple(replace(n, hop_id=hops[n.id]) for n in nodes)
+    t = Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
+    return t.nodes, list(t.links.items()), analysis.network_path_costs(t)
+
+
+def built(t):
+    """Nodes, link items in order and cost table of a prepared topology."""
+    return t.nodes, list(t.links.items()), t.costs
 
 
 class TestNearPairs:
@@ -424,43 +446,57 @@ def test_prepare_stores_each_edge_both_ways(drawn):
     for a, b, ber in edges:
         links[(a, b)] = ber
         links[(b, a)] = ber
-    raw = Topology(nodes=nodes, gateway=gateway, links=links,
-                   frame=topo.DEFAULT_FRAME, channel=topo.DEFAULT_CHANNEL)
-    reference = topo.compute_ranks(topo.assign_hop_ids(raw))
-    assert list(t.links.items()) == list(reference.links.items())
-    assert t.nodes == reference.nodes
-    assert t.costs == reference.costs
+    reference = reference_prepare(nodes, gateway, links, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+    assert built(t) == reference
+
+
+def _prepared(drawn, string_ids):
+    """The drawn edge list prepared over int ids, or over string ids."""
+    n, gateway, edges = drawn
+    ids = [f"n{i}" if string_ids else i for i in range(n)]
+    nodes = tuple(Node(id=ids[i], hop_id=0, position=(float(i), 0.0)) for i in range(n))
+    edges = [(ids[a], ids[b], ber) for a, b, ber in edges]
+    return topo.prepare(nodes, ids[gateway], edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_edges(), st.booleans())
+def test_prepared_hop_ids_are_bfs_distances(drawn, string_ids):
+    t = _prepared(drawn, string_ids)
+    assert t.hop_id(t.gateway) == 0
+    for node in t.nodes:
+        if node.id != t.gateway:
+            # one neighbour a hop nearer, and none nearer still
+            assert min(t.hop_id(m) for m in t.neighbors(node.id)) == node.hop_id - 1
+    assert t.costs == analysis.network_path_costs(t)
 
 
 class TestHopAssignment:
+    def _prepare(self, nodes, edges, gateway=0):
+        return topo.prepare(nodes, gateway, edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+
     def test_bfs_hop_ids(self):
         nodes = (
             Node(id=0, hop_id=0),
             Node(id=1, hop_id=0),
             Node(id=2, hop_id=0),
         )
-        links = {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.0, (2, 1): 0.0, (0, 2): 0.0, (2, 0): 0.0}
-        raw = Topology(
-            nodes=nodes,
-            gateway=0,
-            links=links,
-            frame=topo.DEFAULT_FRAME,
-            channel=topo.DEFAULT_CHANNEL,
-        )
-        assigned = topo.assign_hop_ids(raw)
+        ber = BitErrorRate(0.0)
+        assigned = self._prepare(nodes, [(0, 1, ber), (1, 2, ber), (0, 2, ber)])
         assert [n.hop_id for n in assigned.nodes] == [0, 1, 1]
 
     def test_unreachable_node_named(self):
         nodes = (Node(id=0, hop_id=0), Node(id=7, hop_id=0))
-        raw = Topology(
-            nodes=nodes,
-            gateway=0,
-            links={},
-            frame=topo.DEFAULT_FRAME,
-            channel=topo.DEFAULT_CHANNEL,
-        )
         with pytest.raises(topo.DisconnectedTopologyError, match="7"):
-            topo.assign_hop_ids(raw)
+            self._prepare(nodes, [])
+
+    def test_unknown_gateway_or_endpoint_named(self):
+        nodes = (Node(id=0, hop_id=0), Node(id=1, hop_id=0))
+        ber = BitErrorRate(0.0)
+        with pytest.raises(ValueError, match=r"^unknown node id: 5$"):
+            self._prepare(nodes, [(0, 1, ber)], gateway=5)
+        with pytest.raises(ValueError, match=r"^link \(9, 1\) references an unknown node$"):
+            self._prepare(nodes, [(0, 1, ber), (1, 9, ber)])
 
 
 def test_deepest_node_breaks_ties_by_id():
@@ -520,11 +556,12 @@ def test_built_topology_owns_its_cost_table(kind, tmp_path):
     assert t.costs == analysis.network_path_costs(t)
     for n in t.nodes:
         assert t.rank(n.id) == 1.0 + t.costs[n.id]
-    # a copy may have other links or hop ids, so it carries no table, and
-    # whatever reads one refuses it
-    hop_ids = {n.id: n.hop_id for n in t.nodes}
+    # a copy or a hand-built topology may have other links or hop ids, so it
+    # carries no table, and whatever reads one refuses it
+    by_hand = Topology(nodes=t.nodes, gateway=t.gateway, links=t.links,
+                       frame=t.frame, channel=t.channel)
     cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, replications=2)
-    for copy in (replace(t), replace(t, links=dict(t.links)), t.with_hop_ids(hop_ids)):
+    for copy in (replace(t), replace(t, links=dict(t.links)), by_hand):
         assert copy == t
         for read in (
             lambda: copy.costs,
@@ -532,21 +569,18 @@ def test_built_topology_owns_its_cost_table(kind, tmp_path):
             lambda: engine.run_experiment(copy, cfg),
             lambda: engine.simulate_delivery(copy, cfg, 0),
         ):
-            with pytest.raises(ValueError, match="compute_ranks"):
+            with pytest.raises(ValueError, match="topology.prepare"):
                 read()
-        assert topo.compute_ranks(copy).costs == t.costs
+        edges = [(a, b, ber) for (a, b), ber in copy.links.items()]
+        assert topo.prepare(copy.nodes, copy.gateway, edges, copy.frame, copy.channel).costs == t.costs
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_edges(), st.booleans())
 def test_prepared_topology_passes_validate(drawn, string_ids):
-    # prepare stores both directions of each link and assign_hop_ids reaches
-    # every node from a gateway at hop 0, so the CLI runs no validate pass
-    n, gateway, edges = drawn
-    ids = [f"n{i}" if string_ids else i for i in range(n)]
-    nodes = tuple(Node(id=ids[i], hop_id=0, position=(float(i), 0.0)) for i in range(n))
-    edges = [(ids[a], ids[b], ber) for a, b, ber in edges]
-    t = topo.prepare(nodes, ids[gateway], edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+    # prepare stores both directions of each link and assigns hop IDs that
+    # reach every node from a gateway at hop 0, so the CLI runs no validate pass
+    t = _prepared(drawn, string_ids)
     assert validate(t) == []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "drawn.topo"
