@@ -21,7 +21,8 @@ Conventions
 
 Floating-point policy: probabilities are computed in double precision and
 ``(1 - p) ** n`` switches to ``exp(n * log1p(-p))`` only in the
-underflow-risk regime ``n * p < 1e-8``.
+underflow-risk regime ``n * p < 1e-8``; the engine's decode probabilities
+come from the same ``_survival_power``, so it governs them too.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ Structure: one private kernel, ``_deliver``, runs a replication over a
 ``_Plan`` - the per-topology tables every replication reads (the source
 candidates, each node's upstream candidates with their decode
 probabilities and election priority, and the overhearing probabilities of
-each (transmitter, observer) pair, the last two filled on first use).
+each (transmitter, observer) pair, the last two ``functools.cache``
+functions filled on first use).  The decode probabilities are the closed
+forms' survival law, ``analysis._survival_power``.
 Ranks and costs are read from the topology's own cost table
 (``Topology.costs``); a topology without one is refused.
 ``run_experiment`` builds one plan per run and calls the kernel without an
@@ -50,9 +52,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 
+from .analysis import _survival_power
 from .model import (
     DeliveryTrace,
     EventKind,
@@ -117,32 +120,20 @@ def replication_seed(seed: int, replication_index: int) -> int:
     return x
 
 
-class _Table(dict):
-    """A dict that fills a missing entry with ``fill(key)`` on first lookup."""
-
-    def __init__(self, fill) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 class _Plan:
     """What every replication of one run reads about its topology, worked
     out once per run instead of once per hop or per replication.
 
-    ``upstream[u]`` holds u's upstream candidates in draw order (ascending
+    ``upstream(u)`` returns u's upstream candidates in draw order (ascending
     id) as ``(node, micro_p, data_p, priority)``; priority is the
     candidate's position in the election order over all of u's upstream
     neighbors: by (rank, id) in RECEIVER_BASED mode, by the stamped
-    (cost, id) list in SENDER_PRIORITIZED mode.  ``overhearing[(u, obs)]``
-    holds obs's decode probabilities for u's frames, or None when obs has
-    no link back to u.  Both tables fill on first use, so a run pays only
-    for the nodes and pairs its replications reach.  Their fill functions
-    hold the topology, not the plan, so a plan is freed as soon as its run
-    ends instead of waiting for the cycle collector.
+    (cost, id) list in SENDER_PRIORITIZED mode; micro_p and data_p follow
+    ``analysis._survival_power``.  ``overhearing(u, obs)`` returns obs's
+    decode probabilities for u's frames, or None when obs has no link back
+    to u.  Both are ``functools.cache`` functions, so a run pays only for
+    the nodes and pairs its replications reach; they hold the topology, not
+    the plan, so a plan is freed as soon as its run ends.
     """
 
     def __init__(self, topology: Topology, config: SimConfig):
@@ -157,17 +148,17 @@ class _Plan:
         election_key = (
             (lambda c: (topology.rank(c), c)) if self.receiver else (lambda c: (costs[c], c))
         )
-        self.upstream = _Table(partial(_upstream_candidates, topology, election_key))
-        self.overhearing = _Table(partial(_overhearing_probs, topology))
+        self.upstream = cache(partial(_upstream_candidates, topology, election_key))
+        self.overhearing = cache(partial(_overhearing_probs, topology))
 
 
 def _decode_probs(topology: Topology, a: NodeId, b: NodeId) -> tuple[float, float]:
     # b's per-frame decode probabilities for a's micro-frames and data frame;
     # frame-level Bernoulli draws with these values are
     # distribution-identical to drawing each bit
-    survival = 1.0 - topology.ber(a, b)
+    p = topology.ber(a, b)
     frame = topology.frame
-    return survival**frame.micro_frame_bits, survival**frame.data_frame_bits
+    return _survival_power(p, frame.micro_frame_bits), _survival_power(p, frame.data_frame_bits)
 
 
 def _upstream_candidates(
@@ -178,10 +169,7 @@ def _upstream_candidates(
     return tuple((c, *_decode_probs(topology, u, c), priority[c]) for c in upstream)
 
 
-def _overhearing_probs(
-    topology: Topology, pair: tuple[NodeId, NodeId]
-) -> tuple[float, float] | None:
-    u, obs = pair
+def _overhearing_probs(topology: Topology, u: NodeId, obs: NodeId) -> tuple[float, float] | None:
     return _decode_probs(topology, u, obs) if topology.has_link(obs, u) else None
 
 
@@ -232,14 +220,6 @@ def _deliver(
     slot = 0  # one slot per transmission
     while queue:
         u, hops, observers = queue.popleft()
-        if hops >= max_hops:
-            if traced:
-                for obs in observers:
-                    events.append(
-                        TraceEvent(slot, EventKind.SUPPRESS, obs, sender=u, reason="max-hops")
-                    )
-            continue
-
         t = slot
         slot += 1
         if traced:
@@ -253,7 +233,7 @@ def _deliver(
         for obs in observers:
             duplicate = False
             if on_channel:
-                probs = overhearing[(u, obs)]
+                probs = overhearing(u, obs)
                 if probs is None:
                     duplicate = True
                 else:
@@ -276,7 +256,7 @@ def _deliver(
         # a micro-frame wakes c, then the data frame decodes
         hearing = []
         gateway_heard = False
-        for candidate in upstream[u]:
+        for candidate in upstream(u):
             c, micro_p, data_p, _ = candidate
             for _ in range(r_m):
                 if draw() < micro_p:
@@ -300,7 +280,10 @@ def _deliver(
         if not hearing:
             continue
 
+        # at the hop limit the election still runs but queues no copy: each
+        # copy it makes is traced as dropped at the slot that elected it
         hearing.sort(key=_PRIORITY)
+        at_limit = next_hops >= max_hops
         attached: list[NodeId] = []
         elected = False
         for i, (c, _, _, priority) in enumerate(hearing):
@@ -310,7 +293,8 @@ def _deliver(
                     events.append(
                         TraceEvent(t, EventKind.SUPPRESS, c, sender=u, reason="window-closed")
                     )
-            elif i == 0:
+                continue
+            if i == 0:
                 elected = True
                 winners.append(c)
                 if traced:
@@ -321,10 +305,13 @@ def _deliver(
                 duplicates += 1
                 if traced:
                     events.append(TraceEvent(t, EventKind.DUPLICATE_FORWARD, c, sender=u))
-                queue.append((c, next_hops, ()))
+                if not at_limit:
+                    queue.append((c, next_hops, ()))
             else:
                 attached.append(c)
-        if elected:
+            if at_limit and traced:
+                events.append(TraceEvent(t, EventKind.SUPPRESS, c, sender=u, reason="max-hops"))
+        if elected and not at_limit:
             queue.append((hearing[0][0], next_hops, tuple(attached)))
 
     return source, slot, duplicates, first_hops, winners

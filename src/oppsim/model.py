@@ -242,7 +242,7 @@ class Topology:
             raise ValueError("nodes must be a non-empty sequence of Node instances")
         object.__setattr__(self, "nodes", nodes)
         links = {}
-        for key, ber in dict(self.links).items():
+        for key, ber in self.links.items():
             a, b = key
             if a == b:
                 raise ValueError(f"self-link on node {a!r}")

@@ -365,3 +365,17 @@ class TestHelpers:
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         row = dict(zip(rows[0].split(","), rows[1].split(",")))
         assert float(row["mean_energy_bits"]) == 2 * t.frame.bits_per_transmission
+
+
+@pytest.mark.parametrize("ber", [0.0, 1e-13, 1e-12, 1e-11, 1e-9, 1e-4, 0.01, 0.5])
+def test_decode_laws_equal_the_closed_forms_exactly(ber):
+    # one survival law for both: the engine's reception and suppression
+    # laws equal the closed forms to the last bit, also where n * p < 1e-8
+    t = replace(topo.chain_topology([1.0]), links={(0, 1): ber, (1, 0): ber})
+    micro_p, data_p = engine._decode_probs(t, 1, 0)
+    r = t.frame.preamble_frames
+    p_sw = t.channel.evaluated.p_sw
+    reception = p_sw * (1.0 - (1.0 - micro_p) ** r) * data_p
+    suppression = p_sw * (1.0 - micro_p) ** r * (1.0 - data_p)
+    assert reception == analysis.reception_probability(ber, t.frame, p_sw)
+    assert suppression == analysis.failure_probability(ber, t.frame, p_sw)
