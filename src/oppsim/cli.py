@@ -534,8 +534,8 @@ def cmd_simulate(spec: RunSpec) -> str:
         "mode,replications,pdr,mean_duplicates,mean_transmissions,mean_hops,"
         "empirical_overhead,mean_energy_bits,hop_energy_ratio,seed,config"
     ]
-    for mode in spec.modes:
-        metrics = engine.run_experiment(topology_obj, replace(spec.sim, mode=mode))
+    runs = engine.run_experiments((topology_obj, replace(spec.sim, mode=mode)) for mode in spec.modes)
+    for mode, metrics in zip(spec.modes, runs):
         mean_energy = metrics.mean_transmissions * spec.frame.bits_per_transmission
         ratio = metrics.mean_hops / mean_energy if mean_energy > 0 else 0.0
         rows.append(
@@ -600,10 +600,8 @@ def cmd_sweep(spec: RunSpec) -> str:
     if axis == "ber":
         base = spec.build()
 
-    rows = [
-        f"{axis},analytic_overhead,empirical_overhead,pdr,mean_duplicates,"
-        "retransmissions,mean_transmissions,mode,seed,config"
-    ]
+    # every value is checked before any point is built or run
+    points = []
     for i, value in enumerate(values):
         # a null value is no sweep point: unlike a null config key, it has no default
         number = not isinstance(value, bool) and isinstance(value, (int, float))
@@ -611,12 +609,22 @@ def cmd_sweep(spec: RunSpec) -> str:
             raise ConfigError(f"sweep values must be numbers, got {value!r}")
         if axis == "ber":
             with _config_errors(f"sweep.values[{i}]"):
-                ber = BitErrorRate(float(value))
+                points.append(BitErrorRate(float(value)))
+        else:
+            points.append(_swept(spec, axis, value))
+
+    rows = [
+        f"{axis},analytic_overhead,empirical_overhead,pdr,mean_duplicates,"
+        "retransmissions,mean_transmissions,mode,seed,config"
+    ]
+    # built and run one point at a time, so memory does not grow with the values
+    for i, (value, point) in enumerate(zip(values, points)):
+        if axis == "ber":
+            with _config_errors(f"sweep.values[{i}]"):
                 # the same links keep every hop ID; only the rates and costs change
-                edges = [(a, b, ber) for a, b in _undirected_links(base)]
+                edges = [(a, b, point) for a, b in _undirected_links(base)]
                 built = topo.prepare(base.nodes, base.gateway, edges, spec.frame, spec.channel)
         else:
-            point = _swept(spec, axis, value)
             built = point.build()
         if axis == "forwarders":
             # the declared per-candidate delivery probability and remaining
@@ -634,8 +642,10 @@ def cmd_sweep(spec: RunSpec) -> str:
         analytic_overhead = analysis.coordination_overhead(analytic)
         failure = analysis.set_failure_probability(analytic)
         retries = analysis.expected_retransmissions(failure)
-        for mode in spec.modes:
-            metrics = engine.run_experiment(built, replace(spec.sim, mode=mode, source=source))
+        runs = engine.run_experiments(
+            (built, replace(spec.sim, mode=mode, source=source)) for mode in spec.modes
+        )
+        for mode, metrics in zip(spec.modes, runs):
             rows.append(
                 ",".join(
                     [

@@ -1,8 +1,10 @@
 """``tools/bench_pairs.py``, the script every ``BENCH_<n>.json`` comes from:
 its seed parser, its win count, its quartiles and its verdicts, on
-synthetic records (no benchmark is run)."""
+synthetic records (no benchmark is run), and its garbage-collector probe."""
 
+import gc
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,18 @@ def test_claim_not_met_when_the_gap_is_inside_the_parents_iqr():
     claim = claim_of([v - 0.01 for v in PARENT_RUN_S])
     assert claim["change_wins"] == "10/10"
     assert not claim["met"]
+
+
+def test_gc_phases_counts_generation_2_collections_where_they_start():
+    # the cycle's own gc.collect() is not counted, nor a generation-1 collection
+    callbacks = list(gc.callbacks)
+    counts = bench_pairs.gc_phases(lambda: gc.collect(1), gc.collect, lambda: None, cycles=3)
+    assert counts == {"setup": 0, "call": 3, "loop": 0}
+    assert gc.callbacks == callbacks
+
+
+def test_gc_probe_runs_a_workload_as_run_py_does():
+    probe = bench_pairs.gc_probe(bench_pairs.ROOT, "star-sweep", seed=0, cycles=1)
+    assert probe.keys() == {"cores", "setup", "call", "loop"}
+    assert probe["cores"] == len(os.sched_getaffinity(0))
+    assert all(probe[phase] >= 0 for phase in bench_pairs.GC_PHASES)

@@ -1,16 +1,18 @@
 import collections
+import gc
 import hashlib
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 import yaml
 
-from oppsim import analysis, cli, oracle, topology as topo, verification
+from oppsim import analysis, cli, engine, oracle, topology as topo, verification
 from oppsim.cli import ConfigError
 from oppsim.model import ForwarderEntry, ForwarderSet
 
@@ -573,6 +575,86 @@ class TestSweepPointErrors:
         assert err == (
             "config error: channel.channels[0]: p_sw must be a probability in [0, 1], got 1.5\n"
         )
+
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("forwarders", "[1, 2, 2.5]", "topology.forwarders must be an integer, got 2.5"),
+        ("ber", "[0.001, 0.01, 1.5]",
+         "sweep.values[2]: bit error rate must be a probability in [0, 1], got 1.5"),
+    ])
+    def test_bad_third_point_fails_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                  axis, values, message):
+        runs, run = [], engine.run_experiment
+        monkeypatch.setattr(engine, "run_experiment", lambda *job: runs.append(job) or run(*job))
+        err = fails_with(tmp_path, capsys, "sweep", (
+            "topology: {kind: star, forwarders: 2, p_link: 0.6}\n"
+            "sim: {mode: both, replications: 10}\n"
+            f"sweep: {{parameter: {axis}, values: {values}}}\n"
+        ))
+        assert err == f"config error: {message}\n"
+        assert runs == []
+
+
+def test_a_sweep_holds_one_point_at_a_time(tmp_path, capsys, monkeypatch):
+    # each point is built, run and dropped before the next is built, so a
+    # sweep's memory does not grow with its number of values
+    topologies, run = [], engine.run_experiments
+
+    def one_point(jobs):
+        jobs = list(jobs)
+        gc.collect()
+        assert [t for t in topologies if t() is not None] == []
+        assert {id(t) for t, _ in jobs} == {id(jobs[0][0])}
+        topologies.append(weakref.ref(jobs[0][0]))
+        return run(jobs)
+
+    monkeypatch.setattr(engine, "run_experiments", one_point)
+    cfg = write_cfg(tmp_path, (
+        "topology: {kind: star, forwarders: 2, p_link: 0.6}\n"
+        "sim: {mode: both, replications: 10}\n"
+        "sweep: {parameter: ber, values: [0.001, 0.002, 0.003]}\n"
+    ))
+    assert cli.main(["sweep", cfg]) == 0
+    assert capsys.readouterr().out.count("\n") > 6
+    assert len(topologies) == 3
+
+
+class TestCores:
+    """``simulate`` and ``sweep`` run their engine runs on the cores this
+    process may run on; the output does not depend on how many."""
+
+    CONFIGS = {
+        "simulate": STAR_CFG.replace("receiver_based", "both"),
+        "sweep": STAR_CFG.replace("receiver_based", "both")
+        + "sweep: {parameter: forwarders, values: [1, 2, 3]}\n",
+    }
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_one_core_gives_the_same_bytes(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, self.CONFIGS[command])
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def one_core():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "oppsim", command, cfg], preexec_fn=pin,
+                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, check=True,
+                timeout=300,
+            ).stdout
+            for pin in (None, one_core)
+        ]
+        assert outputs[0].count(b"\n") > 4
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_no_child_is_left(self, tmp_path, capsys, command):
+        assert cli.main([command, write_cfg(tmp_path, self.CONFIGS[command])]) == 0
+        assert capsys.readouterr().out.count("\n") > 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestConfigErrorLines:

@@ -6,6 +6,7 @@ exist to catch implementation drift, not to re-verify the closed forms
 """
 
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -342,6 +343,96 @@ class TestRunExperiment:
         ms = engine.run_experiment(t, SimConfig(mode=ProtocolMode.SENDER_PRIORITIZED, **kw))
         assert mr.pdr == ms.pdr
         assert mr.mean_transmissions == ms.mean_transmissions
+
+
+CORES = engine._cores()
+
+
+def parallel_jobs():
+    """Star, diamond and a small generated graph, each in both modes."""
+    mesh = topo.generate(
+        topo.GeneratorConfig(nodes=12, area_side=60.0, radio_range=30.0,
+                             ber_model=topo.FixedBer(0.002)),
+        seed=3,
+    )
+    topologies = [star(), topo.diamond_topology(relay_ber=(0.01, 0.02)), mesh]
+    return [
+        (t, SimConfig(mode=mode, replications=150, seed=5 + i))
+        for i, t in enumerate(topologies)
+        for mode in ProtocolMode
+    ]
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def refuse_to_fork():
+    raise AssertionError("forked")
+
+
+class TestRunExperiments:
+    """``run_experiments`` returns the serial list on any number of cores,
+    raises what the serial loop raises, and reaps every child."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cores", range(1, CORES + 1))
+    def test_equals_the_serial_list(self, monkeypatch, cores):
+        jobs = parallel_jobs()
+        serial = [engine.run_experiment(t, c) for t, c in jobs]
+        monkeypatch.setattr(engine, "_cores", lambda: cores)
+        assert engine.run_experiments(jobs) == serial
+        assert engine.run_experiments(iter(jobs)) == serial
+        assert engine.run_experiments(jobs[:1]) == serial[:1]
+        assert engine.run_experiments([]) == []
+
+    # index 0 is always in this process's share, index 1 in a child's
+    # whenever there are two cores; two bad jobs raise the earlier one's error
+    @pytest.mark.parametrize("bad", [(0,), (1,), (1, 2), (2, 3), (3, 4)])
+    def test_a_failing_job_raises_the_serial_error(self, monkeypatch, bad):
+        jobs = parallel_jobs()
+        for n, i in enumerate(bad):
+            t, c = jobs[i]
+            jobs[i] = (t, replace(c, source=f"missing-{n}"))
+        serial = outcome(lambda: [engine.run_experiment(t, c) for t, c in jobs])
+        assert serial == (ValueError, "unknown node id: 'missing-0'")
+        for cores in range(1, CORES + 1):
+            monkeypatch.setattr(engine, "_cores", lambda: cores)
+            assert outcome(lambda: engine.run_experiments(jobs)) == serial
+
+    @pytest.mark.skipif(CORES < 2, reason="needs a second core for a child")
+    def test_a_child_that_dies_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(engine, "_child", lambda *args: os._exit(3))
+        with pytest.raises(ChildProcessError, match="exited without its results"):
+            engine.run_experiments(parallel_jobs())
+
+    def test_one_core_forks_nothing(self, monkeypatch):
+        jobs = parallel_jobs()
+        serial = [engine.run_experiment(t, c) for t, c in jobs]
+        monkeypatch.setattr(engine, "_cores", lambda: 1)
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+        assert engine.run_experiments(jobs) == serial
+
+    def test_a_replaced_run_experiment_sees_every_job_here(self, monkeypatch):
+        # a tracer that wraps run_experiment records its calls in this
+        # process only, so every job must run here
+        jobs = parallel_jobs()
+        serial = [engine.run_experiment(t, c) for t, c in jobs]
+        calls, run = [], engine.run_experiment
+        monkeypatch.setattr(engine, "run_experiment", lambda *job: calls.append(job) or run(*job))
+        monkeypatch.setattr(engine, "_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+        assert engine.run_experiments(jobs) == serial
+        assert len(calls) == len(jobs)
 
 
 class TestHelpers:

@@ -19,6 +19,13 @@ single-hop grid alone as ``run_verification`` with one Monte Carlo trial,
 and the 200,000-trial ``bit_level_frame_oracle``) on each side, best of k,
 in the same alternating order, and records each side's source-line count
 of ``src/oppsim/*.py`` (as ``wc -l`` counts them) as ``source_lines``.
+After each side's run it probes each workload's garbage collector
+(``gc_generation2``): in a fresh process on that side, the cores the
+process may run on and, over 8 repeats of run.py's cycle (set-up,
+``gc.collect()``, CLI call, reference loop), how many generation-2
+collections start in the set-up, the call and the loop.  A collection that
+falls in the loop slows it and so shrinks the scale run.py applies to that
+call (see ``perfbench/run.py``).
 
 Per workload and end-to-end metric the output holds each side's q1, median
 and q3 of the benchmark's (scaled) value, the change's wins over the pairs
@@ -31,8 +38,10 @@ rewritten after every pair, so an interrupted run keeps what it measured.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -42,6 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+GC_CYCLES = 8
+GC_PHASES = ("setup", "call", "loop")
 
 LAYER_SNIPPET = r"""
 import json, sys, time
@@ -113,6 +124,56 @@ def run_side(side_dir: Path, workloads: list[str], seed: int) -> dict:
 def layer_times(side_dir: Path) -> dict:
     done = subprocess.run([sys.executable, "-c", LAYER_SNIPPET], cwd=side_dir, check=True,
                           capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def gc_phases(setup, call, loop, cycles: int = GC_CYCLES) -> dict:
+    """Repeat run.py's cycle ``setup()``, ``gc.collect()``, ``call()``,
+    ``loop()`` ``cycles`` times; return how many generation-2 collections
+    start in each of the set-up, the call and the loop.  The cycle's own
+    ``gc.collect()`` is not counted."""
+    counts = dict.fromkeys(GC_PHASES, 0)
+    phase = None
+
+    def observe(event: str, info: dict) -> None:
+        if event == "start" and info["generation"] == 2 and phase is not None:
+            counts[phase] += 1
+
+    gc.callbacks.append(observe)
+    try:
+        for _ in range(cycles):
+            for phase, step in (("setup", setup), (None, gc.collect), ("call", call), ("loop", loop)):
+                step()
+    finally:
+        gc.callbacks.remove(observe)
+    return counts
+
+
+def probe(name: str, seed: int, cycles: int = GC_CYCLES) -> None:
+    """Print, as one JSON line, the cores this process may run on and
+    ``gc_phases`` of workload ``name`` at benchmark seed ``seed``, timed as
+    run.py times it, on the checkout in the working directory."""
+    sys.path.insert(0, "perfbench")
+    import run
+
+    oppsim, _ = run.import_oppsim(Path.cwd())
+    workload = run.WORKLOADS[name]
+    with tempfile.TemporaryDirectory(prefix="bench-probe-") as tmp:
+        argv = run.prepare_argv(workload, seed % run.VARIANTS, Path(tmp))
+        run.invoke(oppsim.cli, argv)  # warm-up, as run.py's
+        counts = gc_phases(
+            lambda: workload.setup(oppsim), lambda: run.invoke(oppsim.cli, argv),
+            run.reference_loop, cycles,
+        )
+    print(json.dumps({"cores": len(os.sched_getaffinity(0)), **counts}))
+
+
+def gc_probe(side_dir: Path, name: str, seed: int, cycles: int = GC_CYCLES) -> dict:
+    """``probe`` of one workload, in a fresh process on the side in ``side_dir``."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import bench_pairs; "
+            f"bench_pairs.probe({name!r}, {seed}, {cycles})")
+    done = subprocess.run([sys.executable, "-c", code], cwd=side_dir, check=True,
+                          capture_output=True, text=True, timeout=600)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -231,6 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     seeds = parse_seeds(args.seeds)
     runs = {side: {name: [] for name in workloads} for side in SIDES}
     layers = {side: [] for side in SIDES}
+    probes = {name: {side: [] for side in SIDES} for name in workloads}
     pairs = []
     first = None
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -246,6 +308,8 @@ def main(argv: list[str] | None = None) -> int:
                 for name, record in records.items():
                     runs[side][name].append(None if record is None else run_summary(record))
                 layers[side].append(layer_times(dirs[side]))
+                for name in workloads:
+                    probes[name][side].append(gc_probe(dirs[side], name, seed))
             pairs.append({"seed": seed, "first": order[0]})
             result = {
                 "description": args.description,
@@ -256,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
                 "env": first and first["env"],
                 "pairs": pairs,
                 **summarise(runs, layers, benchmark, args.claim),
+                # per workload and side, one probe per pair
+                "gc_generation2": {"cycles": GC_CYCLES, "workloads": probes},
             }
             args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
