@@ -45,11 +45,11 @@ master seed (``replication_seed``), so adding replications never perturbs
 earlier ones and a fixed (topology, config, replication_index) triple
 always yields a byte-identical trace.
 
-Cores: ``run_experiments`` runs independent experiments on the cores this
-process may run on (its CPU affinity), one forked process per extra core.
-Each run's metrics depend on its own topology and config alone, so the
-results are identical for any number of cores, and a process pinned to one
-core (``taskset -c 0``) runs them serially.
+Cores: ``run_jobs`` runs independent jobs (engine runs, or ``verify``'s
+per-bit Monte Carlo beside its grid) on the cores this process may run on
+(its CPU affinity), one forked process per extra core.  A job's result
+depends on its own inputs alone, so the results are identical for any
+number of cores, and ``taskset -c 0`` runs them serially.
 """
 
 from __future__ import annotations
@@ -159,6 +159,11 @@ class _Plan:
         )
         self.upstream = cache(partial(_upstream_candidates, topology, election_key))
         self.overhearing = cache(partial(_overhearing_probs, topology))
+        # one generator per run, reseeded per replication by _random.Random.seed,
+        # all random.Random(seed) does for an int but set gauss_next (unread)
+        self.rng = random.Random()
+        self.reseed = super(random.Random, self.rng).seed
+        self.draw = self.rng.random
 
 
 def _decode_probs(topology: Topology, a: NodeId, b: NodeId) -> tuple[float, float]:
@@ -200,13 +205,13 @@ def _deliver(
     decodes kills that packet copy; duplicate forwards spawn independent
     copies that may produce extra gateway arrivals.
     """
-    rng = random.Random(replication_seed(config.seed, replication_index))
-    draw = rng.random
+    plan.reseed(replication_seed(config.seed, replication_index))
+    draw = plan.draw
     traced = events is not None
     gateway = plan.gateway
     source = config.source
     if source is None:
-        source = rng.choice(plan.sources) if plan.sources else gateway
+        source = plan.rng.choice(plan.sources) if plan.sources else gateway
     if source == gateway:
         if traced:
             events.append(TraceEvent(0, EventKind.GATEWAY_ARRIVAL, gateway, hops=0))
@@ -389,14 +394,13 @@ def _cores() -> int:
 _RUN_EXPERIMENT_CODE = run_experiment.__code__
 
 
-def _run_share(jobs: list, share: range) -> tuple[list[Metrics], tuple[int, Exception] | None]:
-    """``run_experiment`` of the jobs at the indices of ``share``, in order,
-    up to the first that raises: the metrics, and that job's index and
-    exception, or None when none raised."""
+def _run_share(jobs: list, share: range) -> tuple[list, tuple[int, Exception] | None]:
+    """The jobs at the indices of ``share``, called in order up to the first
+    that raises: their results, and that job's (index, exception) or None."""
     done = []
     for i in share:
         try:
-            done.append(run_experiment(*jobs[i]))
+            done.append(jobs[i]())
         except Exception as exc:
             return done, (i, exc)
     return done, None
@@ -414,19 +418,20 @@ def _child(jobs: list, share: range, out) -> None:
         os._exit(code)
 
 
-def run_experiments(jobs) -> list[Metrics]:
-    """``[run_experiment(t, c) for t, c in jobs]``, with the jobs shared
-    round-robin over the cores this process may run on.
+def run_jobs(jobs: list, here: bool = False) -> list:
+    """``[job() for job in jobs]``, with the jobs shared round-robin over
+    the cores this process may run on.
 
     This process runs jobs 0, k, 2k, ... (k = min(cores, len(jobs))); each
-    of k - 1 forked children runs its own share and sends its metrics, or
+    of k - 1 forked children runs its own share and sends its results, or
     its first exception, back through a pipe with ``pickle``.  A child runs
-    only ``run_experiment`` (pure Python: no thread, lock or numpy call of
-    the parent's is used after the fork) and leaves with ``os._exit``.  A
-    failing job raises the exception of the earliest failing job, as the
-    serial loop would, and no child outlives the call.  With one core, one
-    job, or ``run_experiment`` replaced by a wrapper (a tracer's spans are
-    kept in this process only), every job runs in this process.
+    only its jobs (pure Python or numpy's ``Generator``: no thread, lock or
+    BLAS call of the parent's is used after the fork) and leaves with
+    ``os._exit``.  A failing job raises the exception of the earliest
+    failing job, as the serial loop would, and no child outlives the call.
+    With one core, one job, or ``here`` true (a caller's function replaced
+    by a wrapper, whose calls are seen in this process only), every job
+    runs in this process.
 
     ``concurrent.futures.ProcessPoolExecutor`` on a fork context was tried
     in its place and measured slower and larger on a 2-core Xeon (Python
@@ -435,10 +440,9 @@ def run_experiments(jobs) -> list[Metrics]:
     threads and queues raised peak RSS by 2.2-2.5 MB (about 6%) against
     0.1-0.2 MB here.
     """
-    jobs = list(jobs)
-    k = min(_cores(), len(jobs))
-    if k < 2 or getattr(run_experiment, "__code__", None) is not _RUN_EXPERIMENT_CODE:
-        return [run_experiment(t, c) for t, c in jobs]
+    k = 1 if here else min(_cores(), len(jobs))
+    if k < 2:
+        return [job() for job in jobs]
     shares = [range(w, len(jobs), k) for w in range(k)]
     pids, pipes = [], []
     try:
@@ -460,8 +464,8 @@ def run_experiments(jobs) -> list[Metrics]:
         results = [None] * len(jobs)
         failures = []
         for share, (done, failure) in zip(shares, outcomes):
-            for i, metrics in zip(share, done):
-                results[i] = metrics
+            for i, result in zip(share, done):
+                results[i] = result
             if failure is not None:
                 failures.append(failure)
         if failures:
@@ -473,3 +477,9 @@ def run_experiments(jobs) -> list[Metrics]:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def run_experiments(jobs) -> list[Metrics]:
+    """``[run_experiment(t, c) for t, c in jobs]``, through ``run_jobs``."""
+    replaced = getattr(run_experiment, "__code__", None) is not _RUN_EXPERIMENT_CODE
+    return run_jobs([partial(run_experiment, t, c) for t, c in jobs], replaced)

@@ -620,8 +620,9 @@ def test_a_sweep_holds_one_point_at_a_time(tmp_path, capsys, monkeypatch):
 
 
 class TestCores:
-    """``simulate`` and ``sweep`` run their engine runs on the cores this
-    process may run on; the output does not depend on how many."""
+    """``simulate`` and ``sweep`` run their engine runs, and ``verify`` its
+    Monte Carlo beside its grid, on the cores this process may run on; the
+    output does not depend on how many."""
 
     CONFIGS = {
         "simulate": STAR_CFG.replace("receiver_based", "both"),
@@ -630,9 +631,12 @@ class TestCores:
     }
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    @pytest.mark.parametrize("command", [*sorted(CONFIGS), "verify"])
     def test_one_core_gives_the_same_bytes(self, tmp_path, command):
-        cfg = write_cfg(tmp_path, self.CONFIGS[command])
+        if command == "verify":
+            args, lines = ["--trials", "20000"], 4
+        else:
+            args, lines = [write_cfg(tmp_path, self.CONFIGS[command])], 5
         src = Path(__file__).resolve().parents[1] / "src"
 
         def one_core():
@@ -640,13 +644,13 @@ class TestCores:
 
         outputs = [
             subprocess.run(
-                [sys.executable, "-m", "oppsim", command, cfg], preexec_fn=pin,
+                [sys.executable, "-m", "oppsim", command, *args], preexec_fn=pin,
                 env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, check=True,
                 timeout=300,
             ).stdout
             for pin in (None, one_core)
         ]
-        assert outputs[0].count(b"\n") > 4
+        assert outputs[0].count(b"\n") >= lines
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", sorted(CONFIGS))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppsim import analysis, cli, engine, topology as topo
+from oppsim import analysis, cli, engine, oracle, topology as topo, verification
 from oppsim.engine import ProtocolMode, SimConfig
 from oppsim.model import Channel, ChannelModel, EventKind, Metrics
 
@@ -375,15 +375,17 @@ def refuse_to_fork():
     raise AssertionError("forked")
 
 
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("no_child_left")
 class TestRunExperiments:
     """``run_experiments`` returns the serial list on any number of cores,
     raises what the serial loop raises, and reaps every child."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cores", range(1, CORES + 1))
     def test_equals_the_serial_list(self, monkeypatch, cores):
@@ -433,6 +435,61 @@ class TestRunExperiments:
         monkeypatch.setattr(os, "fork", refuse_to_fork)
         assert engine.run_experiments(jobs) == serial
         assert len(calls) == len(jobs)
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestRunVerification:
+    """``run_verification`` runs its per-bit Monte Carlo in a forked child
+    beside the grid, through ``run_jobs``: the report and the error are the
+    serial ones on any number of cores, and every child is reaped."""
+
+    GRID = "sizes=1-3;probs=0,0.5,1;costs=0,1"
+
+    def run(self, monkeypatch, cores, **kw):
+        monkeypatch.setattr(engine, "_cores", lambda: cores)
+        args = {"grid": self.GRID, "trials": 20_000, "seed": 5, **kw}
+        return outcome(lambda: verification.run_verification(**args))
+
+    @pytest.mark.parametrize("cores", range(1, CORES + 1))
+    def test_equals_the_serial_report(self, monkeypatch, cores):
+        serial = self.run(monkeypatch, 1)
+        assert serial[1] == 0 and serial[0].count("status=pass") == 3
+        assert self.run(monkeypatch, cores) == serial
+        serial = self.run(monkeypatch, 1, grid=None, seed=2)
+        assert self.run(monkeypatch, cores, grid=None, seed=2) == serial
+
+    # the grid runs in this process, the Monte Carlo in a child whenever
+    # there are two cores; a bad grid value still wins over a Monte Carlo
+    # error, as in the serial run
+    @pytest.mark.parametrize("kw, error", [
+        ({"grid": "probs=1.5"}, "p_link must be a probability in [0, 1], got 1.5"),
+        ({"seed": -1}, "expected non-negative integer"),
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"grid": "probs=1.5", "seed": -1}, "p_link must be a probability in [0, 1], got 1.5"),
+    ])
+    def test_a_failing_job_raises_the_serial_error(self, monkeypatch, kw, error):
+        assert self.run(monkeypatch, 1, **kw) == (ValueError, error)
+        for cores in range(2, CORES + 1):
+            assert self.run(monkeypatch, cores, **kw) == (ValueError, error)
+
+    def test_a_child_that_dies_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(engine, "_child", lambda *args: os._exit(3))
+        assert self.run(monkeypatch, 2)[0] is ChildProcessError
+
+    def test_one_core_forks_nothing(self, monkeypatch):
+        serial = self.run(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+        assert self.run(monkeypatch, 1) == serial
+
+    def test_a_replaced_oracle_sees_its_call_here(self, monkeypatch):
+        # a tracer that wraps the Monte Carlo records its call in this
+        # process only, so it must run here
+        serial = self.run(monkeypatch, 1)
+        calls, real = [], oracle.bit_level_frame_oracle
+        monkeypatch.setattr(oracle, "bit_level_frame_oracle", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+        assert self.run(monkeypatch, 2) == serial
+        assert len(calls) == 1
 
 
 class TestHelpers:

@@ -16,7 +16,8 @@ run length is run.py's own default, recorded as ``seconds``.  It also
 times the ROADMAP's layer baselines (``generate`` at 1000 nodes,
 ``star_topology(6, 0.7)``, ``network_path_costs`` at 1000 nodes, verify-grid's
 single-hop grid alone as ``run_verification`` with one Monte Carlo trial,
-and the 200,000-trial ``bit_level_frame_oracle``) on each side, best of k,
+timed on one CPU so that it forks no child for that trial, and the
+200,000-trial ``bit_level_frame_oracle``) on each side, best of k,
 in the same alternating order, and records each side's source-line count
 of ``src/oppsim/*.py`` (as ``wc -l`` counts them) as ``source_lines``.
 After each side's run it probes each workload's garbage collector
@@ -55,7 +56,7 @@ GC_CYCLES = 8
 GC_PHASES = ("setup", "call", "loop")
 
 LAYER_SNIPPET = r"""
-import json, sys, time
+import json, os, sys, time
 sys.path.insert(0, "src")
 from oppsim import analysis, oracle, topology, verification
 
@@ -67,6 +68,15 @@ def best(fn, k):
         times.append(time.perf_counter() - start)
     return min(times)
 
+def on_one_cpu(measure):
+    # pinned, a forking call has no second core and runs serially
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        return measure()
+    finally:
+        os.sched_setaffinity(0, cpus)
+
 mesh_config = topology.GeneratorConfig(
     nodes=1000, area_side=100.0, radio_range=8.0, ber_model=topology.DistanceBer(0.0, 0.005)
 )
@@ -75,9 +85,9 @@ print(json.dumps({
     "generate_1000_s": best(lambda: topology.generate(mesh_config, seed=1), 5),
     "star_topology_6_s": best(lambda: topology.star_topology(6, 0.7), 20),
     "network_path_costs_1000_s": best(lambda: analysis.network_path_costs(mesh), 5),
-    "verify_single_hop_grid_s": best(
+    "verify_single_hop_grid_s": on_one_cpu(lambda: best(
         lambda: verification.run_verification("sizes=1-4;probs=0,0.5,1;costs=0,1,2.5", trials=1), 5
-    ),
+    )),
     "bit_level_200k_s": best(
         lambda: oracle.bit_level_frame_oracle(0.01, topology.DEFAULT_FRAME, 200_000, 0), 5
     ),
