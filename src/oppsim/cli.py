@@ -21,6 +21,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -534,7 +535,8 @@ def cmd_simulate(spec: RunSpec) -> str:
         "mode,replications,pdr,mean_duplicates,mean_transmissions,mean_hops,"
         "empirical_overhead,mean_energy_bits,hop_energy_ratio,seed,config"
     ]
-    runs = engine.run_experiments((topology_obj, replace(spec.sim, mode=mode)) for mode in spec.modes)
+    sims = (replace(spec.sim, mode=mode) for mode in spec.modes)
+    runs = engine.run_jobs(partial(engine.run_experiment, topology_obj, sim) for sim in sims)
     for mode, metrics in zip(spec.modes, runs):
         mean_energy = metrics.mean_transmissions * spec.frame.bits_per_transmission
         ratio = metrics.mean_hops / mean_energy if mean_energy > 0 else 0.0
@@ -642,9 +644,8 @@ def cmd_sweep(spec: RunSpec) -> str:
         analytic_overhead = analysis.coordination_overhead(analytic)
         failure = analysis.set_failure_probability(analytic)
         retries = analysis.expected_retransmissions(failure)
-        runs = engine.run_experiments(
-            (built, replace(spec.sim, mode=mode, source=source)) for mode in spec.modes
-        )
+        sims = (replace(spec.sim, mode=mode, source=source) for mode in spec.modes)
+        runs = engine.run_jobs(partial(engine.run_experiment, built, sim) for sim in sims)
         for mode, metrics in zip(spec.modes, runs):
             rows.append(
                 ",".join(

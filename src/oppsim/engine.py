@@ -45,11 +45,12 @@ master seed (``replication_seed``), so adding replications never perturbs
 earlier ones and a fixed (topology, config, replication_index) triple
 always yields a byte-identical trace.
 
-Cores: ``run_jobs`` runs independent jobs (engine runs, or ``verify``'s
-per-bit Monte Carlo beside its grid) on the cores this process may run on
-(its CPU affinity), one forked process per extra core.  A job's result
-depends on its own inputs alone, so the results are identical for any
-number of cores, and ``taskset -c 0`` runs them serially.
+Cores: when every job is the package's own code, ``run_jobs`` runs
+independent jobs (engine runs, or ``verify``'s per-bit Monte Carlo beside
+its grid) on the cores this process may run on (its CPU affinity), one
+forked process per extra core.  A job's result depends on its own inputs
+alone, so results are identical for any number of cores; ``taskset -c 0``
+runs them serially.
 """
 
 from __future__ import annotations
@@ -388,50 +389,50 @@ def _cores() -> int:
     return 1
 
 
-# the code of this module's own ``run_experiment``: a tracer or profiler
-# that replaces the function (under every name it has) records its calls
-# in this process only, so ``run_experiments`` then runs every job here
-_RUN_EXPERIMENT_CODE = run_experiment.__code__
+def _package_code(job) -> bool:
+    """Whether ``job`` (a function or a ``functools.partial`` of one) is this
+    package's own code.  The directories are compared as raw strings: the
+    package's modules share the path they were imported through."""
+    code = getattr(getattr(job, "func", job), "__code__", None)
+    return code is not None and os.path.dirname(code.co_filename) == os.path.dirname(__file__)
 
 
-def _run_share(jobs: list, share: range) -> tuple[list, tuple[int, Exception] | None]:
-    """The jobs at the indices of ``share``, called in order up to the first
-    that raises: their results, and that job's (index, exception) or None."""
-    done = []
-    for i in share:
-        try:
-            done.append(jobs[i]())
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
+def _outcome(job) -> tuple[bool, object]:
+    """``(True, job())``, or ``(False, exception)`` if the call raises."""
+    try:
+        return True, job()
+    except Exception as exc:
+        return False, exc
 
 
-def _child(jobs: list, share: range, out) -> None:
-    """A forked worker's whole life: run its share, pickle the outcome
+def _child(jobs: list, out) -> None:
+    """A forked worker's whole life: run its jobs, pickle their outcomes
     into ``out``, and leave without unwinding the parent's stack."""
     code = 1
     try:
-        pickle.dump(_run_share(jobs, share), out)
+        pickle.dump([_outcome(job) for job in jobs], out)
         out.flush()
         code = 0
     finally:
         os._exit(code)
 
 
-def run_jobs(jobs: list, here: bool = False) -> list:
+def run_jobs(jobs) -> list:
     """``[job() for job in jobs]``, with the jobs shared round-robin over
     the cores this process may run on.
 
     This process runs jobs 0, k, 2k, ... (k = min(cores, len(jobs))); each
-    of k - 1 forked children runs its own share and sends its results, or
-    its first exception, back through a pipe with ``pickle``.  A child runs
-    only its jobs (pure Python or numpy's ``Generator``: no thread, lock or
-    BLAS call of the parent's is used after the fork) and leaves with
-    ``os._exit``.  A failing job raises the exception of the earliest
-    failing job, as the serial loop would, and no child outlives the call.
-    With one core, one job, or ``here`` true (a caller's function replaced
-    by a wrapper, whose calls are seen in this process only), every job
-    runs in this process.
+    of k - 1 forked children runs its own share and sends back each job's
+    result or exception through a pipe with ``pickle``.  A child runs only
+    its jobs (pure Python or numpy's ``Generator``: no thread, lock or BLAS
+    call of the parent's is used after the fork) and leaves with
+    ``os._exit``.  Every job runs, also after a failure, and then the
+    earliest failing job's exception is raised, as the serial loop would;
+    no child outlives the call.  Jobs leave this process only if each is
+    the package's own code, a function defined in it or a ``partial`` of
+    one; a stand-in from elsewhere (a tracer's wrapper, a test's lambda)
+    is seen in this process only, so then, as on one core or for one job,
+    every job runs here.
 
     ``concurrent.futures.ProcessPoolExecutor`` on a fork context was tried
     in its place and measured slower and larger on a 2-core Xeon (Python
@@ -440,46 +441,35 @@ def run_jobs(jobs: list, here: bool = False) -> list:
     threads and queues raised peak RSS by 2.2-2.5 MB (about 6%) against
     0.1-0.2 MB here.
     """
-    k = 1 if here else min(_cores(), len(jobs))
+    jobs = list(jobs)
+    k = min(_cores(), len(jobs)) if all(map(_package_code, jobs)) else 1
     if k < 2:
         return [job() for job in jobs]
-    shares = [range(w, len(jobs), k) for w in range(k)]
+    outcomes = [None] * len(jobs)
     pids, pipes = [], []
     try:
-        for share in shares[1:]:
+        for w in range(1, k):
             read, write = os.pipe()
             pipes.append(os.fdopen(read, "rb"))
             with os.fdopen(write, "wb") as out:
                 pid = os.fork()
                 if pid == 0:
-                    _child(jobs, share, out)
+                    _child(jobs[w::k], out)
             pids.append(pid)
 
-        outcomes = [_run_share(jobs, shares[0])]
-        for pid, pipe in zip(pids, pipes):
+        outcomes[::k] = map(_outcome, jobs[::k])
+        for w, (pid, pipe) in enumerate(zip(pids, pipes), 1):
             try:
-                outcomes.append(pickle.load(pipe))
+                outcomes[w::k] = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(f"engine worker {pid} exited without its results") from None
-        results = [None] * len(jobs)
-        failures = []
-        for share, (done, failure) in zip(shares, outcomes):
-            for i, result in zip(share, done):
-                results[i] = result
-            if failure is not None:
-                failures.append(failure)
-        if failures:
-            raise min(failures, key=itemgetter(0))[1]
-        return results
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return [value for _, value in outcomes]
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def run_experiments(jobs) -> list[Metrics]:
-    """``[run_experiment(t, c) for t, c in jobs]``, through ``run_jobs``."""
-    replaced = getattr(run_experiment, "__code__", None) is not _RUN_EXPERIMENT_CODE
-    return run_jobs([partial(run_experiment, t, c) for t, c in jobs], replaced)

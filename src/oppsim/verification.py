@@ -146,11 +146,6 @@ def _case(case: str, summary: str, tolerance: float, checks) -> tuple[str, list[
             f" status={'fail' if breaches else 'pass'}"), breaches
 
 
-# the per-bit Monte Carlo runs in a forked child beside the grid unless it is
-# replaced (a tracer's, profiler's or test's stand-in sees calls here only)
-_BIT_LEVEL_CODE = oracle.bit_level_frame_oracle.__code__
-
-
 def run_verification(
     grid: str | None = None, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
 ) -> tuple[str, int]:
@@ -165,8 +160,7 @@ def run_verification(
     )
     monte_carlo = functools.partial(oracle.bit_level_frame_oracle, FRAME_BER, topo.DEFAULT_FRAME,
                                     trials, seed)
-    replaced = getattr(oracle.bit_level_frame_oracle, "__code__", None) is not _BIT_LEVEL_CODE
-    cases, estimates = engine.run_jobs([lambda: [_case(*c) for c in exact], monte_carlo], replaced)
+    cases, estimates = engine.run_jobs([lambda: [_case(*c) for c in exact], monte_carlo])
     cases.append(_case("bit-level-frames", f"trials={trials} max_sigma={{:.2f}}",
                        FRAME_SIGMA_TOLERANCE, _frame_checks(estimates)))
     breaches = [breach for _, case_breaches in cases for breach in case_breaches]

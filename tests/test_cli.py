@@ -598,17 +598,17 @@ class TestSweepPointErrors:
 def test_a_sweep_holds_one_point_at_a_time(tmp_path, capsys, monkeypatch):
     # each point is built, run and dropped before the next is built, so a
     # sweep's memory does not grow with its number of values
-    topologies, run = [], engine.run_experiments
+    topologies, run = [], engine.run_jobs
 
     def one_point(jobs):
         jobs = list(jobs)
         gc.collect()
         assert [t for t in topologies if t() is not None] == []
-        assert {id(t) for t, _ in jobs} == {id(jobs[0][0])}
-        topologies.append(weakref.ref(jobs[0][0]))
+        assert {id(job.args[0]) for job in jobs} == {id(jobs[0].args[0])}
+        topologies.append(weakref.ref(jobs[0].args[0]))
         return run(jobs)
 
-    monkeypatch.setattr(engine, "run_experiments", one_point)
+    monkeypatch.setattr(engine, "run_jobs", one_point)
     cfg = write_cfg(tmp_path, (
         "topology: {kind: star, forwarders: 2, p_link: 0.6}\n"
         "sim: {mode: both, replications: 10}\n"

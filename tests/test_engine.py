@@ -5,17 +5,20 @@ exist to catch implementation drift, not to re-verify the closed forms
 (the acceptance suite owns those comparisons at fixed seeds).
 """
 
+import functools
 import math
 import os
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oppsim import analysis, cli, engine, oracle, topology as topo, verification
-from oppsim.engine import ProtocolMode, SimConfig
+from oppsim.engine import ProtocolMode, SimConfig, run_experiment
 from oppsim.model import Channel, ChannelModel, EventKind, Metrics
+from oppsim.oracle import bit_level_frame_oracle
 
 from engine_cases import small_runs, without_cross_links
 
@@ -382,20 +385,50 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def runs(jobs):
+    """``run_experiment`` jobs as ``run_jobs`` takes them."""
+    return [partial(engine.run_experiment, t, c) for t, c in jobs]
+
+
+def lambda_stand_in(func):
+    """A test's stand-in for ``func`` and the list of its calls."""
+    calls = []
+    return (lambda *args: calls.append(args) or func(*args)), calls
+
+
+def wraps_stand_in(func):
+    """A tracer's stand-in for ``func`` and the list of its calls:
+    ``functools.wraps`` copies ``__module__``, ``__qualname__`` and
+    ``__wrapped__``, so only its code tells it from the package's own."""
+    calls = []
+
+    @functools.wraps(func)
+    def wrapper(*args):
+        calls.append(args)
+        return func(*args)
+
+    return wrapper, calls
+
+
+def double(x):
+    return 2 * x
+
+
 @pytest.mark.usefixtures("no_child_left")
 class TestRunExperiments:
-    """``run_experiments`` returns the serial list on any number of cores,
-    raises what the serial loop raises, and reaps every child."""
+    """``run_jobs`` of ``run_experiment`` jobs returns the serial list on any
+    number of cores, raises what the serial loop raises, and reaps every
+    child."""
 
     @pytest.mark.parametrize("cores", range(1, CORES + 1))
     def test_equals_the_serial_list(self, monkeypatch, cores):
         jobs = parallel_jobs()
         serial = [engine.run_experiment(t, c) for t, c in jobs]
         monkeypatch.setattr(engine, "_cores", lambda: cores)
-        assert engine.run_experiments(jobs) == serial
-        assert engine.run_experiments(iter(jobs)) == serial
-        assert engine.run_experiments(jobs[:1]) == serial[:1]
-        assert engine.run_experiments([]) == []
+        assert engine.run_jobs(runs(jobs)) == serial
+        assert engine.run_jobs(iter(runs(jobs))) == serial
+        assert engine.run_jobs(runs(jobs[:1])) == serial[:1]
+        assert engine.run_jobs([]) == []
 
     # index 0 is always in this process's share, index 1 in a child's
     # whenever there are two cores; two bad jobs raise the earlier one's error
@@ -409,32 +442,38 @@ class TestRunExperiments:
         assert serial == (ValueError, "unknown node id: 'missing-0'")
         for cores in range(1, CORES + 1):
             monkeypatch.setattr(engine, "_cores", lambda: cores)
-            assert outcome(lambda: engine.run_experiments(jobs)) == serial
+            assert outcome(lambda: engine.run_jobs(runs(jobs))) == serial
 
     @pytest.mark.skipif(CORES < 2, reason="needs a second core for a child")
     def test_a_child_that_dies_is_an_error(self, monkeypatch):
         monkeypatch.setattr(engine, "_child", lambda *args: os._exit(3))
         with pytest.raises(ChildProcessError, match="exited without its results"):
-            engine.run_experiments(parallel_jobs())
+            engine.run_jobs(runs(parallel_jobs()))
 
     def test_one_core_forks_nothing(self, monkeypatch):
         jobs = parallel_jobs()
         serial = [engine.run_experiment(t, c) for t, c in jobs]
         monkeypatch.setattr(engine, "_cores", lambda: 1)
         monkeypatch.setattr(os, "fork", refuse_to_fork)
-        assert engine.run_experiments(jobs) == serial
+        assert engine.run_jobs(runs(jobs)) == serial
 
+    # a tracer that wraps run_experiment records its calls in this process
+    # only, so every job must run here, whatever the stand-in is called
     def test_a_replaced_run_experiment_sees_every_job_here(self, monkeypatch):
-        # a tracer that wraps run_experiment records its calls in this
-        # process only, so every job must run here
         jobs = parallel_jobs()
         serial = [engine.run_experiment(t, c) for t, c in jobs]
-        calls, run = [], engine.run_experiment
-        monkeypatch.setattr(engine, "run_experiment", lambda *job: calls.append(job) or run(*job))
         monkeypatch.setattr(engine, "_cores", lambda: 2)
         monkeypatch.setattr(os, "fork", refuse_to_fork)
-        assert engine.run_experiments(jobs) == serial
-        assert len(calls) == len(jobs)
+        for stand_in in (lambda_stand_in, wraps_stand_in):
+            wrapper, calls = stand_in(run_experiment)
+            monkeypatch.setattr(engine, "run_experiment", wrapper)
+            assert engine.run_jobs(runs(jobs)) == serial
+            assert len(calls) == len(jobs)
+
+    def test_jobs_of_other_code_stay_here(self, monkeypatch):
+        monkeypatch.setattr(engine, "_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+        assert engine.run_jobs(partial(double, x) for x in range(5)) == [0, 2, 4, 6, 8]
 
 
 @pytest.mark.usefixtures("no_child_left")
@@ -481,15 +520,16 @@ class TestRunVerification:
         monkeypatch.setattr(os, "fork", refuse_to_fork)
         assert self.run(monkeypatch, 1) == serial
 
+    # a tracer that wraps the Monte Carlo records its call in this process
+    # only, so it must run here, whatever the stand-in is called
     def test_a_replaced_oracle_sees_its_call_here(self, monkeypatch):
-        # a tracer that wraps the Monte Carlo records its call in this
-        # process only, so it must run here
         serial = self.run(monkeypatch, 1)
-        calls, real = [], oracle.bit_level_frame_oracle
-        monkeypatch.setattr(oracle, "bit_level_frame_oracle", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(os, "fork", refuse_to_fork)
-        assert self.run(monkeypatch, 2) == serial
-        assert len(calls) == 1
+        for stand_in in (lambda_stand_in, wraps_stand_in):
+            wrapper, calls = stand_in(bit_level_frame_oracle)
+            monkeypatch.setattr(oracle, "bit_level_frame_oracle", wrapper)
+            assert self.run(monkeypatch, 2) == serial
+            assert len(calls) == 1
 
 
 class TestHelpers:
