@@ -15,9 +15,10 @@ Conventions
 * ``expected_retransmissions`` excludes the first attempt: a per-attempt
   failure probability f costs f / (1 - f) extra transmissions.
 * The closed forms are total over their domain: a forwarder set that no
-  member can receive from costs ``inf``, and a certain failure (f = 1)
-  needs ``inf`` retransmissions.  Only ``network_path_costs`` refuses such
-  a set, because a node's cost must be finite to enter the next node's set.
+  member can receive from, the empty set included, costs ``inf`` with
+  overhead 0, and a certain failure (f = 1) needs ``inf`` retransmissions.
+  Only ``network_path_costs`` refuses such a set, because a node's cost
+  must be finite to enter the next node's set.
 
 Floating-point policy: probabilities are computed in double precision and
 ``(1 - p) ** n`` switches to ``exp(n * log1p(-p))`` only in the
@@ -53,11 +54,8 @@ def _ber_value(p: float | BitErrorRate) -> float:
 
 
 def _survival_power(p: float, n: int) -> float:
-    """(1 - p) ** n under the module's floating-point policy."""
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
+    """(1 - p) ** n under the module's floating-point policy; exactly 1.0
+    at p = 0 and 0.0 at p = 1."""
     if n * p < 1e-8:
         return math.exp(n * math.log1p(-p))
     return (1.0 - p) ** n
@@ -121,19 +119,13 @@ def reception_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: flo
     """
     p = _ber_value(p)
     p_sw = model._probability("p_sw", p_sw)
-    return (
-        p_sw
-        * (1.0 - preamble_miss_probability(p, frame))
-        * _survival_power(p, frame.data_frame_bits)
-    )
+    return p_sw * (1.0 - _preamble_miss(p, frame)) * _survival_power(p, frame.data_frame_bits)
 
 
 def _election(forwarder_set: ForwarderSet) -> tuple[float, float]:
-    """One transmission to a non-empty set, members in canonical order:
-    the probability that no member receives, and the sum over members of
-    p_b * Y_b * prod_(earlier r) (1 - p_r)."""
-    if len(forwarder_set) == 0:
-        raise ValueError("empty forwarder set")
+    """One transmission to a set, members in canonical order: the
+    probability that no member receives, and the sum over members of
+    p_b * Y_b * prod_(earlier r) (1 - p_r); (1.0, 0.0) for the empty set."""
     all_miss = 1.0
     elected_mass = 0.0
     for e in forwarder_set:
@@ -211,10 +203,7 @@ def network_path_costs(topology: Topology) -> PathCostTable:
 
 def set_failure_probability(forwarder_set: ForwarderSet) -> float:
     """Probability a single transmission reaches no member of the set."""
-    all_miss = 1.0
-    for e in forwarder_set:
-        all_miss *= 1.0 - e.p_link
-    return all_miss
+    return _election(forwarder_set)[0]
 
 
 def expected_retransmissions(failure: float) -> float:

@@ -671,7 +671,10 @@ def cmd_sweep(spec: RunSpec) -> str:
 
 def _write_output(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

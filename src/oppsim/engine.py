@@ -421,18 +421,18 @@ def run_jobs(jobs) -> list:
     """``[job() for job in jobs]``, with the jobs shared round-robin over
     the cores this process may run on.
 
-    This process runs jobs 0, k, 2k, ... (k = min(cores, len(jobs))); each
-    of k - 1 forked children runs its own share and sends back each job's
-    result or exception through a pipe with ``pickle``.  A child runs only
-    its jobs (pure Python or numpy's ``Generator``: no thread, lock or BLAS
-    call of the parent's is used after the fork) and leaves with
-    ``os._exit``.  Every job runs, also after a failure, and then the
-    earliest failing job's exception is raised, as the serial loop would;
-    no child outlives the call.  Jobs leave this process only if each is
-    the package's own code, a function defined in it or a ``partial`` of
-    one; a stand-in from elsewhere (a tracer's wrapper, a test's lambda)
-    is seen in this process only, so then, as on one core or for one job,
-    every job runs here.
+    This process runs jobs 0, k, 2k, ... (k = min(cores, len(jobs)), at
+    least 1); each of k - 1 forked children runs its own share and sends
+    back each job's result or exception through a pipe with ``pickle``.  A
+    child runs only its jobs (pure Python or numpy's ``Generator``: no
+    thread, lock or BLAS call of the parent's is used after the fork) and
+    leaves with ``os._exit``.  Every job runs, also after a failure and
+    also with k = 1, and then the earliest failing job's exception is
+    raised, as the serial loop would; no child outlives the call.  Jobs
+    leave this process only if each is the package's own code, a function
+    defined in it or a ``partial`` of one; a stand-in from elsewhere (a
+    tracer's wrapper, a test's lambda) is seen in this process only, so
+    then, as on one core or for one job, every job runs here.
 
     ``concurrent.futures.ProcessPoolExecutor`` on a fork context was tried
     in its place and measured slower and larger on a 2-core Xeon (Python
@@ -442,9 +442,7 @@ def run_jobs(jobs) -> list:
     0.1-0.2 MB here.
     """
     jobs = list(jobs)
-    k = min(_cores(), len(jobs)) if all(map(_package_code, jobs)) else 1
-    if k < 2:
-        return [job() for job in jobs]
+    k = max(1, min(_cores(), len(jobs))) if all(map(_package_code, jobs)) else 1
     outcomes = [None] * len(jobs)
     pids, pipes = [], []
     try:

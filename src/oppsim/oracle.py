@@ -57,14 +57,22 @@ def _election(candidates: list[tuple[float, float]]) -> tuple[float, float]:
         prob = 1.0
         for hit, (p, _) in zip(bits, candidates):
             prob *= p if hit else (1.0 - p)
-        if prob == 0.0:
-            continue
         if not any(bits):
             p_none += prob
             continue
         winner = next(i for i, hit in enumerate(bits) if hit)
         elected_mass += prob * candidates[winner][1]
     return p_none, elected_mass
+
+
+def _check_enumerable(n: int) -> None:
+    """Refuse a set size the enumeration cannot take."""
+    if n == 0:
+        raise ValueError("empty forwarder set")
+    if n > MAX_ENUMERATION_SIZE:
+        raise ValueError(
+            f"forwarder set of size {n} exceeds enumeration bound {MAX_ENUMERATION_SIZE}"
+        )
 
 
 def exact_single_hop(forwarder_set: ForwarderSet) -> SingleHopExact:
@@ -78,14 +86,7 @@ def exact_single_hop(forwarder_set: ForwarderSet) -> SingleHopExact:
     """
 
     entries = forwarder_set.entries
-    n = len(entries)
-    if n == 0:
-        raise ValueError("empty forwarder set")
-    if n > MAX_ENUMERATION_SIZE:
-        raise ValueError(
-            f"forwarder set of size {n} exceeds enumeration bound {MAX_ENUMERATION_SIZE}"
-        )
-
+    _check_enumerable(len(entries))
     p_none, elected_cost_mass = _election([(e.p_link, e.remaining_cost) for e in entries])
     p_some = 1.0 - p_none
     if p_some <= 0.0:
@@ -104,17 +105,11 @@ def exact_single_hop_batch(sets: Sequence[ForwarderSet]) -> tuple[np.ndarray, np
     ``expected_cost`` and ``overhead``, bit-identical to the scalar loop.
     Outcomes go in ``itertools.product`` order, probabilities multiply
     column by column, and ``np.cumsum`` adds the elected mass in sequence,
-    carried across blocks of at most ``_BATCH_CELLS`` (set, outcome) cells;
-    a zero-probability outcome adds +0.0 where the scalar loop skips it.
+    carried across blocks of at most ``_BATCH_CELLS`` (set, outcome) cells.
     Sets of mixed sizes make ragged arrays, which numpy rejects."""
 
     n = len(sets[0]) if sets else 1
-    if n == 0:
-        raise ValueError("empty forwarder set")
-    if n > MAX_ENUMERATION_SIZE:
-        raise ValueError(
-            f"forwarder set of size {n} exceeds enumeration bound {MAX_ENUMERATION_SIZE}"
-        )
+    _check_enumerable(n)
     p = np.array([[e.p_link for e in fs.entries] for fs in sets], dtype=float)
     y = np.array([[e.remaining_cost for e in fs.entries] for fs in sets], dtype=float)
     p_none, mass = np.empty(len(sets)), np.zeros(len(sets))

@@ -114,6 +114,11 @@ class TestFrameFactors:
         assert miss == pytest.approx(100 * p, rel=1e-6)
         assert miss > 0.0
 
+    @pytest.mark.parametrize("n", [1, 8, 100, 2**20])
+    def test_survival_power_endpoints_are_exact(self, n):
+        assert analysis._survival_power(0.0, n) == 1.0
+        assert analysis._survival_power(1.0, n) == 0.0
+
     def test_rejects_out_of_range_probability(self):
         with pytest.raises(ValueError):
             analysis.failure_probability(1.5, FRAME, 1.0)
@@ -215,6 +220,15 @@ class TestCoordinationOverhead:
         smaller = entries(*[(p, y)] * n)
         larger = entries(*[(p, y)] * (n + 1))
         assert analysis.coordination_overhead(larger) > analysis.coordination_overhead(smaller)
+
+
+def test_empty_set_is_total():
+    # the general forms, not a refusal: nobody can receive, nobody is elected
+    empty = ForwarderSet(())
+    assert analysis.total_path_cost(empty) == math.inf
+    assert analysis.coordination_overhead(empty) == 0.0
+    assert analysis.set_failure_probability(empty) == 1.0
+    assert analysis.expected_retransmissions(analysis.set_failure_probability(empty)) == math.inf
 
 
 class TestSetFailureAndRetries:

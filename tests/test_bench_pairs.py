@@ -74,6 +74,25 @@ def test_within_bound_follows_each_metrics_direction():
     assert better["run_s"]["within_bound"] and better["replications_per_s"]["within_bound"]
 
 
+def layers_of(parent_x_s, change_x_s):
+    """``summarise``'s ``layers`` entry for one layer timed over the pairs."""
+    runs = {side: {"w": [record(1.0)] * len(parent_x_s)} for side in ("parent", "change")}
+    layers = {"parent": [{"x_s": v} for v in parent_x_s], "change": [{"x_s": v} for v in change_x_s]}
+    return bench_pairs.summarise(runs, layers, BENCHMARK, None)["layers"]["x_s"]
+
+
+def test_a_layer_is_resolved_only_when_the_iqrs_are_disjoint():
+    # 30% apart with the parent's spread: IQRs [0.99, 1.01] and [0.69, 0.71]
+    apart = layers_of(PARENT_RUN_S, [v - 0.3 for v in PARENT_RUN_S])
+    assert apart["parent"]["median"] == pytest.approx(1.0)
+    assert apart["resolved"]
+    assert layers_of([v - 0.3 for v in PARENT_RUN_S], PARENT_RUN_S)["resolved"]
+    # medians 30% apart, but each side spread over the other's quartiles
+    noisy = [0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 1.0]
+    assert not layers_of(noisy, [v * 0.7 for v in noisy])["resolved"]
+    assert not layers_of(PARENT_RUN_S, PARENT_RUN_S)["resolved"]
+
+
 def claim_of(change_run_s):
     parent = [(v,) for v in PARENT_RUN_S]
     change = [(v,) for v in change_run_s]

@@ -791,6 +791,17 @@ class TestMainExitCodes:
         assert capsys.readouterr().out == ""
         assert dest.read_text().startswith("# seed=42")
 
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_unwritable_out_is_one_config_error(self, tmp_path, capsys, command):
+        dest = tmp_path / "missing" / "result.csv"
+        args = {"verify": ["--grid", "sizes=1", "--trials", "100"], "simulate": [write_cfg(tmp_path, STAR_CFG)]}
+        assert cli.main([command, *args[command], "--out", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write output {dest}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not dest.parent.exists()
+
     def test_simulate_same_bytes_through_main(self, tmp_path):
         cfg = write_cfg(tmp_path, STAR_CFG)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

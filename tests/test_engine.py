@@ -414,6 +414,10 @@ def double(x):
     return 2 * x
 
 
+def double_inverse(x):
+    return 2 / x
+
+
 @pytest.mark.usefixtures("no_child_left")
 class TestRunExperiments:
     """``run_jobs`` of ``run_experiment`` jobs returns the serial list on any
@@ -474,6 +478,15 @@ class TestRunExperiments:
         monkeypatch.setattr(engine, "_cores", lambda: 2)
         monkeypatch.setattr(os, "fork", refuse_to_fork)
         assert engine.run_jobs(partial(double, x) for x in range(5)) == [0, 2, 4, 6, 8]
+
+    # on one core every job still runs before the earliest error is raised
+    def test_one_core_runs_every_job_then_raises(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "_cores", lambda: 1)
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+        with pytest.raises(ZeroDivisionError):
+            engine.run_jobs([partial(double_inverse, 0), partial(calls.append, 1)])
+        assert calls == [1]
 
 
 @pytest.mark.usefixtures("no_child_left")

@@ -32,7 +32,10 @@ Per workload and end-to-end metric the output holds each side's q1, median
 and q3 of the benchmark's (scaled) value, the change's wins over the pairs
 (ties count for neither), the parent's interquartile range and the bound
 from ``BENCHMARK.json``; per workload also each side's raw (unscaled)
-run_s and setup_s medians and the median scale factor.  The file is
+run_s and setup_s medians and the median scale factor.  Per layer
+baseline it holds each side's q1, median and q3 and ``resolved``, true only
+when the two sides' interquartile ranges are disjoint; a layer that is not
+resolved shows no difference the pairs can tell apart.  The file is
 rewritten after every pair, so an interrupted run keeps what it measured.
 """
 
@@ -199,6 +202,13 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def resolved(sides: dict) -> dict:
+    """``sides`` (each side's quartiles) with ``resolved``: whether the two
+    interquartile ranges are disjoint, so that the pairs tell the sides apart."""
+    parent, change = sides["parent"], sides["change"]
+    return {**sides, "resolved": parent["q3"] < change["q1"] or change["q3"] < parent["q1"]}
+
+
 def wins(parent: list[float], change: list[float], better: str) -> int:
     sign = 1.0 if better == "lower" else -1.0
     return sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0.0)
@@ -265,10 +275,8 @@ def summarise(runs: dict, layers: dict, benchmark: dict, claim: str | None) -> d
 
     summary = {
         "workloads": workloads,
-        "layers": {
-            key: {s: quartiles([t[key] for t in layers[s]]) for s in SIDES}
-            for key in layers["parent"][0]
-        },
+        "layers": {key: resolved({s: quartiles([t[key] for t in layers[s]]) for s in SIDES})
+                   for key in layers["parent"][0]},
     }
     if claim:
         workload, metric = claim.split(":")
