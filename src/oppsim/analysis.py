@@ -17,8 +17,9 @@ Conventions
 * The closed forms are total over their domain: a forwarder set that no
   member can receive from, the empty set included, costs ``inf`` with
   overhead 0, and a certain failure (f = 1) needs ``inf`` retransmissions.
-  Only ``network_path_costs`` refuses such a set, because a node's cost
-  must be finite to enter the next node's set.
+  A node without upstream neighbours, the gateway among them, has the
+  empty set.  ``network_path_costs`` is the one refusal of such a set,
+  because a node's cost must be finite to enter the next node's set.
 
 Floating-point policy: probabilities are computed in double precision and
 ``(1 - p) ** n`` switches to ``exp(n * log1p(-p))`` only in the
@@ -41,10 +42,6 @@ from .model import (
     PathCostTable,
     Topology,
 )
-
-
-class DisconnectedNodeError(ValueError):
-    """Raised when a node has no forwarder toward the gateway."""
 
 
 def _ber_value(p: float | BitErrorRate) -> float:
@@ -165,9 +162,9 @@ def coordination_overhead(forwarder_set: ForwarderSet) -> float:
 def forwarder_entries(
     topology: Topology, node: NodeId, costs: Mapping[NodeId, float]
 ) -> ForwarderSet:
-    """Build a node's forwarder set: upstream neighbors (strictly smaller
-    hop id) with link_success probabilities under the evaluated channel."""
-    p_sw = model._probability("p_sw", topology.channel.evaluated.p_sw)
+    """A node's forwarder set: its upstream neighbors (strictly smaller hop id;
+    the set is empty without any) with link_success under the evaluated channel."""
+    p_sw = topology.channel.evaluated.p_sw
     frame = topology.frame
     entries = [
         ForwarderEntry(
@@ -177,8 +174,6 @@ def forwarder_entries(
         )
         for nbr in topology.upstream_neighbors(node)
     ]
-    if not entries:
-        raise DisconnectedNodeError(f"disconnected node: {node!r} has no upstream neighbor")
     return ForwarderSet(tuple(entries))
 
 
@@ -189,10 +184,7 @@ def network_path_costs(topology: Topology) -> PathCostTable:
     costs are already final when the node is processed; the gateway anchors
     the recursion at zero.
     """
-    order = sorted(
-        (n.id for n in topology.nodes if n.id != topology.gateway),
-        key=lambda nid: (topology.hop_id(nid), nid),
-    )
+    order = sorted(topology.non_gateway_ids(), key=lambda nid: (topology.hop_id(nid), nid))
     costs: dict[NodeId, float] = {topology.gateway: 0.0}
     for node in order:
         costs[node] = total_path_cost(forwarder_entries(topology, node, costs))

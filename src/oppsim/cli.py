@@ -61,10 +61,8 @@ def _fmt(value) -> str:
 
 def load_config(path: str | Path) -> dict:
     path = Path(path)
-    try:
+    with _config_errors(f"cannot read config {path}", OSError):
         text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -86,13 +84,13 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 @contextmanager
-def _config_errors(where: str):
-    """A ValueError raised inside, reported as a config error at ``where``."""
+def _config_errors(where: str, errors: type[Exception] = ValueError):
+    """An error of ``errors`` raised inside, reported as a config error at ``where``."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except errors as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -153,16 +151,6 @@ def _read_list(value, where: str, table: dict, build) -> list:
     return built
 
 
-def _defaults(target, table: dict) -> dict:
-    """The defaults that ``target``'s parameters give the table's keys."""
-    params = inspect.signature(target).parameters
-    return {
-        key: params[key].default
-        for key in table
-        if params[key].default is not inspect.Parameter.empty
-    }
-
-
 FRAME_FIELDS = {f.name: int for f in fields(FrameParams)}
 CHANNEL_FIELDS = {f.name: float for f in fields(Channel)}
 SIM_FIELDS = {
@@ -176,11 +164,7 @@ SIM_FIELDS = {
 }
 # the CLI runs 1000 receiver-based replications unless told otherwise;
 # every other sim key defaults as engine.SimConfig does
-SIM_DEFAULTS = {
-    **_defaults(engine.SimConfig, SIM_FIELDS),
-    "mode": "receiver_based",
-    "replications": 1000,
-}
+SIM_DEFAULTS = {"mode": "receiver_based", "replications": 1000}
 BER_KINDS = {
     "fixed": (topo.FixedBer, {"p": float}),
     "distance": (topo.DistanceBer, {"p_min": float, "p_max": float}),
@@ -197,7 +181,13 @@ def _kind_args(section: dict, where: str, kinds: dict, default_kind: str | None 
     if kind not in kinds:
         raise ConfigError(f"unknown {where}.kind {kind!r}")
     builder, table = kinds[kind]
-    return kind, {**_defaults(builder, table), **_read(section, where, table)}
+    params = inspect.signature(builder).parameters
+    defaults = {
+        key: params[key].default
+        for key in table
+        if params[key].default is not inspect.Parameter.empty
+    }
+    return kind, {**defaults, **_read(section, where, table)}
 
 
 def _generated_topology(
@@ -386,10 +376,8 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
     """Parse the line-oriented topology format and prepare its links
     (``topology.prepare``).  Parse failures name the offending line."""
     path = Path(path)
-    try:
+    with _config_errors(f"cannot read topology {path}", OSError):
         raw_lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read topology {path}: {exc}") from exc
 
     nodes: list[Node] = []
     edges: list[tuple[NodeId, NodeId, BitErrorRate]] = []
@@ -669,14 +657,24 @@ def cmd_sweep(spec: RunSpec) -> str:
 # ----------------------------------------------------------------- main --
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _output(out: str | None):
+    """``write(text)`` to stdout, or to ``out``, opened and emptied (as ``> out``
+    would) before the command runs, so an unwritable path fails before any work."""
+    if not out:
+        yield sys.stdout.write
+        return
+    failure = partial(_config_errors, f"cannot write output {out}", OSError)
+    with failure():
+        stream = open(out, "w")
+
+    def write(text: str) -> None:
+        with failure():
+            stream.write(text)
+            stream.close()
+
+    with stream:
+        yield write
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -704,12 +702,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             if args.trials < 1:
                 raise ConfigError("--trials must be >= 1")
-            report, code = verification.run_verification(args.grid, args.trials, args.seed)
-            _write_output(report, args.out)
-            return code
-        command = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sweep": cmd_sweep}
-        _write_output(command[args.command](read_spec(load_config(args.config))), args.out)
-        return 0
+            run = partial(verification.run_verification, args.grid, args.trials, args.seed)
+        else:
+            command = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sweep": cmd_sweep}
+            spec = read_spec(load_config(args.config))
+            run = lambda: (command[args.command](spec), 0)
+        with _output(args.out) as write:
+            text, code = run()
+            write(text)
+        return code
     except (ConfigError, verification.GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

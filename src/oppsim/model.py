@@ -260,21 +260,16 @@ class Topology:
         return {n.id: n for n in self.nodes}
 
     @cached_property
-    def _adjacency(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        nbrs: dict[NodeId, set[NodeId]] = {n.id: set() for n in self.nodes}
-        for a, b in self.links:
-            if a in nbrs and b in nbrs:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-        return {nid: tuple(sorted(ns)) for nid, ns in nbrs.items()}
-
-    @cached_property
     def _upstream(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        # each stored link, either direction, joins its nearer end to the
+        # farther end's candidates; a link to a non-node joins nothing
         hop = {nid: n.hop_id for nid, n in self._index.items()}
-        return {
-            nid: tuple(n for n in nbrs if hop[n] < hop[nid])
-            for nid, nbrs in self._adjacency.items()
-        }
+        upstream: dict[NodeId, set[NodeId]] = {nid: set() for nid in hop}
+        for a, b in self.links:
+            if a in hop and b in hop and hop[a] != hop[b]:
+                near, far = (a, b) if hop[a] < hop[b] else (b, a)
+                upstream[far].add(near)
+        return {nid: tuple(sorted(ns)) for nid, ns in upstream.items()}
 
     @cached_property
     def _non_gateway_ids(self) -> tuple[NodeId, ...]:
@@ -292,10 +287,6 @@ class Topology:
             return self._index[node_id]
         except KeyError:
             raise ValueError(f"unknown node id: {node_id!r}") from None
-
-    def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
-        self.node(node_id)
-        return self._adjacency.get(node_id, ())
 
     def upstream_neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Neighbors with a strictly smaller hop id, ascending by node id."""

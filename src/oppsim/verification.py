@@ -81,7 +81,9 @@ def _single_hop_checks(sizes, probs, costs):
     # grid first meets it, so a bad value fails where it always did
     entry = functools.cache(lambda node, pi, ci: ForwarderEntry(node, probs[pi], costs[ci]))
     for n in sizes:
-        points = product(product(range(len(probs)), repeat=n), product(range(len(costs)), repeat=n))
+        # nested loops: an outer product would first copy both inner ones whole
+        points = ((pis, cis) for pis in product(range(len(probs)), repeat=n)
+                  for cis in product(range(len(costs)), repeat=n))
         while block := list(islice(points, oracle.batch_sets(n))):
             sets = [ForwarderSet(tuple(map(entry, range(n), pis, cis))) for pis, cis in block]
             exact = [values.tolist() for values in oracle.exact_single_hop_batch(sets)]

@@ -312,21 +312,29 @@ class TestNetworkCosts:
         assert fs[0].p_link == pytest.approx(0.8, abs=1e-12)
         assert fs[0].remaining_cost == 0.0
 
-    def test_disconnected_node_raises(self):
+    def _disconnected(self):
         nodes = (
             Node(id=0, hop_id=0),
             Node(id=1, hop_id=1),
             Node(id=2, hop_id=2),
         )
-        topo = Topology(
+        return Topology(
             nodes=nodes,
             gateway=0,
             links={(0, 1): 0.01, (1, 0): 0.01},
             frame=DEFAULT_FRAME,
             channel=DEFAULT_CHANNEL,
         )
-        with pytest.raises(analysis.DisconnectedNodeError):
-            analysis.network_path_costs(topo)
+
+    def test_disconnected_node_raises(self):
+        # node 2's empty forwarder set costs inf: the cost solve's one refusal
+        with pytest.raises(ValueError, match=r"^unreachable forwarder set: every link probability is 0$"):
+            analysis.network_path_costs(self._disconnected())
+
+    def test_node_without_upstream_neighbors_has_the_empty_set(self):
+        assert analysis.forwarder_entries(self._disconnected(), 2, {0: 0.0, 1: 1.0}) == ForwarderSet(())
+        chain = chain_topology([0.8])
+        assert analysis.forwarder_entries(chain, chain.gateway, chain.costs) == ForwarderSet(())
 
 
 def costs_from_public_functions(t):

@@ -4,8 +4,10 @@ import hashlib
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -350,6 +352,35 @@ class TestSweepCommand:
         with pytest.raises(ConfigError, match="empty sweep"):
             cli.cmd_sweep(cli.read_spec(cfg))
 
+    @pytest.mark.parametrize("cfg", [
+        # the star's gateway as the source, at two switching probabilities
+        {"topology": {"kind": "star", "forwarders": 3, "p_link": 0.6},
+         "sim": {"replications": 50, "source": 0, "mode": "both"},
+         "sweep": {"parameter": "p_sw", "values": [0.7, 1.0]}},
+        # a one-node network, whose deepest node is its gateway
+        {"topology": {"kind": "generated", "nodes": 1}, "sim": {"replications": 50},
+         "sweep": {"parameter": "ber", "values": [0.0, 0.01]}},
+    ], ids=["star-p_sw-from-gateway", "one-node-ber"])
+    def test_sweep_from_the_gateway_is_a_defined_row(self, cfg):
+        # the empty forwarder set: no overhead, a certain failure, and the
+        # packet is delivered where it starts, as simulate reports it
+        lines = cli.cmd_sweep(cli.read_spec(cfg)).splitlines()
+        header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
+        assert len(rows) == len(cfg["sweep"]["values"]) * len(cli.read_spec(cfg).modes)
+        for cells in rows:
+            row = dict(zip(header, cells))
+            assert (row["analytic_overhead"], row["retransmissions"]) == ("0", "inf")
+            assert (row["pdr"], row["mean_transmissions"]) == ("1", "0")
+            point = {**cfg, "sim": {**cfg["sim"], "mode": row["mode"], "source": 0}}
+            if header[0] == "p_sw":
+                point["channel"] = {"channels": [{"p_sw": float(row["p_sw"])}]}
+            else:
+                point["topology"] = {**cfg["topology"], "ber": {"p": float(row["ber"])}}
+            simulated = cli.cmd_simulate(cli.read_spec(point)).splitlines()[-2:]
+            sim_row = dict(zip(*(l.split(",") for l in simulated)))
+            for column in ("pdr", "mean_duplicates", "mean_transmissions", "empirical_overhead"):
+                assert row[column] == sim_row[column]
+
     def test_forwarders_axis_needs_star(self):
         cfg = {
             "topology": {"kind": "chain", "link_success": [0.9]},
@@ -427,6 +458,34 @@ class TestVerifyCommand:
             "verify breach case=single-hop-grid probs=(0.0,) costs=(1.0,)"
             " quantity=cost closed=1 oracle=inf error=inf\n"
         ) in report
+
+    def test_grid_starts_in_bounded_memory(self):
+        # the grid's sets are generated one block at a time; holding every
+        # index tuple of size 8 first took about 47 MB
+        probs, costs = verification.DEFAULT_GRID["probs"], verification.DEFAULT_GRID["costs"]
+        tracemalloc.start()
+        try:
+            next(verification._single_hop_checks([8], probs, costs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_oversized_grid_is_refused_within_an_address_space_limit(self):
+        # size 21 is past the oracle's bound: the refusal comes at the first
+        # block, before the grid can exhaust memory
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "oppsim", "verify", "--grid", "sizes=21", "--trials", "100"],
+            preexec_fn=limit, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "validation error: forwarder set of size 21 exceeds enumeration bound 20\n"
 
 
 class TestSolveCounts:
@@ -801,6 +860,27 @@ class TestMainExitCodes:
         assert captured.err.startswith(f"config error: cannot write output {dest}: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not dest.parent.exists()
+
+    def test_out_is_opened_before_the_command_runs(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        real = engine.run_experiment
+        monkeypatch.setattr(engine, "run_experiment", lambda *a: runs.append(a) or real(*a))
+        cfg = write_cfg(tmp_path, STAR_CFG.replace("mode: receiver_based", "mode: both"))
+        dest = tmp_path / "missing" / "result.csv"
+        assert cli.main(["simulate", cfg, "--out", str(dest)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot write output {dest}: ")
+        assert runs == []
+        assert cli.main(["simulate", cfg, "--out", str(tmp_path / "result.csv")]) == 0
+        assert len(runs) == 2
+
+    def test_command_failing_after_the_open_leaves_an_empty_out(self, tmp_path, capsys):
+        # as ``> out`` would: the file is there, emptied, and nothing is in it
+        dest = tmp_path / "result.csv"
+        dest.write_text("stale\n")
+        cfg = write_cfg(tmp_path, STAR_CFG + "sweep: {parameter: forwarders, values: [0]}\n")
+        assert cli.main(["sweep", cfg, "--out", str(dest)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert dest.read_text() == ""
 
     def test_simulate_same_bytes_through_main(self, tmp_path):
         cfg = write_cfg(tmp_path, STAR_CFG)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppsim.analysis import network_path_costs
 from oppsim.model import (
@@ -122,7 +124,7 @@ def _prepared(topo):
 
 def test_topology_accessors():
     topo = _tiny_topology()
-    assert topo.neighbors(1) == (0, 2)
+    assert topo.upstream_neighbors(1) == (0,)
     assert topo.upstream_neighbors(2) == (1,)
     assert topo.upstream_neighbors(0) == ()
     assert topo.has_link(0, 1) and not topo.has_link(0, 2)
@@ -132,6 +134,30 @@ def test_topology_accessors():
     assert topo.non_gateway_ids() == (1, 2)
     with pytest.raises(ValueError, match=r"^unknown node id: 9$"):
         topo.upstream_neighbors(9)
+
+
+@st.composite
+def hand_built_links(draw):
+    """Hop ids for nodes 0..n-1 and a link map a hand-built topology may
+    hold: one-way links, and links to ids that are no node (n..n+1)."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    hops = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    end = st.integers(min_value=0, max_value=n + 1)
+    pairs = draw(st.lists(st.tuples(end, end).filter(lambda p: p[0] != p[1]), max_size=16))
+    return hops, {pair: 0.01 for pair in pairs}
+
+
+@settings(max_examples=100, deadline=None)
+@given(hand_built_links())
+def test_upstream_neighbors_are_the_nearer_ends_of_stored_links(drawn):
+    hops, links = drawn
+    nodes = tuple(Node(id=i, hop_id=h) for i, h in enumerate(hops))
+    topo = Topology(nodes=nodes, gateway=0, links=links, frame=make_frame(), channel=make_channel())
+    for i, hop in enumerate(hops):
+        # a stored link joins both ends whichever way it points
+        ends = {b for a, b in links if a == i} | {a for a, b in links if b == i}
+        expected = tuple(sorted(m for m in ends if m < len(hops) and hops[m] < hop))
+        assert topo.upstream_neighbors(i) == expected
 
 
 def test_compute_ranks_shares_neighbour_tables():

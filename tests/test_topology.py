@@ -466,8 +466,9 @@ def test_prepared_hop_ids_are_bfs_distances(drawn, string_ids):
     assert t.hop_id(t.gateway) == 0
     for node in t.nodes:
         if node.id != t.gateway:
-            # one neighbour a hop nearer, and none nearer still
-            assert min(t.hop_id(m) for m in t.neighbors(node.id)) == node.hop_id - 1
+            # one neighbour a hop nearer, and none nearer still; prepare
+            # stores every link both ways, so a node's own links reach them all
+            assert min(t.hop_id(b) for a, b in t.links if a == node.id) == node.hop_id - 1
     assert t.costs == analysis.network_path_costs(t)
 
 
