@@ -607,7 +607,10 @@ def cmd_sweep(spec: RunSpec) -> str:
         f"{axis},analytic_overhead,empirical_overhead,pdr,mean_duplicates,"
         "retransmissions,mean_transmissions,mode,seed,config"
     ]
-    # built and run one point at a time, so memory does not grow with the values
+    # every point is built before any run, so a point that fails to build
+    # fails first; the points' runs then go through one run_jobs call (one
+    # fork for the whole sweep), which holds every topology until it returns
+    columns, jobs = [], []
     for i, (value, point) in enumerate(zip(values, points)):
         if axis == "ber":
             with _config_errors(f"sweep.values[{i}]"):
@@ -632,8 +635,14 @@ def cmd_sweep(spec: RunSpec) -> str:
         analytic_overhead = analysis.coordination_overhead(analytic)
         failure = analysis.set_failure_probability(analytic)
         retries = analysis.expected_retransmissions(failure)
-        sims = (replace(spec.sim, mode=mode, source=source) for mode in spec.modes)
-        runs = engine.run_jobs(partial(engine.run_experiment, built, sim) for sim in sims)
+        columns.append((value, analytic_overhead, retries))
+        jobs += (partial(engine.run_experiment, built, replace(spec.sim, mode=mode, source=source))
+                 for mode in spec.modes)
+
+    # the jobs are point-major and mode-minor; zip takes the next mode before
+    # it takes a run, so each point takes exactly its own runs
+    runs = iter(engine.run_jobs(jobs))
+    for value, analytic_overhead, retries in columns:
         for mode, metrics in zip(spec.modes, runs):
             rows.append(
                 ",".join(

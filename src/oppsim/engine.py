@@ -48,9 +48,12 @@ always yields a byte-identical trace.
 Cores: when every job is the package's own code, ``run_jobs`` runs
 independent jobs (engine runs, or ``verify``'s per-bit Monte Carlo beside
 its grid) on the cores this process may run on (its CPU affinity), one
-forked process per extra core.  A job's result depends on its own inputs
-alone, so results are identical for any number of cores; ``taskset -c 0``
-runs them serially.
+forked process per extra core.  A command hands it all of its jobs in one
+call (``simulate`` its modes, ``sweep`` every point's modes), so it forks
+at most once per extra core: a fork, exit and wait of the 34 MB CLI
+process alone takes about 3 ms on a 2-core Xeon.  A job's result depends
+on its own inputs alone, so results are identical for any number of cores
+and any grouping of the jobs; ``taskset -c 0`` runs them serially.
 """
 
 from __future__ import annotations
@@ -432,7 +435,10 @@ def run_jobs(jobs) -> list:
     leave this process only if each is the package's own code, a function
     defined in it or a ``partial`` of one; a stand-in from elsewhere (a
     tracer's wrapper, a test's lambda) is seen in this process only, so
-    then, as on one core or for one job, every job runs here.
+    then, as on one core or for one job, every job runs here.  The jobs
+    (and what they hold, such as each sweep point's topology) live until
+    the call returns, so a caller passes all of its jobs in one call and
+    pays one fork per extra core, not one per group of jobs.
 
     ``concurrent.futures.ProcessPoolExecutor`` on a fork context was tried
     in its place and measured slower and larger on a 2-core Xeon (Python

@@ -80,11 +80,15 @@ def _single_hop_checks(sizes, probs, costs):
     # one validated entry per (node, prob index, cost index), built when the
     # grid first meets it, so a bad value fails where it always did
     entry = functools.cache(lambda node, pi, ci: ForwarderEntry(node, probs[pi], costs[ci]))
+    # a block's points share one tuple per cost-index combination; cleared
+    # per block, so it never holds more than one block's
+    shared = {}
     for n in sizes:
         # nested loops: an outer product would first copy both inner ones whole
-        points = ((pis, cis) for pis in product(range(len(probs)), repeat=n)
+        points = ((pis, shared.setdefault(cis, cis)) for pis in product(range(len(probs)), repeat=n)
                   for cis in product(range(len(costs)), repeat=n))
         while block := list(islice(points, oracle.batch_sets(n))):
+            shared.clear()
             sets = [ForwarderSet(tuple(map(entry, range(n), pis, cis))) for pis, cis in block]
             exact = [values.tolist() for values in oracle.exact_single_hop_batch(sets)]
             for (pis, cis), fs, exact_cost, exact_overhead in zip(block, sets, *exact):

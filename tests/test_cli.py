@@ -1,5 +1,4 @@
 import collections
-import gc
 import hashlib
 import math
 import os
@@ -8,7 +7,6 @@ import resource
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import pytest
@@ -638,6 +636,8 @@ class TestSweepPointErrors:
 
     @pytest.mark.parametrize("axis, values, message", [
         ("forwarders", "[1, 2, 2.5]", "topology.forwarders must be an integer, got 2.5"),
+        # a value that checks but fails to build: every point is built first
+        ("forwarders", "[1, 2, 0]", "topology: forwarders must be a positive integer, got 0"),
         ("ber", "[0.001, 0.01, 1.5]",
          "sweep.values[2]: bit error rate must be a probability in [0, 1], got 1.5"),
     ])
@@ -654,28 +654,63 @@ class TestSweepPointErrors:
         assert runs == []
 
 
-def test_a_sweep_holds_one_point_at_a_time(tmp_path, capsys, monkeypatch):
-    # each point is built, run and dropped before the next is built, so a
-    # sweep's memory does not grow with its number of values
-    topologies, run = [], engine.run_jobs
+class TestOneRunJobsCall:
+    """A sweep builds every point, then runs all of their engine runs
+    through one ``engine.run_jobs`` call, point-major and mode-minor."""
 
-    def one_point(jobs):
-        jobs = list(jobs)
-        gc.collect()
-        assert [t for t in topologies if t() is not None] == []
-        assert {id(job.args[0]) for job in jobs} == {id(jobs[0].args[0])}
-        topologies.append(weakref.ref(jobs[0].args[0]))
-        return run(jobs)
-
-    monkeypatch.setattr(engine, "run_jobs", one_point)
-    cfg = write_cfg(tmp_path, (
+    SWEEP = (
         "topology: {kind: star, forwarders: 2, p_link: 0.6}\n"
         "sim: {mode: both, replications: 10}\n"
-        "sweep: {parameter: ber, values: [0.001, 0.002, 0.003]}\n"
-    ))
-    assert cli.main(["sweep", cfg]) == 0
-    assert capsys.readouterr().out.count("\n") > 6
-    assert len(topologies) == 3
+        "sweep: {parameter: %s, values: %s}\n"
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, run = [], engine.run_jobs
+
+        def recorded(jobs):
+            calls.append(list(jobs))
+            return run(calls[-1])
+
+        monkeypatch.setattr(engine, "run_jobs", recorded)
+        return calls
+
+    @pytest.mark.parametrize("axis, values", [
+        ("forwarders", [1, 2, 3]), ("ber", [0.001, 0.002, 0.003]), ("p_sw", [0.6, 0.8, 1.0]),
+    ])
+    def test_one_call_with_its_jobs_in_row_order(self, tmp_path, capsys, calls, axis, values):
+        assert cli.main(["sweep", write_cfg(tmp_path, self.SWEEP % (axis, values))]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")][1:]
+        [jobs] = calls
+        assert all(job.func is engine.run_experiment for job in jobs)
+        assert [job.args[1].mode.value for job in jobs] == [row[7] for row in rows]
+        assert [row[0] for row in rows] == [cli._fmt(v) for v in values for _ in range(2)]
+        if axis == "forwarders":
+            assert [job.args[1].source for job in jobs] == [v + 1 for v in values for _ in range(2)]
+
+    def test_a_points_modes_share_one_topology(self, tmp_path, calls):
+        cfg = write_cfg(tmp_path, self.SWEEP % ("ber", [0.001, 0.002, 0.003]))
+        assert cli.main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 0
+        [jobs] = calls
+        topologies = [job.args[0] for job in jobs]
+        assert all(a is b for a, b in zip(topologies[0::2], topologies[1::2]))
+        assert len({id(t) for t in topologies}) == 3
+
+    @pytest.mark.parametrize("cores, forks", [(2, 1), (1, 0)])
+    def test_a_sweep_forks_once(self, tmp_path, monkeypatch, cores, forks):
+        counted, fork = [], os.fork
+
+        def counting_fork():
+            counted.append(None)
+            return fork()
+
+        monkeypatch.setattr(engine, "_cores", lambda: cores)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        cfg = write_cfg(tmp_path, self.SWEEP % ("forwarders", [1, 2, 3, 4, 5, 6]))
+        assert cli.main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(counted) == forks
+        assert (tmp_path / "out").read_text().count("\n") == 3 + 1 + 12
 
 
 class TestCores:
