@@ -46,14 +46,17 @@ earlier ones and a fixed (topology, config, replication_index) triple
 always yields a byte-identical trace.
 
 Cores: when every job is the package's own code, ``run_jobs`` runs
-independent jobs (engine runs, or ``verify``'s per-bit Monte Carlo beside
-its grid) on the cores this process may run on (its CPU affinity), one
-forked process per extra core.  A command hands it all of its jobs in one
-call (``simulate`` its modes, ``sweep`` every point's modes), so it forks
-at most once per extra core: a fork, exit and wait of the 34 MB CLI
-process alone takes about 3 ms on a 2-core Xeon.  A job's result depends
-on its own inputs alone, so results are identical for any number of cores
-and any grouping of the jobs; ``taskset -c 0`` runs them serially.
+independent jobs (engine runs, or ``verify``'s grid and the shards of its
+per-bit Monte Carlo) on the cores this process may run on (its CPU
+affinity), one forked process per extra core.  The processes claim the jobs
+one at a time from a shared pipe, so a core that finishes early takes more
+work instead of idling.  A command hands it all of its jobs in one call
+(``simulate`` its modes, ``sweep`` every point's modes), so it forks at
+most once per extra core: a fork, exit and wait of the 34 MB CLI process
+alone takes about 3 ms on a 2-core Xeon.  A job's result depends on its
+own inputs alone, so results are identical for any number of cores and
+any order in which the jobs are claimed; ``taskset -c 0`` runs them
+serially.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ import os
 import pickle
 import random
 import signal
+import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -408,12 +412,30 @@ def _outcome(job) -> tuple[bool, object]:
         return False, exc
 
 
-def _child(jobs: list, out) -> None:
-    """A forked worker's whole life: run its jobs, pickle their outcomes
-    into ``out``, and leave without unwinding the parent's stack."""
+# a claim is the (start, stop) index range of the jobs it stands for; at most
+# _CLAIMS of them (4 KiB) are written to the pipe before the fork, as much as
+# a fresh Linux pipe takes at once even when its user's pipe-buffer allowance
+# is spent, so that write cannot block
+_CLAIM = struct.Struct("=2I")
+_CLAIMS = 4096 // _CLAIM.size
+
+
+def _claimed(claims: int):
+    """The indices of the jobs this process claims from the pipe ``claims``,
+    one claim at a time, until no claim is left.  A read of at most
+    ``PIPE_BUF`` bytes from a pipe is atomic, so each claim goes to one
+    process."""
+    while claim := os.read(claims, _CLAIM.size):
+        yield from range(*_CLAIM.unpack(claim))
+
+
+def _child(jobs: list, claims: int, out) -> None:
+    """A forked worker's whole life: run the jobs it claims, pickle their
+    indices and outcomes into ``out``, and leave without unwinding the
+    parent's stack."""
     code = 1
     try:
-        pickle.dump([_outcome(job) for job in jobs], out)
+        pickle.dump([(i, _outcome(jobs[i])) for i in _claimed(claims)], out)
         out.flush()
         code = 0
     finally:
@@ -421,24 +443,30 @@ def _child(jobs: list, out) -> None:
 
 
 def run_jobs(jobs) -> list:
-    """``[job() for job in jobs]``, with the jobs shared round-robin over
-    the cores this process may run on.
+    """``[job() for job in jobs]``, with the jobs claimed one by one by the
+    processes on the cores this process may run on.
 
-    This process runs jobs 0, k, 2k, ... (k = min(cores, len(jobs)), at
-    least 1); each of k - 1 forked children runs its own share and sends
-    back each job's result or exception through a pipe with ``pickle``.  A
-    child runs only its jobs (pure Python or numpy's ``Generator``: no
-    thread, lock or BLAS call of the parent's is used after the fork) and
-    leaves with ``os._exit``.  Every job runs, also after a failure and
-    also with k = 1, and then the earliest failing job's exception is
-    raised, as the serial loop would; no child outlives the call.  Jobs
-    leave this process only if each is the package's own code, a function
-    defined in it or a ``partial`` of one; a stand-in from elsewhere (a
-    tracer's wrapper, a test's lambda) is seen in this process only, so
-    then, as on one core or for one job, every job runs here.  The jobs
-    (and what they hold, such as each sweep point's topology) live until
-    the call returns, so a caller passes all of its jobs in one call and
-    pays one fork per extra core, not one per group of jobs.
+    k = min(cores, len(jobs)) processes (at least 1) take part: this one
+    and k - 1 forked children.  Each claims the next unrun job from a pipe
+    they all read, runs it and claims again until none is left, so a
+    process that finishes early takes more work; with more jobs than
+    ``_CLAIMS`` one claim stands for a range of consecutive jobs.  A child
+    sends back the index and the result or exception of each job it ran
+    through a pipe with ``pickle``; a child that dies first, or sends back
+    fewer jobs than it claimed, is a ``ChildProcessError``.  A child runs
+    only jobs (pure Python or numpy's ``Generator``: no thread, lock or
+    BLAS call of the parent's is used after the fork) and leaves with
+    ``os._exit``.  Every job runs, also after a failure and also with
+    k = 1, and then the earliest failing job's exception is raised, as the
+    serial loop would; the results come back in job order, and no child
+    outlives the call.  Jobs leave this process only if each is the
+    package's own code, a function defined in it or a ``partial`` of one;
+    a stand-in from elsewhere (a tracer's wrapper, a test's lambda) is seen
+    in this process only, so then, as on one core or for one job, every job
+    runs here.  The jobs (and what they hold, such as each sweep point's
+    topology) live until the call returns, so a caller passes all of its
+    jobs in one call and pays one fork per extra core, not one per group
+    of jobs.
 
     ``concurrent.futures.ProcessPoolExecutor`` on a fork context was tried
     in its place and measured slower and larger on a 2-core Xeon (Python
@@ -449,29 +477,39 @@ def run_jobs(jobs) -> list:
     """
     jobs = list(jobs)
     k = max(1, min(_cores(), len(jobs))) if all(map(_package_code, jobs)) else 1
+    step = max(1, -(-len(jobs) // _CLAIMS))
+    claims, write = os.pipe()
+    os.write(write, b"".join(_CLAIM.pack(i, min(i + step, len(jobs)))
+                             for i in range(0, len(jobs), step)))
+    os.close(write)
     outcomes = [None] * len(jobs)
     pids, pipes = [], []
     try:
-        for w in range(1, k):
+        for _ in range(1, k):
             read, write = os.pipe()
             pipes.append(os.fdopen(read, "rb"))
             with os.fdopen(write, "wb") as out:
                 pid = os.fork()
                 if pid == 0:
-                    _child(jobs[w::k], out)
+                    _child(jobs, claims, out)
             pids.append(pid)
 
-        outcomes[::k] = map(_outcome, jobs[::k])
-        for w, (pid, pipe) in enumerate(zip(pids, pipes), 1):
+        for i in _claimed(claims):
+            outcomes[i] = _outcome(jobs[i])
+        for pid, pipe in zip(pids, pipes):
             try:
-                outcomes[w::k] = pickle.load(pipe)
+                for i, outcome in pickle.load(pipe):
+                    outcomes[i] = outcome
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(f"engine worker {pid} exited without its results") from None
+        if None in outcomes:
+            raise ChildProcessError(f"job {outcomes.index(None)} was claimed but sent back no result")
         for ok, value in outcomes:
             if not ok:
                 raise value
         return [value for _, value in outcomes]
     finally:
+        os.close(claims)
         for pipe in pipes:
             pipe.close()
         for pid in pids:

@@ -352,15 +352,17 @@ def validate(topology: Topology) -> list[Violation]:
         if a not in seen or b not in seen:
             violations.append(Violation("link-endpoints", f"link ({a!r}, {b!r}) references an unknown node"))
             continue
+        reverse = topology.links.get((b, a))
+        if reverse is not None and reverse.p == ber.p:
+            continue
+        # a mismatch shows from both directions: report the pair once
         pair = frozenset((a, b))
         if pair in reported_pairs:
             continue
-        reverse = topology.links.get((b, a))
+        reported_pairs.add(pair)
         if reverse is None:
-            reported_pairs.add(pair)
             violations.append(Violation("symmetry", f"link ({a!r}, {b!r}) has no reverse entry"))
-        elif reverse.p != ber.p:
-            reported_pairs.add(pair)
+        else:
             violations.append(
                 Violation(
                     "symmetry",

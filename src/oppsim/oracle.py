@@ -24,7 +24,7 @@ MAX_FORWARDERS_PER_HOP = 2
 MAX_STATE_SPACE = 64
 
 _MC_CHUNK = 65536
-_MC_ROWS = 4096
+_MC_ROWS = 512
 # (sets x outcomes) cells in one block of the batch enumeration
 _BATCH_CELLS = 1 << 16
 
@@ -217,19 +217,49 @@ class FrameMissEstimates:
     decoded: float
     trials: int
 
+    @classmethod
+    def from_counts(cls, preamble: int, data: int, joint: int, trials: int) -> "FrameMissEstimates":
+        """The estimates of ``trials`` trials with these miss counts."""
+        return cls(
+            preamble_miss=preamble / trials,
+            data_miss=data / trials,
+            joint_miss=joint / trials,
+            decoded=(trials - preamble - data + joint) / trials,
+            trials=trials,
+        )
 
-def _any_bit_errored(rng: np.random.Generator, frames: int, bits: int, p: float) -> np.ndarray:
+    @property
+    def counts(self) -> tuple[int, int, int]:
+        """The preamble, data and joint miss counts.  Each frequency is its
+        count over ``trials``, correctly rounded, so times ``trials`` it is
+        within one part in 2**51 of the count and rounds back to it."""
+        return tuple(round(f * self.trials)
+                     for f in (self.preamble_miss, self.data_miss, self.joint_miss))
+
+    @classmethod
+    def pooled(cls, shards: Sequence["FrameMissEstimates"]) -> "FrameMissEstimates":
+        """One run's estimates from those of its shards: their summed miss
+        counts over their summed trials, so equal to the run's own."""
+        return cls.from_counts(*map(sum, zip(*(s.counts for s in shards))),
+                               sum(s.trials for s in shards))
+
+
+def _any_bit_errored(rng: np.random.Generator, frames: int, bits: int, p: float,
+                     uniforms: np.ndarray) -> np.ndarray:
     """Per frame of ``bits`` bits, whether any bit errored, drawn ``_MC_ROWS``
-    frames at a time: the same numbers as one ``(frames, bits)`` draw."""
+    frames at a time into the buffer ``uniforms``: the same numbers as one
+    ``(frames, bits)`` draw."""
     errored = np.empty(frames, dtype=bool)
     for lo in range(0, frames, _MC_ROWS):
-        hi = min(lo + _MC_ROWS, frames)
-        errored[lo:hi] = (rng.random((hi - lo, bits)) < p).any(axis=1)
+        rows = min(_MC_ROWS, frames - lo)
+        block = uniforms[: rows * bits].reshape(rows, bits)
+        rng.random(out=block)
+        errored[lo : lo + rows] = (block < p).any(axis=1)
     return errored
 
 
 def bit_level_frame_oracle(
-    p: float, frame: FrameParams, trials: int, seed: int
+    p: float, frame: FrameParams, trials: int, seed: int, first: int = 0, total: int | None = None
 ) -> FrameMissEstimates:
     """Simulate individual bit errors for every micro-frame and the data
     frame of ``trials`` independent transmissions.
@@ -237,6 +267,15 @@ def bit_level_frame_oracle(
     A micro-frame decodes iff none of its bits errored; the preamble is
     missed iff every micro-frame failed; the data frame is missed iff any
     of its bits errored.  Estimates come back as plain frequencies.
+
+    The draws, one uniform per bit from ``PCG64(seed)``, go in chunks of
+    ``_MC_CHUNK`` trials (the last one shorter): per chunk, every trial's
+    first micro-frame, then every trial's second, and so on, then every
+    data frame.  ``first`` and ``total`` make the call one shard of a run
+    of ``total`` trials: its trials are the run's trials ``first`` to
+    ``first + trials - 1``, and the generator jumps (``PCG64.advance``) to
+    the very numbers the run draws for them, so the shards' counts add up
+    to the run's (``FrameMissEstimates.pooled``).
     """
 
     p = float(p)
@@ -244,31 +283,33 @@ def bit_level_frame_oracle(
         raise ValueError(f"bit error probability must be in [0, 1], got {p!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
+    total = first + trials if total is None else total
+    if not 0 <= first <= total - trials:
+        raise ValueError(f"trials {first} to {first + trials - 1} are not in a run of {total}")
 
-    rng = np.random.default_rng(seed)
-    m = frame.micro_frame_bits
-    r_m = frame.preamble_frames
-    d = frame.data_frame_bits
+    stream = np.random.PCG64(seed)
+    rng = np.random.Generator(stream)
+    # bits per frame, in a chunk's draw order
+    frames = [frame.micro_frame_bits] * frame.preamble_frames + [frame.data_frame_bits]
+    uniforms = np.empty(_MC_ROWS * max(frames))
 
-    preamble_missed = 0
-    data_missed = 0
-    joint_missed = 0
-    remaining = trials
-    while remaining > 0:
-        chunk = min(remaining, _MC_CHUNK)
-        all_micro_failed = np.ones(chunk, dtype=bool)
-        for _ in range(r_m):
-            all_micro_failed &= _any_bit_errored(rng, chunk, m, p)
-        data_failed = _any_bit_errored(rng, chunk, d, p)
+    end = first + trials
+    drawn = 0  # the stream position: uniforms drawn or jumped over
+    preamble_missed = data_missed = joint_missed = 0
+    for start in range(first - first % _MC_CHUNK, end, _MC_CHUNK):
+        chunk = min(total - start, _MC_CHUNK)
+        lo, hi = max(first, start) - start, min(end, start + chunk) - start
+        at = start * sum(frames)  # where this chunk's first frame block starts
+        errored = []
+        for bits in frames:
+            stream.advance(at + lo * bits - drawn)
+            errored.append(_any_bit_errored(rng, hi - lo, bits, p, uniforms))
+            drawn = at + hi * bits
+            at += chunk * bits
+        all_micro_failed = np.logical_and.reduce(errored[:-1])
+        data_failed = errored[-1]
         preamble_missed += int(all_micro_failed.sum())
         data_missed += int(data_failed.sum())
         joint_missed += int((all_micro_failed & data_failed).sum())
-        remaining -= chunk
 
-    return FrameMissEstimates(
-        preamble_miss=preamble_missed / trials,
-        data_miss=data_missed / trials,
-        joint_miss=joint_missed / trials,
-        decoded=(trials - preamble_missed - data_missed + joint_missed) / trials,
-        trials=trials,
-    )
+    return FrameMissEstimates.from_counts(preamble_missed, data_missed, joint_missed, trials)

@@ -8,6 +8,8 @@ exist to catch implementation drift, not to re-verify the closed forms
 import functools
 import math
 import os
+import pickle
+import select
 from dataclasses import replace
 from functools import partial
 
@@ -434,8 +436,8 @@ class TestRunExperiments:
         assert engine.run_jobs(runs(jobs[:1])) == serial[:1]
         assert engine.run_jobs([]) == []
 
-    # index 0 is always in this process's share, index 1 in a child's
-    # whenever there are two cores; two bad jobs raise the earlier one's error
+    # whichever process claims a bad job, the serial error is raised; two
+    # bad jobs raise the earlier one's error
     @pytest.mark.parametrize("bad", [(0,), (1,), (1, 2), (2, 3), (3, 4)])
     def test_a_failing_job_raises_the_serial_error(self, monkeypatch, bad):
         jobs = parallel_jobs()
@@ -453,6 +455,51 @@ class TestRunExperiments:
         monkeypatch.setattr(engine, "_child", lambda *args: os._exit(3))
         with pytest.raises(ChildProcessError, match="exited without its results"):
             engine.run_jobs(runs(parallel_jobs()))
+
+    # a child that claims a job and leaves without its result, or sends back
+    # no result for it, fails the call instead of leaving a hole in the list;
+    # this process claims only once the child has its job
+    @pytest.mark.skipif(CORES < 2, reason="needs a second core for a child")
+    @pytest.mark.parametrize("send, error", [
+        (False, "exited without its results"),
+        (True, "job 0 was claimed but sent back no result"),
+    ])
+    def test_a_child_that_drops_a_claimed_job_is_an_error(self, monkeypatch, send, error):
+        claimed = engine._claimed
+        ready, claimed_one = os.pipe()
+
+        def claim_one(jobs, claims, out):
+            try:
+                next(claimed(claims))
+                os.write(claimed_one, b"x")
+                if send:
+                    pickle.dump([], out)
+                    out.flush()
+            finally:
+                os._exit(0 if send else 3)
+
+        def claimed_after_the_child(claims):
+            assert select.select([ready], [], [], 30)[0]
+            return claimed(claims)
+
+        monkeypatch.setattr(engine, "_cores", lambda: 2)
+        monkeypatch.setattr(engine, "_child", claim_one)
+        monkeypatch.setattr(engine, "_claimed", claimed_after_the_child)
+        try:
+            with pytest.raises(ChildProcessError, match=error):
+                engine.run_jobs(runs(parallel_jobs()))
+        finally:
+            os.close(ready)
+            os.close(claimed_one)
+
+    # more jobs than claims fit in a pipe: one claim stands for a range; a
+    # claim lost or left unanswered by any of 4 processes fails the call
+    def test_more_jobs_than_claims(self, monkeypatch):
+        jobs = [partial(engine.replication_seed, 0, i) for i in range(20_000)]
+        serial = [job() for job in jobs]
+        for cores in (1, 2, 4):
+            monkeypatch.setattr(engine, "_cores", lambda: cores)
+            assert engine.run_jobs(jobs) == serial
 
     def test_one_core_forks_nothing(self, monkeypatch):
         jobs = parallel_jobs()
@@ -491,9 +538,10 @@ class TestRunExperiments:
 
 @pytest.mark.usefixtures("no_child_left")
 class TestRunVerification:
-    """``run_verification`` runs its per-bit Monte Carlo in a forked child
-    beside the grid, through ``run_jobs``: the report and the error are the
-    serial ones on any number of cores, and every child is reaped."""
+    """``run_verification`` hands ``run_jobs`` its grid and the shards of
+    its per-bit Monte Carlo, which the cores claim: the report and the
+    error are the serial ones on any number of cores, and every child is
+    reaped."""
 
     GRID = "sizes=1-3;probs=0,0.5,1;costs=0,1"
 
@@ -510,14 +558,15 @@ class TestRunVerification:
         serial = self.run(monkeypatch, 1, grid=None, seed=2)
         assert self.run(monkeypatch, cores, grid=None, seed=2) == serial
 
-    # the grid runs in this process, the Monte Carlo in a child whenever
-    # there are two cores; a bad grid value still wins over a Monte Carlo
-    # error, as in the serial run
+    # whichever process claims the grid or a shard, a bad grid value still
+    # wins over a Monte Carlo error, as in the serial run; fewer than one
+    # trial is still one shard, which refuses it
     @pytest.mark.parametrize("kw, error", [
         ({"grid": "probs=1.5"}, "p_link must be a probability in [0, 1], got 1.5"),
         ({"seed": -1}, "expected non-negative integer"),
         ({"trials": 0}, "trials must be >= 1, got 0"),
         ({"grid": "probs=1.5", "seed": -1}, "p_link must be a probability in [0, 1], got 1.5"),
+        ({"trials": -3}, "trials must be >= 1, got -3"),
     ])
     def test_a_failing_job_raises_the_serial_error(self, monkeypatch, kw, error):
         assert self.run(monkeypatch, 1, **kw) == (ValueError, error)
@@ -533,8 +582,9 @@ class TestRunVerification:
         monkeypatch.setattr(os, "fork", refuse_to_fork)
         assert self.run(monkeypatch, 1) == serial
 
-    # a tracer that wraps the Monte Carlo records its call in this process
-    # only, so it must run here, whatever the stand-in is called
+    # a tracer that wraps the Monte Carlo records its calls in this process
+    # only, so they must run here, whatever the stand-in is called: one call
+    # per shard, the 20,000 trials as 16,384 and 3,616
     def test_a_replaced_oracle_sees_its_call_here(self, monkeypatch):
         serial = self.run(monkeypatch, 1)
         monkeypatch.setattr(os, "fork", refuse_to_fork)
@@ -542,7 +592,7 @@ class TestRunVerification:
             wrapper, calls = stand_in(bit_level_frame_oracle)
             monkeypatch.setattr(oracle, "bit_level_frame_oracle", wrapper)
             assert self.run(monkeypatch, 2) == serial
-            assert len(calls) == 1
+            assert [args[2:] for args in calls] == [(16_384, 5, 0, 20_000), (3_616, 5, 16_384, 20_000)]
 
 
 class TestHelpers:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oppsim import model
 from oppsim.analysis import network_path_costs
 from oppsim.model import (
     BitErrorRate,
@@ -201,6 +202,53 @@ def test_validate_reports_asymmetric_link_once():
     topo = _tiny_topology(links={(0, 1): 0.01, (1, 0): 0.01, (1, 2): 0.01})
     codes = [v.code for v in validate(topo)]
     assert codes.count("symmetry") == 1
+
+
+def counted_pairs(monkeypatch):
+    """The pairs ``validate`` builds, recorded by a stand-in ``frozenset``."""
+    built = []
+
+    def pair(items):
+        built.append(frozenset(items))
+        return built[-1]
+
+    monkeypatch.setattr(model, "frozenset", pair, raising=False)
+    return built
+
+
+def symmetry_messages(topo):
+    return [v.message for v in validate(topo) if v.code == "symmetry"]
+
+
+class TestValidateSymmetry:
+    """A pair is built only for a link that breaks symmetry, and each
+    broken pair is reported once, in link order."""
+
+    def test_symmetric_links_build_no_pair(self, monkeypatch):
+        built = counted_pairs(monkeypatch)
+        assert validate(_tiny_topology()) == []
+        assert built == []
+
+    def test_missing_reverse(self, monkeypatch):
+        built = counted_pairs(monkeypatch)
+        topo = _tiny_topology(links={(0, 1): 0.01, (1, 0): 0.01, (1, 2): 0.01})
+        assert symmetry_messages(topo) == ["link (1, 2) has no reverse entry"]
+        assert built == [frozenset((1, 2))]
+
+    def test_mismatch_in_both_directions_is_reported_once(self, monkeypatch):
+        built = counted_pairs(monkeypatch)
+        links = {(0, 1): 0.01, (1, 2): 0.02, (1, 0): 0.01, (2, 1): 0.03}
+        assert symmetry_messages(_tiny_topology(links=links)) == [
+            "link (1, 2) bit error rate 0.02 != reverse 0.03"
+        ]
+        assert built == [frozenset((1, 2))] * 2
+
+    def test_violations_keep_link_order(self):
+        links = {(2, 1): 0.03, (0, 1): 0.01, (1, 0): 0.01, (2, 0): 0.01, (1, 2): 0.02}
+        assert symmetry_messages(_tiny_topology(links=links)) == [
+            "link (2, 1) bit error rate 0.03 != reverse 0.02",
+            "link (2, 0) has no reverse entry",
+        ]
 
 
 def test_validate_reports_disconnected_node():

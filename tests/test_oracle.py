@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppsim import analysis, oracle, topology as topo
+from oppsim import analysis, oracle, topology as topo, verification
 from oppsim.model import ForwarderEntry, ForwarderSet, FrameParams
 
 
@@ -235,3 +235,32 @@ def test_row_blocks_draw_the_whole_chunk_stream(p, seed):
             decoded=(trials - preamble - data + joint) / trials,
             trials=trials,
         )
+
+
+def shard_counts(p, frame, trials, seed, shard):
+    """The miss counts of ``trials`` trials summed over shards of ``shard``
+    consecutive trials, each its own ``bit_level_frame_oracle`` call."""
+    parts = [
+        oracle.bit_level_frame_oracle(p, frame, min(shard, trials - first), seed, first, trials)
+        for first in range(0, trials, shard)
+    ]
+    assert sum(part.trials for part in parts) == trials
+    return tuple(map(sum, zip(*(part.counts for part in parts)))), oracle.FrameMissEstimates.pooled(parts)
+
+
+# trial counts on the row-block and chunk edges; verify's shards stay inside
+# a chunk, shards of 5,000 trials cross the chunk edges
+@pytest.mark.parametrize("p", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("shard", [verification._MC_SHARD, 5_000])
+def test_shards_add_up_to_the_serial_run(p, shard):
+    frame = topo.DEFAULT_FRAME
+    for trials in (1, 511, 513, 1023, 1024, 65535, 65536, 65537, 200_000):
+        counts, pooled = shard_counts(p, frame, trials, 7, shard)
+        assert counts == whole_chunk_oracle(p, frame, trials, 7)
+        assert pooled == oracle.bit_level_frame_oracle(p, frame, trials, 7)
+
+
+@pytest.mark.parametrize("first, trials, total", [(-1, 10, 20), (11, 10, 20), (0, 21, 20)])
+def test_a_shard_outside_its_run_is_refused(first, trials, total):
+    with pytest.raises(ValueError, match="not in a run of 20"):
+        oracle.bit_level_frame_oracle(0.01, topo.DEFAULT_FRAME, trials, 0, first, total)
