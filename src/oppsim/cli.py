@@ -3,10 +3,11 @@
 Configs are YAML mappings (the one supported dialect; see README for the
 schema).  ``read_spec`` reads a config once, section by section, into the
 frozen ``RunSpec`` that every command runs from; a sweep point is that
-spec with its swept field replaced.  Tables come out as CSV with
-``#``-prefixed provenance comments; reports come out as
-one-record-per-line ``key=value`` text.  Every record carries the seed and
-a short config digest so any row can be reproduced from the file alone.
+spec with its swept field replaced.  Every output line comes from one of
+two writers: ``_table`` writes ``simulate``'s and ``sweep``'s CSV, after
+``#``-prefixed provenance comments, and ``cmd_analyze``'s ``record`` one
+``key=value`` record per line.  Every row and record ends in the seed and
+a short config digest, so it can be reproduced from the file alone.
 
 Exit codes: 0 success, 1 validation or config error, 2 verification
 failure.
@@ -18,6 +19,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
@@ -52,11 +54,17 @@ class ConfigError(ValueError):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    return format(value, ".12g") if isinstance(value, float) else str(value)
+
+
+class _Loader(yaml.SafeLoader):
+    """Reads an exponent float (``6e-1``, ``5e3``, ``1.0e3``) as YAML 1.2 does, as a number, not a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"),
+)
 
 
 def load_config(path: str | Path) -> dict:
@@ -64,7 +72,7 @@ def load_config(path: str | Path) -> dict:
     with _config_errors(f"cannot read config {path}", OSError):
         text = path.read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if raw is None:
@@ -442,12 +450,21 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
 # -------------------------------------------------------------- emission --
 
 
-def _csv_preamble(seed: int, digest: str) -> list[str]:
-    return [
-        f"# seed={seed}",
-        f"# config={digest}",
-        f"# retransmissions_convention={RETRY_CONVENTION} (f / (1 - f); the first attempt is not a retry)",
-    ]
+def _table(spec: RunSpec, header, rows) -> str:
+    """A CSV table: the provenance comments, the header, then each row's
+    values followed by the seed and the config digest."""
+    lines = [f"# seed={spec.sim.seed}", f"# config={spec.digest}",
+             f"# retransmissions_convention={RETRY_CONVENTION} (f / (1 - f); the first attempt is not a retry)",
+             ",".join([*header, "seed", "config"])]
+    lines += (",".join(_fmt(v) for v in (*row, spec.sim.seed, spec.digest)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _set_columns(fs: ForwarderSet) -> dict:
+    """A candidate set's closed-form overhead, failure and retransmissions."""
+    failure = analysis.set_failure_probability(fs)
+    retransmissions = analysis.expected_retransmissions(failure)
+    return {"overhead": analysis.coordination_overhead(fs), "failure": failure, "retransmissions": retransmissions}
 
 
 # ------------------------------------------------------------- analyze --
@@ -455,58 +472,35 @@ def _csv_preamble(seed: int, digest: str) -> list[str]:
 
 def cmd_analyze(spec: RunSpec) -> str:
     frame, channel = spec.frame, spec.channel
-    suffix = f"seed={spec.sim.seed} config={spec.digest} retransmissions_convention={RETRY_CONVENTION}"
     lines: list[str] = []
 
+    def record(kind: str, **values) -> None:
+        """One ``key=value`` line, ending in the run's provenance."""
+        values.update(seed=spec.sim.seed, config=spec.digest, retransmissions_convention=RETRY_CONVENTION)
+        lines.append(" ".join([kind, *(f"{key}={_fmt(v)}" for key, v in values.items())]))
+
     for i, fs in enumerate(parse_forwarder_sets(spec.written)):
-        failure = analysis.set_failure_probability(fs)
-        lines.append(
-            f"set index={i} size={len(fs)}"
-            f" cost={_fmt(analysis.total_path_cost(fs))}"
-            f" overhead={_fmt(analysis.coordination_overhead(fs))}"
-            f" failure={_fmt(failure)} retransmissions={_fmt(analysis.expected_retransmissions(failure))} {suffix}"
-        )
+        record("set", index=i, size=len(fs), cost=analysis.total_path_cost(fs), **_set_columns(fs))
 
     if "topology" in spec.written:
-        topology_obj = spec.build()
+        t = spec.build()
         p_sw = channel.evaluated.p_sw
-        lines.append(
-            f"topology nodes={len(topology_obj.nodes)}"
-            f" links={len(topology_obj.links) // 2} gateway={topology_obj.gateway} {suffix}"
-        )
-        for a, b in _undirected_links(topology_obj):
-            ber = topology_obj.ber(a, b)
-            lines.append(
-                f"link a={a} b={b} ber={_fmt(ber)}"
-                f" preamble_miss={_fmt(analysis.preamble_miss_probability(ber, frame))}"
-                f" data_miss={_fmt(analysis.data_miss_probability(ber, frame))}"
-                f" failure={_fmt(analysis.failure_probability(ber, frame, p_sw))}"
-                f" success={_fmt(analysis.link_success(ber, frame, p_sw))} {suffix}"
-            )
-        for node in topology_obj.nodes:
-            base = (
-                f"node id={node.id} hop_id={node.hop_id} rank={_fmt(topology_obj.rank(node.id))}"
-                f" cost={_fmt(topology_obj.costs[node.id])}"
-            )
-            if node.id != topology_obj.gateway:
-                fs = analysis.forwarder_entries(topology_obj, node.id, topology_obj.costs)
-                failure = analysis.set_failure_probability(fs)
-                base += (
-                    f" overhead={_fmt(analysis.coordination_overhead(fs))}"
-                    f" failure={_fmt(failure)} retransmissions={_fmt(analysis.expected_retransmissions(failure))}"
-                )
-            base += (
-                f" hop_distance_gateway={topo.hop_distance(topology_obj, node.id, topology_obj.gateway)}"
-                f" rank_distance_gateway={_fmt(topo.rank_difference_distance(topology_obj, node.id, topology_obj.gateway))}"
-            )
-            lines.append(base + f" {suffix}")
+        record("topology", nodes=len(t.nodes), links=len(t.links) // 2, gateway=t.gateway)
+        for a, b in _undirected_links(t):
+            ber = t.ber(a, b)
+            record("link", a=a, b=b, ber=ber, preamble_miss=analysis.preamble_miss_probability(ber, frame),
+                   data_miss=analysis.data_miss_probability(ber, frame),
+                   failure=analysis.failure_probability(ber, frame, p_sw),
+                   success=analysis.link_success(ber, frame, p_sw))
+        for node in t.nodes:
+            closed = {} if node.id == t.gateway else _set_columns(analysis.forwarder_entries(t, node.id, t.costs))
+            record("node", id=node.id, hop_id=node.hop_id, rank=t.rank(node.id), cost=t.costs[node.id], **closed,
+                   hop_distance_gateway=topo.hop_distance(t, node.id, t.gateway),
+                   rank_distance_gateway=topo.rank_difference_distance(t, node.id, t.gateway))
         for i, ch in enumerate(channel.channels):
-            lines.append(
-                f"channel index={i} p_sw={_fmt(ch.p_sw)} p_acc={_fmt(ch.p_acc)}"
-                f" bandwidth_hz={_fmt(ch.bandwidth_hz)}"
-                f" potential_bandwidth_hz={_fmt(analysis.potential_bandwidth(ch.p_acc, ch.bandwidth_hz))}"
-                f" noise_power={_fmt(channel.noise_power)} {suffix}"
-            )
+            record("channel", index=i, p_sw=ch.p_sw, p_acc=ch.p_acc, bandwidth_hz=ch.bandwidth_hz,
+                   potential_bandwidth_hz=analysis.potential_bandwidth(ch.p_acc, ch.bandwidth_hz),
+                   noise_power=channel.noise_power)
 
     if not lines:
         raise ConfigError("nothing to analyze: provide a topology or forwarder_sets")
@@ -518,34 +512,17 @@ def cmd_analyze(spec: RunSpec) -> str:
 
 def cmd_simulate(spec: RunSpec) -> str:
     topology_obj = spec.build()
-
-    rows = [
-        "mode,replications,pdr,mean_duplicates,mean_transmissions,mean_hops,"
-        "empirical_overhead,mean_energy_bits,hop_energy_ratio,seed,config"
-    ]
     sims = (replace(spec.sim, mode=mode) for mode in spec.modes)
     runs = engine.run_jobs(partial(engine.run_experiment, topology_obj, sim) for sim in sims)
-    for mode, metrics in zip(spec.modes, runs):
-        mean_energy = metrics.mean_transmissions * spec.frame.bits_per_transmission
-        ratio = metrics.mean_hops / mean_energy if mean_energy > 0 else 0.0
-        rows.append(
-            ",".join(
-                [
-                    mode.value,
-                    str(metrics.deliveries_attempted),
-                    _fmt(metrics.pdr),
-                    _fmt(metrics.mean_duplicates),
-                    _fmt(metrics.mean_transmissions),
-                    _fmt(metrics.mean_hops),
-                    _fmt(metrics.empirical_coordination_overhead),
-                    _fmt(mean_energy),
-                    _fmt(ratio),
-                    str(spec.sim.seed),
-                    spec.digest,
-                ]
-            )
-        )
-    return "\n".join(_csv_preamble(spec.sim.seed, spec.digest) + rows) + "\n"
+    rows = []
+    for mode, m in zip(spec.modes, runs):
+        energy = m.mean_transmissions * spec.frame.bits_per_transmission
+        ratio = m.mean_hops / energy if energy > 0 else 0.0
+        rows.append((mode.value, m.deliveries_attempted, m.pdr, m.mean_duplicates, m.mean_transmissions,
+                     m.mean_hops, m.empirical_coordination_overhead, energy, ratio))
+    header = ("mode", "replications", "pdr", "mean_duplicates", "mean_transmissions", "mean_hops",
+              "empirical_overhead", "mean_energy_bits", "hop_energy_ratio")
+    return _table(spec, header, rows)
 
 
 # ---------------------------------------------------------------- sweep --
@@ -603,10 +580,6 @@ def cmd_sweep(spec: RunSpec) -> str:
         else:
             points.append(_swept(spec, axis, value))
 
-    rows = [
-        f"{axis},analytic_overhead,empirical_overhead,pdr,mean_duplicates,"
-        "retransmissions,mean_transmissions,mode,seed,config"
-    ]
     # every point is built before any run, so a point that fails to build
     # fails first; the points' runs then go through one run_jobs call (one
     # fork for the whole sweep), which holds every topology until it returns
@@ -632,35 +605,21 @@ def cmd_sweep(spec: RunSpec) -> str:
                 source = topo.deepest_node(built)
             analytic = analysis.forwarder_entries(built, source, built.costs)
 
-        analytic_overhead = analysis.coordination_overhead(analytic)
-        failure = analysis.set_failure_probability(analytic)
-        retries = analysis.expected_retransmissions(failure)
-        columns.append((value, analytic_overhead, retries))
+        columns.append((value, _set_columns(analytic)))
         jobs += (partial(engine.run_experiment, built, replace(spec.sim, mode=mode, source=source))
                  for mode in spec.modes)
 
     # the jobs are point-major and mode-minor; zip takes the next mode before
     # it takes a run, so each point takes exactly its own runs
     runs = iter(engine.run_jobs(jobs))
-    for value, analytic_overhead, retries in columns:
-        for mode, metrics in zip(spec.modes, runs):
-            rows.append(
-                ",".join(
-                    [
-                        _fmt(value),
-                        _fmt(analytic_overhead),
-                        _fmt(metrics.empirical_coordination_overhead),
-                        _fmt(metrics.pdr),
-                        _fmt(metrics.mean_duplicates),
-                        _fmt(retries),
-                        _fmt(metrics.mean_transmissions),
-                        mode.value,
-                        str(spec.sim.seed),
-                        spec.digest,
-                    ]
-                )
-            )
-    return "\n".join(_csv_preamble(spec.sim.seed, spec.digest) + rows) + "\n"
+    rows = (
+        (value, closed["overhead"], m.empirical_coordination_overhead, m.pdr, m.mean_duplicates,
+         closed["retransmissions"], m.mean_transmissions, mode.value)
+        for value, closed in columns for mode, m in zip(spec.modes, runs)
+    )
+    header = (axis, "analytic_overhead", "empirical_overhead", "pdr", "mean_duplicates",
+              "retransmissions", "mean_transmissions", "mode")
+    return _table(spec, header, rows)
 
 
 # ----------------------------------------------------------------- main --

@@ -76,6 +76,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("literal, number", [
+        ("6e-1", 0.6), ("5e3", 5000.0), ("1.0e3", 1000.0), ("-2E+2", -200.0), (".5e1", 5.0), ("1.0e-3", 0.001),
+    ])
+    def test_exponent_floats_are_numbers(self, tmp_path, literal, number):
+        # YAML 1.1 reads all but the last as strings; YAML 1.2 reads numbers
+        assert cli.load_config(write_cfg(tmp_path, f"x: {literal}\n")) == {"x": number}
+
+    @pytest.mark.parametrize("literal", ["1e", "e3", "1e3x", "0x1e3"])
+    def test_other_exponent_like_scalars_stay_as_they_were(self, tmp_path, literal):
+        assert cli.load_config(write_cfg(tmp_path, f"x: {literal}\n")) == yaml.safe_load(f"x: {literal}\n")
+
+    def test_exponent_float_config_runs(self, tmp_path, capsys):
+        # p_link: 6e-1 is p_link: 0.6, where it used to be a config error
+        outs = []
+        for literal in ("6e-1", "0.6"):
+            cfg = write_cfg(tmp_path, f"topology: {{kind: star, forwarders: 2, p_link: {literal}}}\n")
+            assert cli.main(["analyze", cfg]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_frame_defaults(self):
         frame = cli.read_spec({}).frame
         assert (frame.micro_frame_bits, frame.preamble_frames, frame.data_frame_bits) == (8, 2, 100)
@@ -931,3 +951,55 @@ class TestMainExitCodes:
         t.write_text("nodes 2 gateway 0\nnode 0 0 0\nnode 1 1 0\n")
         cfg = write_cfg(tmp_path, f"topology: {{kind: file, path: {t} }}\n")
         assert cli.main(["analyze", cfg]) == 1
+
+
+_SIM = "sim: {replications: 10}\n"
+_STAR = "topology: {kind: star, forwarders: 2}\n" + _SIM
+_FILE = "topology: {kind: file, path: t.topo}\n" + _SIM
+_TWO_NODES = "nodes 2 gateway 0\nnode 0 0 0\nnode 1 1 0\n"
+
+
+class TestRefusals:
+    """Refusals that no other test reaches: each is one config error line."""
+
+    @pytest.mark.parametrize("argv, cfg, topology_file, message", [
+        (["simulate"], _SIM, None, "missing 'topology' section"),
+        (["sweep"], _STAR, None, "missing 'sweep' section"),
+        (["simulate"], "frame: [1, 2]\n" + _STAR, None, "section 'frame' must be a mapping"),
+        (["simulate"], "topology: {forwarders: 2}\n" + _SIM, None, "topology.kind is required"),
+        (["simulate"], "topology: {kind: diamond, source_ber: [0.01, 0.02, 0.03]}\n" + _SIM, None,
+         "topology.source_ber must have exactly 2 entries"),
+        (["simulate"], "topology: {kind: chain, link_success: []}\n" + _SIM, None,
+         "topology.link_success must be a non-empty list of numbers"),
+        (["simulate"], "channel: {channels: []}\n" + _STAR, None, "channel.channels must be a non-empty list"),
+        (["simulate"], "channel: {channels: [3]}\n" + _STAR, None, "channel.channels[0] must be a mapping"),
+        (["analyze"], "forwarder_sets: []\n", None, "forwarder_sets must be a non-empty list"),
+        (["simulate"], "topology: {kind: generated, nodes: 5, radio_range: -1}\n" + _SIM, None,
+         "topology: radio_range must be positive"),
+        (["simulate"], _FILE, "nodes 2 gw 0\n", "t.topo:1: header must be 'nodes N gateway G'"),
+        (["simulate"], _FILE, "nodes two gateway 0\n", "t.topo:1: bad node count 'two'"),
+        (["simulate"], _FILE, "nodes 1 gateway 0\nnode 0 0\n", "t.topo:2: node line must be 'node id x y'"),
+        (["simulate"], _FILE, "nodes 1 gateway 0\nnode 0 x 0\n", "t.topo:2: bad coordinates"),
+        (["simulate"], _FILE, _TWO_NODES + "link 0 1\n", "t.topo:4: link line must be 'link a b p'"),
+        (["simulate"], _FILE, _TWO_NODES + "link 0 1 2.0\n",
+         "t.topo:4: bit error rate must be a probability in [0, 1], got 2.0"),
+        (["simulate"], _FILE, _TWO_NODES + "link 0 1 x\n", "t.topo:4: could not convert string to float: 'x'"),
+        (["simulate"], _FILE, "nodes 1 gateway 0\nedge 0 1\n", "t.topo:2: unknown directive 'edge'"),
+        (["simulate"], _FILE, "node 0 0 0\n", "t.topo: missing 'nodes N gateway G' header"),
+        (["simulate"], _FILE, "nodes 1 gateway 9\nnode 0 0 0\n", "t.topo: gateway 9 has no node line"),
+        (["verify", "--grid", "sizes"], None, None, "bad grid fragment 'sizes'; expected key=values"),
+        (["verify", "--grid", "foo=1"], None, None, "unknown grid key 'foo'"),
+        (["verify", "--grid", "sizes=0"], None, None, "grid sizes must be >= 1"),
+        (["verify", "--trials", "0"], None, None, "--trials must be >= 1"),
+    ])
+    def test_refusal_is_one_config_error_line(self, tmp_path, monkeypatch, capsys, argv, cfg, topology_file,
+                                              message):
+        monkeypatch.chdir(tmp_path)
+        if topology_file is not None:
+            (tmp_path / "t.topo").write_text(topology_file)
+        if cfg is not None:
+            argv = [*argv, write_cfg(tmp_path, cfg)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"config error: {message}"]

@@ -185,6 +185,11 @@ def test_topology_rejects_self_link():
         _tiny_topology(links={(1, 1): 0.01})
 
 
+def test_topology_rejects_a_link_key_that_is_not_a_pair():
+    with pytest.raises(ValueError):
+        _tiny_topology(links={(0, 1, 2): 0.01})
+
+
 def test_validate_reports_duplicate_node_ids():
     nodes = (Node(id=0, hop_id=0), Node(id=0, hop_id=1))
     topo = Topology(
