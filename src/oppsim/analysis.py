@@ -30,7 +30,7 @@ come from the same ``_survival_power``, so it governs them too.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import model
 from .model import (
@@ -119,13 +119,23 @@ def reception_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: flo
     return p_sw * (1.0 - _preamble_miss(p, frame)) * _survival_power(p, frame.data_frame_bits)
 
 
-def _election(forwarder_set: ForwarderSet) -> tuple[float, float]:
-    """One transmission to a set, members in canonical order: the
-    probability that no member receives, and the sum over members of
-    p_b * Y_b * prod_(earlier r) (1 - p_r); (1.0, 0.0) for the empty set."""
+class _Member(NamedTuple):
+    """A forwarder set member as the cost solve needs it: no node id, no
+    validation (its link success and its cost are valid by construction)."""
+
+    p_link: float
+    remaining_cost: float
+
+
+def _election(members: ForwarderSet | Iterable[_Member]) -> tuple[float, float]:
+    """One transmission to a set: iterates its members in the order given
+    (a ``ForwarderSet``'s canonical order, or the cost solve's ``_Member``s
+    in (cost, id) order) and returns the probability that no member
+    receives and the sum over members of p_b * Y_b * prod_(earlier r)
+    (1 - p_r); (1.0, 0.0) for the empty set."""
     all_miss = 1.0
     elected_mass = 0.0
-    for e in forwarder_set:
+    for e in members:
         elected_mass += e.p_link * e.remaining_cost * all_miss
         all_miss *= 1.0 - e.p_link
     return all_miss, elected_mass
@@ -182,12 +192,21 @@ def network_path_costs(topology: Topology) -> PathCostTable:
 
     Each node's forwarder set only contains smaller-hop neighbors, so their
     costs are already final when the node is processed; the gateway anchors
-    the recursion at zero.
+    the recursion at zero.  Per node it walks the upstream neighbours in
+    (cost, id) order, the canonical order of the set ``forwarder_entries``
+    builds, and hands ``total_path_cost`` one ``_Member`` per neighbour
+    instead of a validated ``ForwarderSet``.
     """
+    p_sw = topology.channel.evaluated.p_sw
+    frame = topology.frame
     order = sorted(topology.non_gateway_ids(), key=lambda nid: (topology.hop_id(nid), nid))
     costs: dict[NodeId, float] = {topology.gateway: 0.0}
     for node in order:
-        costs[node] = total_path_cost(forwarder_entries(topology, node, costs))
+        upstream = sorted((costs[nbr], nbr) for nbr in topology.upstream_neighbors(node))
+        costs[node] = total_path_cost([
+            _Member(_link_success(topology.ber(node, nbr), frame, p_sw), cost)
+            for cost, nbr in upstream
+        ])
         if math.isinf(costs[node]):
             raise ValueError("unreachable forwarder set: every link probability is 0")
     return PathCostTable(gateway=topology.gateway, costs=costs)

@@ -428,10 +428,11 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
                 if end not in known:
                     raise ConfigError(f"{where}: link refers to unknown node {end!r}")
             try:
-                ber = BitErrorRate(float(tokens[3]))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-            edges.append((a, b, ber))
+                rate = float(tokens[3])
+            except ValueError:
+                raise ConfigError(f"{where}: bad bit error rate {tokens[3]!r}") from None
+            with _config_errors(where):
+                edges.append((a, b, BitErrorRate(rate)))
         else:
             raise ConfigError(f"{where}: unknown directive {tokens[0]!r}")
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .model import ForwarderSet, FrameParams, NodeId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ENUMERATION_SIZE = 20
 MAX_PATH_DEPTH = 3
@@ -107,6 +108,8 @@ def exact_single_hop_batch(sets: Sequence[ForwarderSet]) -> tuple[np.ndarray, np
     column by column, and ``np.cumsum`` adds the elected mass in sequence,
     carried across blocks of at most ``_BATCH_CELLS`` (set, outcome) cells.
     Sets of mixed sizes make ragged arrays, which numpy rejects."""
+
+    import numpy as np
 
     n = len(sets[0]) if sets else 1
     _check_enumerable(n)
@@ -249,6 +252,8 @@ def _any_bit_errored(rng: np.random.Generator, frames: int, bits: int, p: float,
     """Per frame of ``bits`` bits, whether any bit errored, drawn ``_MC_ROWS``
     frames at a time into the buffer ``uniforms``: the same numbers as one
     ``(frames, bits)`` draw."""
+    import numpy as np
+
     errored = np.empty(frames, dtype=bool)
     for lo in range(0, frames, _MC_ROWS):
         rows = min(_MC_ROWS, frames - lo)
@@ -277,6 +282,8 @@ def bit_level_frame_oracle(
     the very numbers the run draws for them, so the shards' counts add up
     to the run's (``FrameMissEstimates.pooled``).
     """
+
+    import numpy as np
 
     p = float(p)
     if not 0.0 <= p <= 1.0:

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
-
-import numpy as np
 
 from . import analysis
 from .model import (
@@ -104,6 +102,8 @@ def generate(config: GeneratorConfig, seed: int) -> Topology:
     :func:`_near_pairs`), so the search takes O(n·k) time for k nodes
     within about one radio range of a node instead of O(n²).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     side = config.area_side
     gw_pos = config.gateway_position or (side / 2.0, side / 2.0)
@@ -275,7 +275,7 @@ def prepare(
         links[(a, b)] = ber
         links[(b, a)] = ber
     hops = assign_hop_ids(nodes, gateway, links)
-    nodes = tuple(replace(n, hop_id=hops[n.id]) for n in nodes)
+    nodes = tuple(Node(n.id, hops[n.id], n.position) for n in nodes)
     topology = Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
     # the topology holds its own copy of the link map; freeing this one
     # before the cost solve builds the neighbour tables lowers the build's

@@ -173,6 +173,10 @@ def run_verification(
                           min(_MC_SHARD, trials - first), seed, first, trials)
         for first in range(0, max(trials, 1), _MC_SHARD)
     ]
+    # the grid and the Monte Carlo run on numpy; imported here, once, it is
+    # in every forked child's memory instead of imported again by each
+    import numpy  # noqa: F401
+
     cases, *estimates = engine.run_jobs([lambda: [_case(*c) for c in exact], *shards])
     cases.append(_case("bit-level-frames", f"trials={trials} max_sigma={{:.2f}}",
                        FRAME_SIGMA_TOLERANCE,

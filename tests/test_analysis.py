@@ -331,6 +331,18 @@ class TestNetworkCosts:
         with pytest.raises(ValueError, match=r"^unreachable forwarder set: every link probability is 0$"):
             analysis.network_path_costs(self._disconnected())
 
+    def test_set_of_dead_links_raises(self):
+        # node 3's set is not empty, but at ber 1.0 and p_sw 1 neither of its
+        # two links succeeds
+        nodes = (Node(id=0, hop_id=0), Node(id=1, hop_id=1), Node(id=2, hop_id=1), Node(id=3, hop_id=2))
+        links = {(0, 1): 0.01, (0, 2): 0.01, (1, 3): 1.0, (2, 3): 1.0}
+        t = Topology(nodes=nodes, gateway=0, links={**links, **{(b, a): p for (a, b), p in links.items()}},
+                     frame=DEFAULT_FRAME, channel=DEFAULT_CHANNEL)
+        assert DEFAULT_CHANNEL.evaluated.p_sw == 1.0
+        assert [e.p_link for e in analysis.forwarder_entries(t, 3, {0: 0.0, 1: 1.0, 2: 1.0})] == [0.0, 0.0]
+        with pytest.raises(ValueError, match=r"^unreachable forwarder set: every link probability is 0$"):
+            analysis.network_path_costs(t)
+
     def test_node_without_upstream_neighbors_has_the_empty_set(self):
         assert analysis.forwarder_entries(self._disconnected(), 2, {0: 0.0, 1: 1.0}) == ForwarderSet(())
         chain = chain_topology([0.8])
@@ -369,6 +381,18 @@ class TestNetworkCostsFromPublicFunctions:
         ]
         for t in shapes:
             assert analysis.network_path_costs(t).costs == costs_from_public_functions(t)
+
+    @pytest.mark.parametrize("ber_model, radio_range", [
+        (topo.DistanceBer(0.0, 0.005), 8.0),  # the benchmark's mesh-simulate mesh
+        (topo.FixedBer(0.01), 12.0),
+    ])
+    def test_thousand_node_meshes_to_the_bit(self, ber_model, radio_range):
+        config = topo.GeneratorConfig(nodes=1000, area_side=100.0, radio_range=radio_range, ber_model=ber_model)
+        t = topo.generate(config, seed=1)
+        solved = analysis.network_path_costs(t).costs
+        expected = costs_from_public_functions(t)
+        assert list(solved) == list(expected)
+        assert [y.hex() for y in solved.values()] == [y.hex() for y in expected.values()]
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -983,7 +983,7 @@ class TestRefusals:
         (["simulate"], _FILE, _TWO_NODES + "link 0 1\n", "t.topo:4: link line must be 'link a b p'"),
         (["simulate"], _FILE, _TWO_NODES + "link 0 1 2.0\n",
          "t.topo:4: bit error rate must be a probability in [0, 1], got 2.0"),
-        (["simulate"], _FILE, _TWO_NODES + "link 0 1 x\n", "t.topo:4: could not convert string to float: 'x'"),
+        (["simulate"], _FILE, _TWO_NODES + "link 0 1 x\n", "t.topo:4: bad bit error rate 'x'"),
         (["simulate"], _FILE, "nodes 1 gateway 0\nedge 0 1\n", "t.topo:2: unknown directive 'edge'"),
         (["simulate"], _FILE, "node 0 0 0\n", "t.topo: missing 'nodes N gateway G' header"),
         (["simulate"], _FILE, "nodes 1 gateway 9\nnode 0 0 0\n", "t.topo: gateway 9 has no node line"),
