@@ -199,13 +199,15 @@ def network_path_costs(topology: Topology) -> PathCostTable:
     """
     p_sw = topology.channel.evaluated.p_sw
     frame = topology.frame
-    order = sorted(topology.non_gateway_ids(), key=lambda nid: (topology.hop_id(nid), nid))
+    upstream_neighbors = topology.upstream_neighbors
+    ber = topology.ber
+    hop = {n.id: n.hop_id for n in topology.nodes}
+    order = sorted(topology.non_gateway_ids(), key=lambda nid: (hop[nid], nid))
     costs: dict[NodeId, float] = {topology.gateway: 0.0}
     for node in order:
-        upstream = sorted((costs[nbr], nbr) for nbr in topology.upstream_neighbors(node))
+        upstream = sorted((costs[nbr], nbr) for nbr in upstream_neighbors(node))
         costs[node] = total_path_cost([
-            _Member(_link_success(topology.ber(node, nbr), frame, p_sw), cost)
-            for cost, nbr in upstream
+            _Member(_link_success(ber(node, nbr), frame, p_sw), cost) for cost, nbr in upstream
         ])
         if math.isinf(costs[node]):
             raise ValueError("unreachable forwarder set: every link probability is 0")

@@ -120,7 +120,8 @@ _KINDS = {
 def _checked(name: str, value, kind):
     if kind is BER_KINDS:
         ber, args = _kind_args(_checked(name, value, dict), name, BER_KINDS, default_kind="fixed")
-        return BER_KINDS[ber][0](**args)
+        with _config_errors(name):
+            return BER_KINDS[ber][0](**args)
     if kind in (list, tuple):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{name} must be a non-empty list of numbers")

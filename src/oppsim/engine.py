@@ -76,6 +76,7 @@ from .analysis import _survival_power
 from .model import (
     DeliveryTrace,
     EventKind,
+    FrameParams,
     Metrics,
     NodeId,
     Topology,
@@ -149,24 +150,30 @@ class _Plan:
     ``analysis._survival_power``.  ``overhearing(u, obs)`` returns obs's
     decode probabilities for u's frames, or None when obs has no link back
     to u.  Both are ``functools.cache`` functions, so a run pays only for
-    the nodes and pairs its replications reach; they hold the topology, not
-    the plan, so a plan is freed as soon as its run ends.
+    the nodes and pairs its replications reach.  They read the topology's
+    own tables (its link map, upstream table and cost dict), bound once per
+    plan, and hold those, not the plan, so a plan is freed as soon as its
+    run ends.
     """
 
     def __init__(self, topology: Topology, config: SimConfig):
         if config.source is not None:
             topology.node(config.source)
-        costs = topology.costs
+        costs = topology.costs.costs
         self.receiver = config.mode is ProtocolMode.RECEIVER_BASED
         self.gateway = topology.gateway
         self.sources = topology.non_gateway_ids()
         self.p_sw = topology.channel.evaluated.p_sw
-        self.preamble_frames = topology.frame.preamble_frames
+        frame = topology.frame
+        self.preamble_frames = frame.preamble_frames
+        # rank is 1 + cost, as Topology.rank computes it
         election_key = (
-            (lambda c: (topology.rank(c), c)) if self.receiver else (lambda c: (costs[c], c))
+            (lambda c: (1.0 + costs[c], c)) if self.receiver else (lambda c: (costs[c], c))
         )
-        self.upstream = cache(partial(_upstream_candidates, topology, election_key))
-        self.overhearing = cache(partial(_overhearing_probs, topology))
+        self.upstream = cache(
+            partial(_upstream_candidates, topology._upstream, topology.links, frame, election_key)
+        )
+        self.overhearing = cache(partial(_overhearing_probs, topology.links, frame))
         # one generator per run, reseeded per replication by _random.Random.seed,
         # all random.Random(seed) does for an int but set gauss_next (unread)
         self.rng = random.Random()
@@ -174,25 +181,24 @@ class _Plan:
         self.draw = self.rng.random
 
 
-def _decode_probs(topology: Topology, a: NodeId, b: NodeId) -> tuple[float, float]:
-    # b's per-frame decode probabilities for a's micro-frames and data frame;
-    # frame-level Bernoulli draws with these values are
-    # distribution-identical to drawing each bit
-    p = topology.ber(a, b)
-    frame = topology.frame
+def _decode_probs(p: float, frame: FrameParams) -> tuple[float, float]:
+    # the per-frame decode probabilities of the micro-frames and the data
+    # frame at bit error rate p; frame-level Bernoulli draws with these
+    # values are distribution-identical to drawing each bit
     return _survival_power(p, frame.micro_frame_bits), _survival_power(p, frame.data_frame_bits)
 
 
 def _upstream_candidates(
-    topology: Topology, election_key, u: NodeId
+    upstream_table, links, frame: FrameParams, election_key, u: NodeId
 ) -> tuple[tuple[NodeId, float, float, int], ...]:
-    upstream = topology.upstream_neighbors(u)
+    upstream = upstream_table[u]
     priority = {c: i for i, c in enumerate(sorted(upstream, key=election_key))}
-    return tuple((c, *_decode_probs(topology, u, c), priority[c]) for c in upstream)
+    return tuple((c, *_decode_probs(links[(u, c)].p, frame), priority[c]) for c in upstream)
 
 
-def _overhearing_probs(topology: Topology, u: NodeId, obs: NodeId) -> tuple[float, float] | None:
-    return _decode_probs(topology, u, obs) if topology.has_link(obs, u) else None
+def _overhearing_probs(links, frame: FrameParams, u: NodeId, obs: NodeId) -> tuple[float, float] | None:
+    # obs hears u's frames over link (u, obs), if it has a link back to u
+    return _decode_probs(links[(u, obs)].p, frame) if (obs, u) in links else None
 
 
 _PRIORITY = itemgetter(3)

@@ -20,7 +20,8 @@ NodeId = int | str
 
 def _probability(name: str, value: float) -> float:
     value = float(value)
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
+    # a NaN fails the comparison too
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
     return value
 
@@ -70,7 +71,7 @@ class FrameParams:
         return self.preamble_frames * self.micro_frame_bits + self.data_frame_bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitErrorRate:
     """Independent per-bit error probability on one link."""
 
@@ -200,7 +201,7 @@ class PathCostTable:
         return node in self.costs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """A network node.  ``position`` is decorative; distances never feed the
     model directly (the generator maps them to bit error rates instead)."""
@@ -228,6 +229,10 @@ class Topology:
     ``topology.prepare`` builds each topology once, with its hop IDs, and
     stores its cost table (:attr:`costs`); a node's rank is 1 plus its
     cost.  A hand-built or ``replace``d topology carries no table.
+    ``prepare`` also stores the upstream table (``_upstream``, each node's
+    neighbours with a smaller hop ID) from the breadth-first search that
+    assigns the hop IDs; a hand-built or ``replace``d topology derives it
+    from its links and hop IDs on first use.
     """
 
     nodes: tuple[Node, ...]

@@ -7,12 +7,16 @@ hop separation; :func:`witness_topology` builds the minimal chain that
 exhibits the gap.
 
 Every topology is built by one recipe, :func:`prepare`: it takes
-undirected ``(a, b, ber)`` edges, stores each link in both directions,
-assigns hop IDs (:func:`assign_hop_ids`), constructs the one ``Topology``
-and solves its cost table once (:func:`compute_ranks`; ``Topology.rank``
-derives from ``Topology.costs``).  The builders below and the CLI's
-topology-file reader only say which edges there are, so what they return
-is ready for the closed forms and the simulator.
+undirected ``(a, b, ber)`` edges and, in one pass over them, stores each
+link in both directions and lists each node's neighbours.  One
+breadth-first search over those lists (:func:`assign_hop_ids`) gives the
+hop IDs and each node's upstream set, its neighbours one hop nearer the
+gateway.  ``prepare`` then constructs the one ``Topology``, stores that
+upstream table on it and solves its cost table once
+(:func:`compute_ranks`; ``Topology.rank`` derives from
+``Topology.costs``).  The builders below and the CLI's topology-file
+reader only say which edges there are, so what they return is ready for
+the closed forms and the simulator.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .model import (
     NodeId,
     Topology,
     _positive_int,
+    _probability,
 )
 
 DEFAULT_FRAME = FrameParams(micro_frame_bits=8, preamble_frames=2, data_frame_bits=100)
@@ -53,6 +58,9 @@ class FixedBer:
 
     p: float = 0.01
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p", _probability("p", self.p))
+
 
 @dataclass(frozen=True)
 class DistanceBer:
@@ -61,6 +69,10 @@ class DistanceBer:
 
     p_min: float = 0.0
     p_max: float = 0.05
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p_min", _probability("p_min", self.p_min))
+        object.__setattr__(self, "p_max", _probability("p_max", self.p_max))
 
 
 @dataclass(frozen=True)
@@ -81,13 +93,20 @@ class GeneratorConfig:
             raise ValueError("radio_range must be positive")
 
 
-def _ber_law(model: FixedBer | DistanceBer, radio_range: float) -> Callable[[float], float]:
-    """A link's bit error rate as a function of its length."""
+def _ber_law(
+    model: FixedBer | DistanceBer, radio_range: float
+) -> Callable[[float], BitErrorRate]:
+    """A link's bit error rate as a function of its length.  The model's
+    fields are probabilities, so every rate lies between two of them; a
+    fixed law hands every link one shared rate."""
     if isinstance(model, FixedBer):
-        return lambda distance: model.p
-    span = model.p_max - model.p_min
+        ber = BitErrorRate(model.p)
+        return lambda distance: ber
+    p_min, span = model.p_min, model.p_max - model.p_min
     lo, hi = min(model.p_min, model.p_max), max(model.p_min, model.p_max)
-    return lambda distance: min(max(model.p_min + span * (distance / radio_range) ** 2, lo), hi)
+    return lambda distance: BitErrorRate(
+        min(max(p_min + span * (distance / radio_range) ** 2, lo), hi)
+    )
 
 
 def generate(config: GeneratorConfig, seed: int) -> Topology:
@@ -113,8 +132,7 @@ def generate(config: GeneratorConfig, seed: int) -> Topology:
 
     ber_law = _ber_law(config.ber_model, config.radio_range)
     edges = (
-        (a, b, BitErrorRate(ber_law(dist)))
-        for a, b, dist in _near_pairs(positions, config.radio_range)
+        (a, b, ber_law(dist)) for a, b, dist in _near_pairs(positions, config.radio_range)
     )
     nodes = tuple(
         Node(id=nid, hop_id=0, position=pos) for nid, pos in enumerate(positions)
@@ -179,30 +197,32 @@ def _near_pairs(
 
 
 def assign_hop_ids(
-    nodes: tuple[Node, ...], gateway: NodeId, links: Iterable[tuple[NodeId, NodeId]]
-) -> dict[NodeId, int]:
-    """Each node's hop ID: its breadth-first distance from the gateway over
-    ``links``, ordered node pairs stored in both directions.  Raises
-    DisconnectedTopologyError naming the first unreachable node."""
-    adjacency: dict[NodeId, list[NodeId]] = {n.id: [] for n in nodes}
-    if gateway not in adjacency:
-        raise ValueError(f"unknown node id: {gateway!r}")
-    try:
-        for a, b in links:
-            adjacency[a].append(b)
-    except KeyError:
-        raise ValueError(f"link ({a!r}, {b!r}) references an unknown node") from None
+    gateway: NodeId, adjacency: dict[NodeId, list[NodeId]]
+) -> tuple[dict[NodeId, int], dict[NodeId, tuple[NodeId, ...]]]:
+    """Each node's hop ID, its breadth-first distance from the gateway over
+    ``adjacency`` (each node's neighbours), and its upstream set, its
+    neighbours with a smaller hop ID, ascending by id.  Raises
+    DisconnectedTopologyError naming the first unreachable node, in the
+    order of ``adjacency``."""
     hops = {gateway: 0}
+    upstream: dict[NodeId, list[NodeId]] = {gateway: []}
     frontier = [gateway]
     for current in frontier:  # reaches the nodes appended meanwhile
+        hop = hops[current] + 1
         for nbr in adjacency[current]:
-            if nbr not in hops:
-                hops[nbr] = hops[current] + 1
+            # no neighbour lies more than one hop farther out, so
+            # ``current`` is upstream of exactly those one hop farther
+            nbr_hop = hops.get(nbr)
+            if nbr_hop is None:
+                hops[nbr] = hop
+                upstream[nbr] = [current]
                 frontier.append(nbr)
-    for n in nodes:
-        if n.id not in hops:
-            raise DisconnectedTopologyError(f"disconnected node: {n.id!r} cannot reach the gateway")
-    return hops
+            elif nbr_hop == hop:
+                upstream[nbr].append(current)
+    for nid in adjacency:
+        if nid not in hops:
+            raise DisconnectedTopologyError(f"disconnected node: {nid!r} cannot reach the gateway")
+    return hops, {nid: tuple(sorted(near)) for nid, near in upstream.items()}
 
 
 def compute_ranks(topology: Topology) -> None:
@@ -269,18 +289,38 @@ def prepare(
 ) -> Topology:
     """The topology with each undirected edge ``(a, b, ber)`` stored as
     ``(a, b)`` then ``(b, a)`` (a repeated edge keeps its first place and
-    takes its last rate), hop IDs assigned and the cost table solved."""
+    takes its last rate), hop IDs assigned, its upstream table stored and
+    the cost table solved.
+
+    One pass over the edges fills the link map and, at each edge's first
+    appearance, both ends' neighbour lists; :func:`assign_hop_ids` runs
+    the one breadth-first search over those lists, and the upstream sets
+    it returns are stored as the topology's ``_upstream``."""
+    adjacency: dict[NodeId, list[NodeId]] = {n.id: [] for n in nodes}
+    if gateway not in adjacency:
+        raise ValueError(f"unknown node id: {gateway!r}")
     links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
     for a, b, ber in edges:
-        links[(a, b)] = ber
+        key = (a, b)
+        if key not in links:
+            try:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+            except KeyError:
+                near, far = (b, a) if a in adjacency else (a, b)
+                raise ValueError(f"link ({near!r}, {far!r}) references an unknown node") from None
+        links[key] = ber
         links[(b, a)] = ber
-    hops = assign_hop_ids(nodes, gateway, links)
+    hops, upstream = assign_hop_ids(gateway, adjacency)
+    # freed before the topology copies the link map, so that the build's
+    # peak memory never holds the neighbour lists and two link maps at once
+    del adjacency
     nodes = tuple(Node(n.id, hops[n.id], n.position) for n in nodes)
     topology = Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
     # the topology holds its own copy of the link map; freeing this one
-    # before the cost solve builds the neighbour tables lowers the build's
-    # peak memory
+    # before the cost solve lowers the build's peak memory
     del links
+    object.__setattr__(topology, "_upstream", upstream)
     compute_ranks(topology)
     return topology
 

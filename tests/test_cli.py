@@ -959,6 +959,17 @@ _FILE = "topology: {kind: file, path: t.topo}\n" + _SIM
 _TWO_NODES = "nodes 2 gateway 0\nnode 0 0 0\nnode 1 1 0\n"
 
 
+def _three_nodes(seed, ber):
+    """A 3-node generated network: with valid rates, seeds 1 to 6 connect it."""
+    return f"topology: {{kind: generated, nodes: 3, radio_range: 60, seed: {seed}, ber: {ber}}}\n" + _SIM
+
+
+# a rate law is refused by its own bounds, wherever the nodes fall: the law
+# below gives each link of seed 1 a rate in [0, 1], but a link of seed 5 a
+# negative one
+_NEGATIVE_P_MIN = "topology.ber: p_min must be a probability in [0, 1], got -0.01"
+
+
 class TestRefusals:
     """Refusals that no other test reaches: each is one config error line."""
 
@@ -991,6 +1002,12 @@ class TestRefusals:
         (["verify", "--grid", "foo=1"], None, None, "unknown grid key 'foo'"),
         (["verify", "--grid", "sizes=0"], None, None, "grid sizes must be >= 1"),
         (["verify", "--trials", "0"], None, None, "--trials must be >= 1"),
+        (["simulate"], _three_nodes(1, "{kind: distance, p_min: -0.01, p_max: 0.05}"), None, _NEGATIVE_P_MIN),
+        (["simulate"], _three_nodes(5, "{kind: distance, p_min: -0.01, p_max: 0.05}"), None, _NEGATIVE_P_MIN),
+        (["simulate"], _three_nodes(1, "{kind: distance, p_min: 0.0, p_max: .nan}"), None,
+         "topology.ber: p_max must be a probability in [0, 1], got nan"),
+        (["simulate"], _three_nodes(1, "{kind: fixed, p: 1.5}"), None,
+         "topology.ber: p must be a probability in [0, 1], got 1.5"),
     ])
     def test_refusal_is_one_config_error_line(self, tmp_path, monkeypatch, capsys, argv, cfg, topology_file,
                                               message):
@@ -1003,3 +1020,11 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"config error: {message}"]
+
+    def test_decreasing_distance_law_builds(self, tmp_path, capsys):
+        # p_min > p_max is a valid law: the rate falls with distance
+        cfg = write_cfg(tmp_path, _three_nodes(1, "{kind: distance, p_min: 0.05, p_max: 0.01}"))
+        assert cli.main(["simulate", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].startswith("receiver_based,10,")

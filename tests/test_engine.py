@@ -623,10 +623,57 @@ def test_decode_laws_equal_the_closed_forms_exactly(ber):
     # one survival law for both: the engine's reception and suppression
     # laws equal the closed forms to the last bit, also where n * p < 1e-8
     t = replace(topo.chain_topology([1.0]), links={(0, 1): ber, (1, 0): ber})
-    micro_p, data_p = engine._decode_probs(t, 1, 0)
+    micro_p, data_p = engine._decode_probs(t.ber(1, 0), t.frame)
     r = t.frame.preamble_frames
     p_sw = t.channel.evaluated.p_sw
     reception = p_sw * (1.0 - (1.0 - micro_p) ** r) * data_p
     suppression = p_sw * (1.0 - micro_p) ** r * (1.0 - data_p)
     assert reception == analysis.reception_probability(ber, t.frame, p_sw)
     assert suppression == analysis.failure_probability(ber, t.frame, p_sw)
+
+
+@functools.cache
+def benchmark_mesh():
+    """The 1000-node mesh the benchmark's mesh-simulate workload runs."""
+    config = topo.GeneratorConfig(nodes=1000, area_side=100.0, radio_range=8.0,
+                                  ber_model=topo.DistanceBer(0.0, 0.005))
+    return topo.generate(config, seed=1)
+
+
+PLAN_TOPOLOGIES = {
+    "mesh": benchmark_mesh,
+    "star": lambda: star(4, 0.7, intercandidate_ber=0.01),
+    "diamond": lambda: topo.diamond_topology((0.02, 0.03), (0.01, 0.005), intercandidate_ber=0.02),
+}
+
+
+def reference_decode(t, a, b):
+    p = t.ber(a, b)
+    return (analysis._survival_power(p, t.frame.micro_frame_bits),
+            analysis._survival_power(p, t.frame.data_frame_bits))
+
+
+@pytest.mark.parametrize("mode", list(ProtocolMode))
+@pytest.mark.parametrize("shape", PLAN_TOPOLOGIES)
+def test_plan_tables_equal_the_topology_reference(shape, mode):
+    # the plan reads the topology's tables directly; the reference reads
+    # them through the topology's accessors
+    t = PLAN_TOPOLOGIES[shape]()
+    plan = engine._Plan(t, SimConfig(mode=mode))
+    if mode is ProtocolMode.RECEIVER_BASED:
+        key = lambda c: (t.rank(c), c)
+    else:
+        key = lambda c: (t.costs[c], c)
+    for n in t.nodes:
+        upstream = t.upstream_neighbors(n.id)
+        order = sorted(upstream, key=key)
+        assert plan.upstream(n.id) == tuple(
+            (c, *reference_decode(t, n.id, c), order.index(c)) for c in upstream
+        )
+        # the kernel asks how each co-candidate of an election overhears the
+        # winner, so every ordered pair of one node's upstream candidates
+        for u in upstream:
+            for obs in upstream:
+                if obs != u:
+                    expected = reference_decode(t, u, obs) if t.has_link(obs, u) else None
+                    assert plan.overhearing(u, obs) == expected

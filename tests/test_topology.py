@@ -472,6 +472,82 @@ def test_prepared_hop_ids_are_bfs_distances(drawn, string_ids):
     assert t.costs == analysis.network_path_costs(t)
 
 
+@st.composite
+def edge_lists(draw):
+    """Node count, gateway and an edge list that may leave nodes
+    unreachable: random pairs of distinct nodes, some repeated at another
+    rate, in a random order.  Now and then the gateway or one edge's end
+    is id n, which is no node."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(min_value=0, max_value=n - 1)
+    stray = draw(st.sampled_from([None] * 8 + ["gateway", "edge"]))
+    gateway = n if stray == "gateway" else draw(node)
+    pairs = []
+    if n > 1:
+        other = st.tuples(node, st.integers(min_value=1, max_value=n - 1))
+        pairs = draw(st.lists(other.map(lambda p: (p[0], (p[0] + p[1]) % n)), max_size=2 * n))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    if stray == "edge":
+        pairs.append(draw(st.sampled_from([(n, 0), (0, n)])))
+    pairs = draw(st.permutations(pairs))
+    rate = st.floats(min_value=0.0, max_value=0.05).map(BitErrorRate)
+    return n, gateway, [(a, b, draw(rate)) for a, b in pairs]
+
+
+def tables(t, items, costs):
+    """Hop ids, link items in order, upstream table and costs by
+    ``float.hex``."""
+    return (
+        [(n.id, n.hop_id) for n in t.nodes],
+        items,
+        {n.id: t.upstream_neighbors(n.id) for n in t.nodes},
+        [(node, y.hex()) for node, y in costs.costs.items()],
+    )
+
+
+def reference_tables(nodes, gateway, links, frame, channel):
+    """The tables of a topology built by hand with ``reference_prepare``'s
+    hop ids, which derives its upstream table from its links on first use;
+    or the refusal, as (type, message), for an unknown gateway, then for
+    the first directed link in the map's order whose first end is no node,
+    then for a disconnected node."""
+    known = {n.id for n in nodes}
+    if gateway not in known:
+        return ValueError, f"unknown node id: {gateway!r}"
+    for a, b in links:
+        if a not in known:
+            return ValueError, f"link ({a!r}, {b!r}) references an unknown node"
+    try:
+        hopped, items, costs = reference_prepare(nodes, gateway, links, frame, channel)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    t = Topology(nodes=hopped, gateway=gateway, links=links, frame=frame, channel=channel)
+    assert "_upstream" not in t.__dict__
+    return tables(t, items, costs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.booleans())
+def test_one_pass_tables_equal_a_hand_built_topology(drawn, string_ids):
+    n, gateway, edges = drawn
+    ids = [f"n{i}" if string_ids else i for i in range(n + 1)]
+    nodes = tuple(Node(id=ids[i], hop_id=0, position=(float(i), 0.0)) for i in range(n))
+    edges = [(ids[a], ids[b], ber) for a, b, ber in edges]
+    links = {}
+    for a, b, ber in edges:
+        links[(a, b)] = ber
+        links[(b, a)] = ber
+    frame, channel = topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL
+    try:
+        t = topo.prepare(nodes, ids[gateway], edges, frame, channel)
+    except ValueError as exc:
+        got = type(exc), str(exc)
+    else:
+        got = tables(t, list(t.links.items()), t.costs)
+    assert got == reference_tables(nodes, ids[gateway], links, frame, channel)
+
+
 class TestHopAssignment:
     def _prepare(self, nodes, edges, gateway=0):
         return topo.prepare(nodes, gateway, edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
