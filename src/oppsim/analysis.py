@@ -24,7 +24,10 @@ Conventions
 Floating-point policy: probabilities are computed in double precision and
 ``(1 - p) ** n`` switches to ``exp(n * log1p(-p))`` only in the
 underflow-risk regime ``n * p < 1e-8``; the engine's decode probabilities
-come from the same ``_survival_power``, so it governs them too.
+come from the same ``_survival_power``, so it governs them too.  Those of
+the upstream links are the very pairs ``network_path_costs`` computes for
+the link successes and leaves on the topology; the engine computes only
+the overhearing pairs itself.
 """
 
 from __future__ import annotations
@@ -120,11 +123,13 @@ def reception_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: flo
 
 
 class _Member(NamedTuple):
-    """A forwarder set member as the cost solve needs it: no node id, no
-    validation (its link success and its cost are valid by construction)."""
+    """A forwarder set member as the cost solve needs it: no validation (its
+    link success and its cost are valid by construction), and its fields in
+    the order that sorts members into the canonical (cost, id) order."""
 
-    p_link: float
     remaining_cost: float
+    node: NodeId
+    p_link: float
 
 
 def _election(members: ForwarderSet | Iterable[_Member]) -> tuple[float, float]:
@@ -192,25 +197,49 @@ def network_path_costs(topology: Topology) -> PathCostTable:
 
     Each node's forwarder set only contains smaller-hop neighbors, so their
     costs are already final when the node is processed; the gateway anchors
-    the recursion at zero.  Per node it walks the upstream neighbours in
-    (cost, id) order, the canonical order of the set ``forwarder_entries``
-    builds, and hands ``total_path_cost`` one ``_Member`` per neighbour
-    instead of a validated ``ForwarderSet``.
+    the recursion at zero.  Per upstream link it computes the pair of
+    survival powers (micro-frame, data frame) once and derives the link's
+    ``link_success`` from that pair with ``_link_success``' operations in
+    its order.  It hands ``total_path_cost`` one ``_Member`` per upstream
+    neighbour, sorted into (cost, id) order, the canonical order of the set
+    ``forwarder_entries`` builds, instead of a validated ``ForwarderSet``.
+
+    It also leaves the pairs on the topology, as ``_decode``: per node one
+    flat tuple ``(micro_p, data_p, micro_p, data_p, ...)``, a pair per
+    upstream neighbour in ascending id order (the order of
+    ``upstream_neighbors``), the gateway's empty.  Flat, a node's pairs
+    are one object, not one per link, so the cost solve leaves the garbage
+    collector no more containers to track than one per node.  They depend
+    on no election mode; the engine takes its upstream candidates' decode
+    probabilities from them.
     """
     p_sw = topology.channel.evaluated.p_sw
     frame = topology.frame
+    micro_bits = frame.micro_frame_bits
+    data_bits = frame.data_frame_bits
+    preamble_frames = frame.preamble_frames
     upstream_neighbors = topology.upstream_neighbors
     ber = topology.ber
     hop = {n.id: n.hop_id for n in topology.nodes}
     order = sorted(topology.non_gateway_ids(), key=lambda nid: (hop[nid], nid))
     costs: dict[NodeId, float] = {topology.gateway: 0.0}
+    decode: dict[NodeId, tuple[float, ...]] = {topology.gateway: ()}
     for node in order:
-        upstream = sorted((costs[nbr], nbr) for nbr in upstream_neighbors(node))
-        costs[node] = total_path_cost([
-            _Member(_link_success(ber(node, nbr), frame, p_sw), cost) for cost, nbr in upstream
-        ])
+        pairs = []
+        members = []
+        for nbr in upstream_neighbors(node):
+            p = ber(node, nbr)
+            micro_p = _survival_power(p, micro_bits)
+            data_p = _survival_power(p, data_bits)
+            pairs += micro_p, data_p
+            p_link = 1.0 - p_sw * (1.0 - micro_p) ** preamble_frames * (1.0 - data_p)
+            members.append(_Member(costs[nbr], nbr, p_link))
+        members.sort()
+        decode[node] = tuple(pairs)
+        costs[node] = total_path_cost(members)
         if math.isinf(costs[node]):
             raise ValueError("unreachable forwarder set: every link probability is 0")
+    object.__setattr__(topology, "_decode", decode)
     return PathCostTable(gateway=topology.gateway, costs=costs)
 
 

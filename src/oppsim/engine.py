@@ -24,21 +24,27 @@ same rank, and then receiver mode breaks the tie by node id where sender
 mode keeps the cost order (the 1000-node generated mesh of the benchmark
 hits this; ``perfbench/known_defects.json`` pins its output).
 
-Structure: one private kernel, ``_deliver``, runs a replication over a
-``_Plan`` - the per-topology tables every replication reads (the source
-candidates, each node's upstream candidates with their decode
-probabilities and election priority, and the overhearing probabilities of
-each (transmitter, observer) pair, the last two ``functools.cache``
-functions filled on first use).  The decode probabilities are the closed
-forms' survival law, ``analysis._survival_power``.
+Structure: one private kernel, ``_deliver``, is a generator over a run's
+replication indices: it binds the plan's and the config's fields, the
+preamble's range and the queue's methods once per call and yields each
+replication's tallies.  It runs over a ``_Plan`` - the per-run tables
+every replication reads (the source candidates, each node's upstream
+candidates with their decode probabilities and election priority, and the
+overhearing probabilities of each (transmitter, observer) pair, the last
+two ``functools.cache`` functions filled on first use).  The upstream
+decode probabilities are the pairs the cost solve leaves on the topology
+(``analysis.network_path_costs``), one mode-independent entry per node, so
+a run computes only the overhearing pairs and the priorities; both follow
+the closed forms' survival law, ``analysis._survival_power``.
 Ranks and costs are read from the topology's own cost table
 (``Topology.costs``); a topology without one is refused.
-``run_experiment`` builds one plan per run and calls the kernel without an
-event list: it tallies transmissions, duplicate forwards, the first
-arrival's hop count and the elected winners, and builds no ``TraceEvent``.
-``simulate_delivery`` runs the same kernel with a list and returns the
-``DeliveryTrace``.  Both paths make the same draws in the same order, so a
-trace and the metrics of the same replication always agree.
+``run_experiment`` builds one plan per run and passes the kernel
+``range(replications)`` and no event list: it tallies transmissions,
+duplicate forwards, the first arrival's hop count and the elected winners,
+and builds no ``TraceEvent``.  ``simulate_delivery`` runs the same kernel
+on its one index with a list and returns the ``DeliveryTrace``.  Both
+paths make the same draws in the same order, so a trace and the metrics of
+the same replication always agree.
 
 Determinism: replication r draws from a SplitMix64 stream rooted at the
 master seed (``replication_seed``), so adding replications never perturbs
@@ -71,6 +77,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .analysis import _survival_power
 from .model import (
@@ -146,14 +153,16 @@ class _Plan:
     id) as ``(node, micro_p, data_p, priority)``; priority is the
     candidate's position in the election order over all of u's upstream
     neighbors: by (rank, id) in RECEIVER_BASED mode, by the stamped
-    (cost, id) list in SENDER_PRIORITIZED mode; micro_p and data_p follow
-    ``analysis._survival_power``.  ``overhearing(u, obs)`` returns obs's
-    decode probabilities for u's frames, or None when obs has no link back
-    to u.  Both are ``functools.cache`` functions, so a run pays only for
-    the nodes and pairs its replications reach.  They read the topology's
-    own tables (its link map, upstream table and cost dict), bound once per
-    plan, and hold those, not the plan, so a plan is freed as soon as its
-    run ends.
+    (cost, id) list in SENDER_PRIORITIZED mode.  micro_p and data_p are the
+    pair the cost solve left on the topology (``Topology._decode``, filled
+    by ``analysis.network_path_costs`` next to the cost table), so no run
+    and no mode computes them again.  ``overhearing(u, obs)`` returns obs's
+    decode probabilities for u's frames (``_decode_probs``), or None when
+    obs has no link back to u.  Both are ``functools.cache`` functions, so
+    a run pays only for the nodes and pairs its replications reach.  They
+    read the topology's own tables (its link map, upstream table, decode
+    pairs and cost dict), bound once per plan, and hold those, not the
+    plan, so a plan is freed as soon as its run ends.
     """
 
     def __init__(self, topology: Topology, config: SimConfig):
@@ -171,7 +180,7 @@ class _Plan:
             (lambda c: (1.0 + costs[c], c)) if self.receiver else (lambda c: (costs[c], c))
         )
         self.upstream = cache(
-            partial(_upstream_candidates, topology._upstream, topology.links, frame, election_key)
+            partial(_upstream_candidates, topology._upstream, topology._decode, election_key)
         )
         self.overhearing = cache(partial(_overhearing_probs, topology.links, frame))
         # one generator per run, reseeded per replication by _random.Random.seed,
@@ -189,11 +198,15 @@ def _decode_probs(p: float, frame: FrameParams) -> tuple[float, float]:
 
 
 def _upstream_candidates(
-    upstream_table, links, frame: FrameParams, election_key, u: NodeId
+    upstream_table, decode, election_key, u: NodeId
 ) -> tuple[tuple[NodeId, float, float, int], ...]:
     upstream = upstream_table[u]
     priority = {c: i for i, c in enumerate(sorted(upstream, key=election_key))}
-    return tuple((c, *_decode_probs(links[(u, c)].p, frame), priority[c]) for c in upstream)
+    pairs = decode[u]  # flat: (micro_p, data_p) per candidate, in upstream order
+    return tuple(
+        (c, micro_p, data_p, priority[c])
+        for c, micro_p, data_p in zip(upstream, pairs[::2], pairs[1::2])
+    )
 
 
 def _overhearing_probs(links, frame: FrameParams, u: NodeId, obs: NodeId) -> tuple[float, float] | None:
@@ -205,144 +218,159 @@ _PRIORITY = itemgetter(3)
 
 
 def _deliver(
-    plan: _Plan, config: SimConfig, replication_index: int, events: list[TraceEvent] | None
-) -> tuple[NodeId, int, int, int | None, list[NodeId]]:
-    """Run one end-to-end delivery attempt.
+    plan: _Plan, config: SimConfig, replications: Iterable[int], events: list[TraceEvent] | None
+) -> Iterator[tuple[NodeId, int, int, int | None, list[NodeId]]]:
+    """Run one end-to-end delivery attempt per replication index, in order.
 
-    Returns the source, the number of transmissions, the number of
-    duplicate forwards, the hop count of the first gateway arrival (None
-    if undelivered) and the elected winners in election order.  Appends
-    the attempt's events to ``events`` unless it is None; without a list
-    no event is built.
+    Yields, per replication, the source, the number of transmissions, the
+    number of duplicate forwards, the hop count of the first gateway
+    arrival (None if undelivered) and the elected winners in election
+    order.  Appends the attempts' events to ``events`` unless it is None;
+    without a list no event is built.  The plan's tables, the config's
+    knobs and the queue's methods are bound once per call; each
+    replication reseeds the plan's generator from its own index, so its
+    draws do not depend on the replications before it.
 
     There is no link-layer acknowledgement, so a transmission nobody
     decodes kills that packet copy; duplicate forwards spawn independent
     copies that may produce extra gateway arrivals.
     """
-    plan.reseed(replication_seed(config.seed, replication_index))
+    reseed = plan.reseed
     draw = plan.draw
+    choice = plan.rng.choice
     traced = events is not None
     gateway = plan.gateway
-    source = config.source
-    if source is None:
-        source = plan.rng.choice(plan.sources) if plan.sources else gateway
-    if source == gateway:
-        if traced:
-            events.append(TraceEvent(0, EventKind.GATEWAY_ARRIVAL, gateway, hops=0))
-        return source, 0, 0, 0, []
-
+    sources = plan.sources
     p_sw = plan.p_sw
-    r_m = plan.preamble_frames
+    preamble = range(plan.preamble_frames)
     upstream = plan.upstream
     overhearing = plan.overhearing
     receiver = plan.receiver
+    seed = config.seed
+    fixed_source = config.source
     max_hops = config.max_hops
     slots = config.election_slots
     duplicate_all = receiver and not config.suppression
+    # pending copies: (node, hops so far, co-candidates of its election);
+    # empty again at the end of every replication
+    queue: deque[tuple[NodeId, int, tuple[NodeId, ...]]] = deque()
+    pop = queue.popleft
+    push = queue.append
 
-    duplicates = 0
-    first_hops: int | None = None
-    winners: list[NodeId] = []
-    # pending copies: (node, hops so far, co-candidates of its election)
-    queue: deque[tuple[NodeId, int, tuple[NodeId, ...]]] = deque([(source, 0, ())])
-    slot = 0  # one slot per transmission
-    while queue:
-        u, hops, observers = queue.popleft()
-        t = slot
-        slot += 1
-        if traced:
-            events.append(TraceEvent(t, EventKind.TRANSMIT_PREAMBLE, u))
-            events.append(TraceEvent(t, EventKind.TRANSMIT_DATA, u))
-        on_channel = draw() < p_sw
-
-        # co-candidates of u's own election react to this forward: one that
-        # hears no micro-frame and not the data frame duplicates; so does
-        # one without a link back to u
-        for obs in observers:
-            duplicate = False
-            if on_channel:
-                probs = overhearing(u, obs)
-                if probs is None:
-                    duplicate = True
-                else:
-                    micro_p, data_p = probs
-                    for _ in range(r_m):
-                        if draw() < micro_p:
-                            break
-                    else:
-                        duplicate = draw() >= data_p
-            if duplicate:
-                duplicates += 1
-                if traced:
-                    events.append(TraceEvent(t, EventKind.DUPLICATE_FORWARD, obs, sender=u))
-                queue.append((obs, hops, ()))
-            elif traced:
-                events.append(TraceEvent(t, EventKind.SUPPRESS, obs, sender=u))
-        if not on_channel:
-            continue
-
-        # a micro-frame wakes c, then the data frame decodes
-        hearing = []
-        gateway_heard = False
-        for candidate in upstream(u):
-            c, micro_p, data_p, _ = candidate
-            for _ in range(r_m):
-                if draw() < micro_p:
-                    if draw() < data_p:
-                        if traced:
-                            events.append(TraceEvent(t, EventKind.RECEIVE, c, sender=u))
-                        if c == gateway:
-                            gateway_heard = True
-                        else:
-                            hearing.append(candidate)
-                    break
-
-        next_hops = hops + 1
-        if gateway_heard:
-            if first_hops is None:
-                first_hops = next_hops
+    for replication_index in replications:
+        reseed(replication_seed(seed, replication_index))
+        source = fixed_source
+        if source is None:
+            source = choice(sources) if sources else gateway
+        if source == gateway:
             if traced:
-                events.append(
-                    TraceEvent(t, EventKind.GATEWAY_ARRIVAL, gateway, sender=u, hops=next_hops)
-                )
-        if not hearing:
+                events.append(TraceEvent(0, EventKind.GATEWAY_ARRIVAL, gateway, hops=0))
+            yield source, 0, 0, 0, []
             continue
 
-        # at the hop limit the election still runs but queues no copy: each
-        # copy it makes is traced as dropped at the slot that elected it
-        hearing.sort(key=_PRIORITY)
-        at_limit = next_hops >= max_hops
-        attached: list[NodeId] = []
-        elected = False
-        for i, (c, _, _, priority) in enumerate(hearing):
-            ordinal = i if receiver else priority
-            if ordinal >= slots:
-                if traced:
-                    events.append(
-                        TraceEvent(t, EventKind.SUPPRESS, c, sender=u, reason="window-closed")
-                    )
-                continue
-            if i == 0:
-                elected = True
-                winners.append(c)
-                if traced:
-                    events.append(
-                        TraceEvent(t, EventKind.ELECT, c, sender=u, hops=next_hops, slot=ordinal)
-                    )
-            elif duplicate_all:
-                duplicates += 1
-                if traced:
-                    events.append(TraceEvent(t, EventKind.DUPLICATE_FORWARD, c, sender=u))
-                if not at_limit:
-                    queue.append((c, next_hops, ()))
-            else:
-                attached.append(c)
-            if at_limit and traced:
-                events.append(TraceEvent(t, EventKind.SUPPRESS, c, sender=u, reason="max-hops"))
-        if elected and not at_limit:
-            queue.append((hearing[0][0], next_hops, tuple(attached)))
+        duplicates = 0
+        first_hops: int | None = None
+        winners: list[NodeId] = []
+        push((source, 0, ()))
+        slot = 0  # one slot per transmission
+        while queue:
+            u, hops, observers = pop()
+            t = slot
+            slot += 1
+            if traced:
+                events.append(TraceEvent(t, EventKind.TRANSMIT_PREAMBLE, u))
+                events.append(TraceEvent(t, EventKind.TRANSMIT_DATA, u))
+            on_channel = draw() < p_sw
 
-    return source, slot, duplicates, first_hops, winners
+            # co-candidates of u's own election react to this forward: one
+            # that hears no micro-frame and not the data frame duplicates;
+            # so does one without a link back to u
+            for obs in observers:
+                duplicate = False
+                if on_channel:
+                    probs = overhearing(u, obs)
+                    if probs is None:
+                        duplicate = True
+                    else:
+                        micro_p, data_p = probs
+                        for _ in preamble:
+                            if draw() < micro_p:
+                                break
+                        else:
+                            duplicate = draw() >= data_p
+                if duplicate:
+                    duplicates += 1
+                    if traced:
+                        events.append(TraceEvent(t, EventKind.DUPLICATE_FORWARD, obs, sender=u))
+                    push((obs, hops, ()))
+                elif traced:
+                    events.append(TraceEvent(t, EventKind.SUPPRESS, obs, sender=u))
+            if not on_channel:
+                continue
+
+            # a micro-frame wakes c, then the data frame decodes
+            hearing = []
+            gateway_heard = False
+            for candidate in upstream(u):
+                c, micro_p, data_p, _ = candidate
+                for _ in preamble:
+                    if draw() < micro_p:
+                        if draw() < data_p:
+                            if traced:
+                                events.append(TraceEvent(t, EventKind.RECEIVE, c, sender=u))
+                            if c == gateway:
+                                gateway_heard = True
+                            else:
+                                hearing.append(candidate)
+                        break
+
+            next_hops = hops + 1
+            if gateway_heard:
+                if first_hops is None:
+                    first_hops = next_hops
+                if traced:
+                    events.append(
+                        TraceEvent(t, EventKind.GATEWAY_ARRIVAL, gateway, sender=u, hops=next_hops)
+                    )
+            if not hearing:
+                continue
+
+            # at the hop limit the election still runs but queues no copy:
+            # each copy it makes is traced as dropped at the slot that
+            # elected it
+            hearing.sort(key=_PRIORITY)
+            at_limit = next_hops >= max_hops
+            attached: list[NodeId] = []
+            elected = False
+            for i, (c, _, _, priority) in enumerate(hearing):
+                ordinal = i if receiver else priority
+                if ordinal >= slots:
+                    if traced:
+                        events.append(
+                            TraceEvent(t, EventKind.SUPPRESS, c, sender=u, reason="window-closed")
+                        )
+                    continue
+                if i == 0:
+                    elected = True
+                    winners.append(c)
+                    if traced:
+                        events.append(
+                            TraceEvent(t, EventKind.ELECT, c, sender=u, hops=next_hops, slot=ordinal)
+                        )
+                elif duplicate_all:
+                    duplicates += 1
+                    if traced:
+                        events.append(TraceEvent(t, EventKind.DUPLICATE_FORWARD, c, sender=u))
+                    if not at_limit:
+                        push((c, next_hops, ()))
+                else:
+                    attached.append(c)
+                if at_limit and traced:
+                    events.append(TraceEvent(t, EventKind.SUPPRESS, c, sender=u, reason="max-hops"))
+            if elected and not at_limit:
+                push((hearing[0][0], next_hops, tuple(attached)))
+
+        yield source, slot, duplicates, first_hops, winners
 
 
 def simulate_delivery(
@@ -350,7 +378,7 @@ def simulate_delivery(
 ) -> DeliveryTrace:
     """Run one end-to-end delivery attempt and return its full trace."""
     events: list[TraceEvent] = []
-    source = _deliver(_Plan(topology, config), config, replication_index, events)[0]
+    source = next(_deliver(_Plan(topology, config), config, (replication_index,), events))[0]
     return DeliveryTrace(source, tuple(events))
 
 
@@ -365,15 +393,14 @@ def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
     ``mean_duplicates`` counts duplicate-forward events per replication.
     """
     plan = _Plan(topology, config)
-    costs = topology.costs
+    costs = topology.costs.costs
     attempted = config.replications
     succeeded = 0
     dup_events = 0
     transmissions = 0
     overhead_sum = 0.0
     hops_sum = 0
-    for r in range(attempted):
-        _, sent, dups, hops, winners = _deliver(plan, config, r, None)
+    for _, sent, dups, hops, winners in _deliver(plan, config, range(attempted), None):
         transmissions += sent
         dup_events += dups
         if hops is not None:

@@ -232,7 +232,9 @@ class Topology:
     ``prepare`` also stores the upstream table (``_upstream``, each node's
     neighbours with a smaller hop ID) from the breadth-first search that
     assigns the hop IDs; a hand-built or ``replace``d topology derives it
-    from its links and hop IDs on first use.
+    from its links and hop IDs on first use.  Next to the cost table, the
+    cost solve leaves each upstream link's decode probabilities
+    (``_decode``), which the engine reads.
     """
 
     nodes: tuple[Node, ...]

@@ -226,7 +226,9 @@ def assign_hop_ids(
 
 
 def compute_ranks(topology: Topology) -> None:
-    """Store its cost table on a topology just built: rank = 1 + path cost."""
+    """Store its cost table on a topology just built: rank = 1 + path cost.
+    The solve leaves each upstream link's decode probabilities next to it
+    (``_decode``), so the engine's runs of either mode compute none again."""
     object.__setattr__(topology, "_costs", analysis.network_path_costs(topology))
 
 

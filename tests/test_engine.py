@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from oppsim import analysis, cli, engine, oracle, topology as topo, verification
 from oppsim.engine import ProtocolMode, SimConfig, run_experiment
-from oppsim.model import Channel, ChannelModel, EventKind, Metrics
+from oppsim.model import Channel, ChannelModel, EventKind, Metrics, Topology
 from oppsim.oracle import bit_level_frame_oracle
 
 from engine_cases import small_runs, without_cross_links
@@ -644,6 +644,7 @@ PLAN_TOPOLOGIES = {
     "mesh": benchmark_mesh,
     "star": lambda: star(4, 0.7, intercandidate_ber=0.01),
     "diamond": lambda: topo.diamond_topology((0.02, 0.03), (0.01, 0.005), intercandidate_ber=0.02),
+    "chain": lambda: topo.chain_topology([0.9, 0.8, 0.95]),
 }
 
 
@@ -666,6 +667,12 @@ def test_plan_tables_equal_the_topology_reference(shape, mode):
         key = lambda c: (t.costs[c], c)
     for n in t.nodes:
         upstream = t.upstream_neighbors(n.id)
+        # the cost solve left each upstream link's decode pair on the
+        # topology, flat and in upstream order, equal to the engine's own law
+        # to the bit
+        assert [x.hex() for x in t._decode[n.id]] == [
+            x.hex() for c in upstream for x in engine._decode_probs(t.links[(n.id, c)].p, t.frame)
+        ]
         order = sorted(upstream, key=key)
         assert plan.upstream(n.id) == tuple(
             (c, *reference_decode(t, n.id, c), order.index(c)) for c in upstream
@@ -677,3 +684,18 @@ def test_plan_tables_equal_the_topology_reference(shape, mode):
                 if obs != u:
                     expected = reference_decode(t, u, obs) if t.has_link(obs, u) else None
                     assert plan.overhearing(u, obs) == expected
+
+
+@pytest.mark.parametrize("shape", ["star", "diamond", "chain"])
+def test_plan_refuses_a_topology_without_a_cost_table(shape):
+    # a copy or a hand-built topology carries no cost table, even after a
+    # cost solve has left its decode pairs on it
+    t = PLAN_TOPOLOGIES[shape]()
+    by_hand = Topology(nodes=t.nodes, gateway=t.gateway, links=t.links, frame=t.frame, channel=t.channel)
+    solved = replace(t)
+    analysis.network_path_costs(solved)
+    for copy in (replace(t), by_hand, solved):
+        for mode in ProtocolMode:
+            with pytest.raises(ValueError) as refused:
+                engine._Plan(copy, SimConfig(mode=mode))
+            assert str(refused.value) == "topology carries no cost table; build it with topology.prepare"

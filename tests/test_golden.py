@@ -56,6 +56,26 @@ topology:
 sim: {mode: both, replications: 100, seed: 9}
 sweep: {parameter: data_frame_bits, values: [50, 100]}
 """,
+    # reaches every branch of the engine's kernel but the gateway as source:
+    # window-closed and hop-limit suppression, receiver-mode duplicates
+    # without suppression, sender-mode co-candidates that overhear the
+    # winner, miss it or have no link back to it, and transmissions off
+    # the channel; recorded before the kernel became one generator per run
+    "branches": """
+frame: {data_frame_bits: 32}
+channel:
+  channels:
+    - {p_sw: 0.8, p_acc: 0.5}
+topology:
+  kind: generated
+  nodes: 20
+  area_side: 100.0
+  radio_range: 35.0
+  seed: 2
+  ber: {kind: distance, p_min: 0.0, p_max: 0.06}
+sim: {mode: both, replications: 1000, seed: 11, election_slots: 2, max_hops: 3, suppression: false}
+sweep: {parameter: p_sw, values: [0.7, 1.0]}
+""",
 }
 
 GOLDEN = {
@@ -83,6 +103,11 @@ GOLDEN = {
         "analyze": "258f0cb0f824a4ba0838bed22b87a9e5b4f983a0b70a35a338a25aafee62587d",
         "simulate": "b856d55c0cfebd08fd8acfc9702f93f4dc5d22d50da787e04eb6035b5f5da406",
         "sweep": "ba0d281ab34a134af9819250c1119408a463b681882c14d2dece8cfcc9bab7a1",
+    },
+    "branches": {
+        "analyze": "e0b67badeee4b3ff5bfd4ffbab138c86fbd378ddf0e951598c568fd760319964",
+        "simulate": "31d4fda42972949e2bbe58b1460bc70d32284652a2369c336072156ec3bad230",
+        "sweep": "f81bd2d6f0e983db847dc3f77095af9ff073eab2abd7236b035d7fe435c5f6f6",
     },
 }
 

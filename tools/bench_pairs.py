@@ -16,10 +16,13 @@ run length is run.py's own default, recorded as ``seconds``.  It also
 times the ROADMAP's layer baselines (``generate`` at 1000 nodes,
 ``star_topology(6, 0.7)``, ``network_path_costs`` at 1000 nodes, verify-grid's
 single-hop grid alone as ``run_verification`` with one Monte Carlo trial,
-timed on one CPU so that it forks no child for that trial, and the
-200,000-trial ``bit_level_frame_oracle``) on each side, best of k,
-in the same alternating order, and records each side's source-line count
-of ``src/oppsim/*.py`` (as ``wc -l`` counts them) as ``source_lines``.
+timed on one CPU so that it forks no child for that trial, the
+200,000-trial ``bit_level_frame_oracle``, and the engine's microseconds
+per replication of a cold ``run_experiment`` in each mode on
+``star_topology(6, 0.7)`` from node 7 and on the benchmark's 1000-node
+mesh) on each side, best of k, in the same alternating order, and records
+each side's source-line count of ``src/oppsim/*.py`` (as ``wc -l`` counts
+them) as ``source_lines``.
 After each side's run it probes each workload's garbage collector
 (``gc_generation2``): in a fresh process on that side, the cores the
 process may run on and, over 8 repeats of run.py's cycle (set-up,
@@ -61,7 +64,7 @@ GC_PHASES = ("setup", "call", "loop")
 LAYER_SNIPPET = r"""
 import json, os, sys, time
 sys.path.insert(0, "src")
-from oppsim import analysis, oracle, topology, verification
+from oppsim import analysis, engine, oracle, topology, verification
 
 def best(fn, k):
     times = []
@@ -84,6 +87,18 @@ mesh_config = topology.GeneratorConfig(
     nodes=1000, area_side=100.0, radio_range=8.0, ber_model=topology.DistanceBer(0.0, 0.005)
 )
 mesh = topology.generate(mesh_config, seed=1)
+star = topology.star_topology(6, 0.7)
+
+def engine_us(t, source, mode, replications):
+    # a cold run: run_experiment builds its plan afresh on every call
+    config = engine.SimConfig(mode=mode, replications=replications, seed=3, source=source)
+    return best(lambda: engine.run_experiment(t, config), 5) / replications * 1e6
+
+engine_rows = {
+    f"engine_{name}_{mode.value.split('_')[0]}_us": engine_us(t, source, mode, replications)
+    for name, t, source, replications in (("star6", star, 7, 2000), ("mesh", mesh, None, 1000))
+    for mode in engine.ProtocolMode
+}
 print(json.dumps({
     "generate_1000_s": best(lambda: topology.generate(mesh_config, seed=1), 5),
     "star_topology_6_s": best(lambda: topology.star_topology(6, 0.7), 20),
@@ -94,6 +109,7 @@ print(json.dumps({
     "bit_level_200k_s": best(
         lambda: oracle.bit_level_frame_oracle(0.01, topology.DEFAULT_FRAME, 200_000, 0), 5
     ),
+    **engine_rows,
 }))
 """
 
