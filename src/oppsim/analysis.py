@@ -26,7 +26,7 @@ Floating-point policy: probabilities are computed in double precision and
 underflow-risk regime ``n * p < 1e-8``; the engine's decode probabilities
 come from the same ``_survival_power``, so it governs them too.  Those of
 the upstream links are the very pairs ``network_path_costs`` computes for
-the link successes and leaves on the topology; the engine computes only
+the link successes and returns with its table; the engine computes only
 the overhearing pairs itself.
 """
 
@@ -204,14 +204,10 @@ def network_path_costs(topology: Topology) -> PathCostTable:
     neighbour, sorted into (cost, id) order, the canonical order of the set
     ``forwarder_entries`` builds, instead of a validated ``ForwarderSet``.
 
-    It also leaves the pairs on the topology, as ``_decode``: per node one
-    flat tuple ``(micro_p, data_p, micro_p, data_p, ...)``, a pair per
-    upstream neighbour in ascending id order (the order of
-    ``upstream_neighbors``), the gateway's empty.  Flat, a node's pairs
-    are one object, not one per link, so the cost solve leaves the garbage
-    collector no more containers to track than one per node.  They depend
-    on no election mode; the engine takes its upstream candidates' decode
-    probabilities from them.
+    It returns the pairs too, as the table's ``decode`` (see
+    ``PathCostTable``), and leaves its argument as it was.  Flat, a node's
+    pairs are one object, not one per link, so the solve leaves the garbage
+    collector no more containers to track than one per node.
     """
     p_sw = topology.channel.evaluated.p_sw
     frame = topology.frame
@@ -239,8 +235,7 @@ def network_path_costs(topology: Topology) -> PathCostTable:
         costs[node] = total_path_cost(members)
         if math.isinf(costs[node]):
             raise ValueError("unreachable forwarder set: every link probability is 0")
-    object.__setattr__(topology, "_decode", decode)
-    return PathCostTable(gateway=topology.gateway, costs=costs)
+    return PathCostTable(gateway=topology.gateway, costs=costs, decode=decode)
 
 
 def set_failure_probability(forwarder_set: ForwarderSet) -> float:

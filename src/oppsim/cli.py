@@ -92,8 +92,9 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 @contextmanager
-def _config_errors(where: str, errors: type[Exception] = ValueError):
-    """An error of ``errors`` raised inside, reported as a config error at ``where``."""
+def _config_errors(where: str, errors=(ValueError, OverflowError)):
+    """An error of ``errors`` raised inside, reported as a config error at
+    ``where``; by default a bad value, or a number too large for a float."""
     try:
         yield
     except ConfigError:
@@ -132,7 +133,10 @@ def _checked(name: str, value, kind):
     # bool is a subclass of int: only a boolean field takes one
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{name} must be {description}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    with _config_errors(name):
+        return float(value)
 
 
 def _read(section: dict, where: str, table: dict) -> dict:

@@ -25,20 +25,15 @@ mode keeps the cost order (the 1000-node generated mesh of the benchmark
 hits this; ``perfbench/known_defects.json`` pins its output).
 
 Structure: one private kernel, ``_deliver``, is a generator over a run's
-replication indices: it binds the plan's and the config's fields, the
-preamble's range and the queue's methods once per call and yields each
-replication's tallies.  It runs over a ``_Plan`` - the per-run tables
-every replication reads (the source candidates, each node's upstream
+replication indices.  Once per call it checks the source, binds the
+topology's tables and the config's knobs, and sets up two
+``functools.cache`` tables filled on first use: each node's upstream
 candidates with their decode probabilities and election priority, and the
-overhearing probabilities of each (transmitter, observer) pair, the last
-two ``functools.cache`` functions filled on first use).  The upstream
-decode probabilities are the pairs the cost solve leaves on the topology
-(``analysis.network_path_costs``), one mode-independent entry per node, so
-a run computes only the overhearing pairs and the priorities; both follow
-the closed forms' survival law, ``analysis._survival_power``.
-Ranks and costs are read from the topology's own cost table
-(``Topology.costs``); a topology without one is refused.
-``run_experiment`` builds one plan per run and passes the kernel
+overhearing probabilities of each (transmitter, observer) pair.  The
+upstream decode probabilities are the pairs the cost solve returned with
+the topology's cost table (see ``PathCostTable``); a topology without one
+is refused.  Both follow the closed forms' survival law,
+``analysis._survival_power``.  ``run_experiment`` passes the kernel
 ``range(replications)`` and no event list: it tallies transmissions,
 duplicate forwards, the first arrival's hop count and the elected winners,
 and builds no ``TraceEvent``.  ``simulate_delivery`` runs the same kernel
@@ -145,61 +140,12 @@ def replication_seed(seed: int, replication_index: int) -> int:
     return x
 
 
-class _Plan:
-    """What every replication of one run reads about its topology, worked
-    out once per run instead of once per hop or per replication.
-
-    ``upstream(u)`` returns u's upstream candidates in draw order (ascending
-    id) as ``(node, micro_p, data_p, priority)``; priority is the
-    candidate's position in the election order over all of u's upstream
-    neighbors: by (rank, id) in RECEIVER_BASED mode, by the stamped
-    (cost, id) list in SENDER_PRIORITIZED mode.  micro_p and data_p are the
-    pair the cost solve left on the topology (``Topology._decode``, filled
-    by ``analysis.network_path_costs`` next to the cost table), so no run
-    and no mode computes them again.  ``overhearing(u, obs)`` returns obs's
-    decode probabilities for u's frames (``_decode_probs``), or None when
-    obs has no link back to u.  Both are ``functools.cache`` functions, so
-    a run pays only for the nodes and pairs its replications reach.  They
-    read the topology's own tables (its link map, upstream table, decode
-    pairs and cost dict), bound once per plan, and hold those, not the
-    plan, so a plan is freed as soon as its run ends.
-    """
-
-    def __init__(self, topology: Topology, config: SimConfig):
-        if config.source is not None:
-            topology.node(config.source)
-        costs = topology.costs.costs
-        self.receiver = config.mode is ProtocolMode.RECEIVER_BASED
-        self.gateway = topology.gateway
-        self.sources = topology.non_gateway_ids()
-        self.p_sw = topology.channel.evaluated.p_sw
-        frame = topology.frame
-        self.preamble_frames = frame.preamble_frames
-        # rank is 1 + cost, as Topology.rank computes it
-        election_key = (
-            (lambda c: (1.0 + costs[c], c)) if self.receiver else (lambda c: (costs[c], c))
-        )
-        self.upstream = cache(
-            partial(_upstream_candidates, topology._upstream, topology._decode, election_key)
-        )
-        self.overhearing = cache(partial(_overhearing_probs, topology.links, frame))
-        # one generator per run, reseeded per replication by _random.Random.seed,
-        # all random.Random(seed) does for an int but set gauss_next (unread)
-        self.rng = random.Random()
-        self.reseed = super(random.Random, self.rng).seed
-        self.draw = self.rng.random
-
-
-def _decode_probs(p: float, frame: FrameParams) -> tuple[float, float]:
-    # the per-frame decode probabilities of the micro-frames and the data
-    # frame at bit error rate p; frame-level Bernoulli draws with these
-    # values are distribution-identical to drawing each bit
-    return _survival_power(p, frame.micro_frame_bits), _survival_power(p, frame.data_frame_bits)
-
-
 def _upstream_candidates(
     upstream_table, decode, election_key, u: NodeId
 ) -> tuple[tuple[NodeId, float, float, int], ...]:
+    # u's upstream candidates in draw order (ascending id) as (node, micro_p,
+    # data_p, priority): the decode pair the cost solve returned, and the
+    # candidate's position in the election order over all of them
     upstream = upstream_table[u]
     priority = {c: i for i, c in enumerate(sorted(upstream, key=election_key))}
     pairs = decode[u]  # flat: (micro_p, data_p) per candidate, in upstream order
@@ -210,15 +156,20 @@ def _upstream_candidates(
 
 
 def _overhearing_probs(links, frame: FrameParams, u: NodeId, obs: NodeId) -> tuple[float, float] | None:
-    # obs hears u's frames over link (u, obs), if it has a link back to u
-    return _decode_probs(links[(u, obs)].p, frame) if (obs, u) in links else None
+    # obs's decode probabilities of u's micro-frames and data frame over
+    # link (u, obs), if it has a link back to u; frame-level Bernoulli draws
+    # with these values are distribution-identical to drawing each bit
+    if (obs, u) not in links:
+        return None
+    p = links[(u, obs)].p
+    return _survival_power(p, frame.micro_frame_bits), _survival_power(p, frame.data_frame_bits)
 
 
 _PRIORITY = itemgetter(3)
 
 
 def _deliver(
-    plan: _Plan, config: SimConfig, replications: Iterable[int], events: list[TraceEvent] | None
+    topology: Topology, config: SimConfig, replications: Iterable[int], events: list[TraceEvent] | None
 ) -> Iterator[tuple[NodeId, int, int, int | None, list[NodeId]]]:
     """Run one end-to-end delivery attempt per replication index, in order.
 
@@ -226,26 +177,36 @@ def _deliver(
     number of duplicate forwards, the hop count of the first gateway
     arrival (None if undelivered) and the elected winners in election
     order.  Appends the attempts' events to ``events`` unless it is None;
-    without a list no event is built.  The plan's tables, the config's
-    knobs and the queue's methods are bound once per call; each
-    replication reseeds the plan's generator from its own index, so its
-    draws do not depend on the replications before it.
+    without a list no event is built.  The topology's tables and the
+    config's knobs are bound once per call, and the upstream candidates and
+    overhearing pairs are filled on first use; each replication reseeds the
+    call's generator from its own index, so its draws do not depend on the
+    replications before it.
 
     There is no link-layer acknowledgement, so a transmission nobody
     decodes kills that packet copy; duplicate forwards spawn independent
     copies that may produce extra gateway arrivals.
     """
-    reseed = plan.reseed
-    draw = plan.draw
-    choice = plan.rng.choice
+    if config.source is not None:
+        topology.node(config.source)
+    table = topology.costs
+    costs = table.costs
+    receiver = config.mode is ProtocolMode.RECEIVER_BASED
+    # rank is 1 + cost, as Topology.rank computes it
+    election_key = (lambda c: (1.0 + costs[c], c)) if receiver else (lambda c: (costs[c], c))
+    upstream = cache(partial(_upstream_candidates, topology._upstream, table.decode, election_key))
+    overhearing = cache(partial(_overhearing_probs, topology.links, topology.frame))
+    # one generator per call, reseeded per replication by _random.Random.seed,
+    # all random.Random(seed) does for an int but set gauss_next (unread)
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed
+    draw = rng.random
+    choice = rng.choice
     traced = events is not None
-    gateway = plan.gateway
-    sources = plan.sources
-    p_sw = plan.p_sw
-    preamble = range(plan.preamble_frames)
-    upstream = plan.upstream
-    overhearing = plan.overhearing
-    receiver = plan.receiver
+    gateway = topology.gateway
+    sources = topology.non_gateway_ids()
+    p_sw = topology.channel.evaluated.p_sw
+    preamble = range(topology.frame.preamble_frames)
     seed = config.seed
     fixed_source = config.source
     max_hops = config.max_hops
@@ -378,7 +339,7 @@ def simulate_delivery(
 ) -> DeliveryTrace:
     """Run one end-to-end delivery attempt and return its full trace."""
     events: list[TraceEvent] = []
-    source = next(_deliver(_Plan(topology, config), config, (replication_index,), events))[0]
+    source = next(_deliver(topology, config, (replication_index,), events))[0]
     return DeliveryTrace(source, tuple(events))
 
 
@@ -392,7 +353,6 @@ def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
     gateway's cost is zero, so terminal hops contribute nothing).
     ``mean_duplicates`` counts duplicate-forward events per replication.
     """
-    plan = _Plan(topology, config)
     costs = topology.costs.costs
     attempted = config.replications
     succeeded = 0
@@ -400,7 +360,7 @@ def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
     transmissions = 0
     overhead_sum = 0.0
     hops_sum = 0
-    for _, sent, dups, hops, winners in _deliver(plan, config, range(attempted), None):
+    for _, sent, dups, hops, winners in _deliver(topology, config, range(attempted), None):
         transmissions += sent
         dup_events += dups
         if hops is not None:

@@ -10,7 +10,8 @@ them as a list of violations so a caller can surface every problem at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -65,6 +66,10 @@ class FrameParams:
         _positive_int("micro_frame_bits", self.micro_frame_bits)
         _positive_int("preamble_frames", self.preamble_frames)
         _positive_int("data_frame_bits", self.data_frame_bits)
+        # the closed forms and the energy column take bit counts as floats
+        if self.bits_per_transmission > sys.float_info.max:
+            raise ValueError(f"preamble_frames * micro_frame_bits + data_frame_bits must be at most"
+                             f" {sys.float_info.max:.4g}")
 
     @property
     def bits_per_transmission(self) -> int:
@@ -171,10 +176,20 @@ class ForwarderSet:
 @dataclass(frozen=True)
 class PathCostTable:
     """Per-node expected cost to reach the gateway.  The gateway entry is
-    pinned at zero; every other entry is >= 1 (at least one transmission)."""
+    pinned at zero; every other entry is >= 1 (at least one transmission).
+
+    ``decode`` holds what the cost solve (``analysis.network_path_costs``)
+    worked out on the way: each upstream link's decode probabilities, per
+    node one flat tuple ``(micro_p, data_p, micro_p, data_p, ...)``, a pair
+    per upstream neighbour in ascending id order (the order of
+    ``Topology.upstream_neighbors``), the gateway's empty.  They depend on
+    no election mode, and the engine draws its receptions from them.  A
+    table built by hand has none; tables compare by gateway and costs.
+    """
 
     gateway: NodeId
     costs: Mapping[NodeId, float]
+    decode: Mapping[NodeId, tuple[float, ...]] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         costs = dict(self.costs)
@@ -232,9 +247,7 @@ class Topology:
     ``prepare`` also stores the upstream table (``_upstream``, each node's
     neighbours with a smaller hop ID) from the breadth-first search that
     assigns the hop IDs; a hand-built or ``replace``d topology derives it
-    from its links and hop IDs on first use.  Next to the cost table, the
-    cost solve leaves each upstream link's decode probabilities
-    (``_decode``), which the engine reads.
+    from its links and hop IDs on first use.
     """
 
     nodes: tuple[Node, ...]

@@ -10,7 +10,7 @@ the two routes is what the verification suite checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -211,40 +211,36 @@ def exact_two_hop(chain: ChainSpec) -> float:
 
 @dataclass(frozen=True)
 class FrameMissEstimates:
-    """Monte Carlo estimates of the three frame-level miss factors, and of
-    ``decoded``: at least one micro-frame and the data frame decode."""
+    """The miss counts of ``trials`` Monte Carlo trials, and from them the
+    estimates of the three frame-level miss factors and of ``decoded``: at
+    least one micro-frame and the data frame decode."""
 
-    preamble_miss: float
-    data_miss: float
-    joint_miss: float
-    decoded: float
+    preamble_misses: int
+    data_misses: int
+    joint_misses: int
     trials: int
 
-    @classmethod
-    def from_counts(cls, preamble: int, data: int, joint: int, trials: int) -> "FrameMissEstimates":
-        """The estimates of ``trials`` trials with these miss counts."""
-        return cls(
-            preamble_miss=preamble / trials,
-            data_miss=data / trials,
-            joint_miss=joint / trials,
-            decoded=(trials - preamble - data + joint) / trials,
-            trials=trials,
-        )
+    @property
+    def preamble_miss(self) -> float:
+        return self.preamble_misses / self.trials
 
     @property
-    def counts(self) -> tuple[int, int, int]:
-        """The preamble, data and joint miss counts.  Each frequency is its
-        count over ``trials``, correctly rounded, so times ``trials`` it is
-        within one part in 2**51 of the count and rounds back to it."""
-        return tuple(round(f * self.trials)
-                     for f in (self.preamble_miss, self.data_miss, self.joint_miss))
+    def data_miss(self) -> float:
+        return self.data_misses / self.trials
+
+    @property
+    def joint_miss(self) -> float:
+        return self.joint_misses / self.trials
+
+    @property
+    def decoded(self) -> float:
+        return (self.trials - self.preamble_misses - self.data_misses + self.joint_misses) / self.trials
 
     @classmethod
     def pooled(cls, shards: Sequence["FrameMissEstimates"]) -> "FrameMissEstimates":
         """One run's estimates from those of its shards: their summed miss
         counts over their summed trials, so equal to the run's own."""
-        return cls.from_counts(*map(sum, zip(*(s.counts for s in shards))),
-                               sum(s.trials for s in shards))
+        return cls(*map(sum, zip(*map(astuple, shards))))
 
 
 def _any_bit_errored(rng: np.random.Generator, frames: int, bits: int, p: float,
@@ -319,4 +315,4 @@ def bit_level_frame_oracle(
         data_missed += int(data_failed.sum())
         joint_missed += int((all_micro_failed & data_failed).sum())
 
-    return FrameMissEstimates.from_counts(preamble_missed, data_missed, joint_missed, trials)
+    return FrameMissEstimates(preamble_missed, data_missed, joint_missed, trials)

@@ -227,8 +227,8 @@ def assign_hop_ids(
 
 def compute_ranks(topology: Topology) -> None:
     """Store its cost table on a topology just built: rank = 1 + path cost.
-    The solve leaves each upstream link's decode probabilities next to it
-    (``_decode``), so the engine's runs of either mode compute none again."""
+    The table carries the decode pairs the engine reads (see
+    ``PathCostTable``)."""
     object.__setattr__(topology, "_costs", analysis.network_path_costs(topology))
 
 

@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import hashlib
+import io
 import math
 import os
 import re
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppsim import analysis, cli, engine, oracle, topology as topo, verification
 from oppsim.cli import ConfigError
@@ -969,6 +973,12 @@ def _three_nodes(seed, ber):
 # negative one
 _NEGATIVE_P_MIN = "topology.ber: p_min must be a probability in [0, 1], got -0.01"
 
+# an integer no float holds, and the refusals of a frame or a number that big
+_HUGE = "1" + "0" * 400
+_HUGE_FRAME = "frame: preamble_frames * micro_frame_bits + data_frame_bits must be at most 1.798e+308"
+_NO_FLOAT = "int too large to convert to float"
+_STAR_P = "topology: {kind: star, forwarders: 2, p_link: 0.6}\n" + _SIM
+
 
 class TestRefusals:
     """Refusals that no other test reaches: each is one config error line."""
@@ -1008,6 +1018,20 @@ class TestRefusals:
          "topology.ber: p_max must be a probability in [0, 1], got nan"),
         (["simulate"], _three_nodes(1, "{kind: fixed, p: 1.5}"), None,
          "topology.ber: p must be a probability in [0, 1], got 1.5"),
+        pytest.param(["analyze"], f"channel: {{channels: [{{p_sw: {_HUGE}}}]}}\n" + _STAR, None,
+                     f"channel.channels[0].p_sw: {_NO_FLOAT}", id="huge-p_sw"),
+        pytest.param(["simulate"], f"channel: {{noise_power: -{_HUGE}}}\n" + _STAR, None,
+                     f"channel.noise_power: {_NO_FLOAT}", id="huge-noise_power"),
+        pytest.param(["analyze"], f"topology: {{kind: star, forwarders: 2, remaining_cost: {_HUGE}}}\n", None,
+                     f"topology.remaining_cost: {_NO_FLOAT}", id="huge-remaining_cost"),
+        pytest.param(["simulate"], f"frame: {{data_frame_bits: {_HUGE}}}\n" + _STAR, None, _HUGE_FRAME,
+                     id="huge-data_frame_bits"),
+        pytest.param(["sweep"], _STAR_P + f"sweep: {{parameter: ber, values: [{_HUGE}]}}\n", None,
+                     f"sweep.values[0]: {_NO_FLOAT}", id="huge-sweep-ber"),
+        pytest.param(["sweep"], _STAR + f"sweep: {{parameter: p_sw, values: [-{_HUGE}]}}\n", None,
+                     f"channel.channels[0].p_sw: {_NO_FLOAT}", id="huge-sweep-p_sw"),
+        pytest.param(["sweep"], _STAR + f"sweep: {{parameter: preamble_frames, values: [{_HUGE}]}}\n", None,
+                     _HUGE_FRAME, id="huge-sweep-preamble_frames"),
     ])
     def test_refusal_is_one_config_error_line(self, tmp_path, monkeypatch, capsys, argv, cfg, topology_file,
                                               message):
@@ -1028,3 +1052,41 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.splitlines()[-1].startswith("receiver_based,10,")
+
+
+# values at the edges of every key's type; never a huge count the reader
+# takes: forwarders: 10**400 (or 10**18) passes it, and star_topology then
+# allocates until the process is killed
+_EDGES = (0, 1, -1, math.nan, math.inf, -math.inf, 10**400, -10**400, "x", True, None, [], {})
+_STAR_KEYS = cli._topology_kinds()["star"][1]
+_ANALYZE_KEYS = {
+    **{("frame", key): _EDGES for key in cli.FRAME_FIELDS},
+    **{("channel", "channels", key): _EDGES for key in cli.CHANNEL_FIELDS},
+    ("channel", "noise_power"): _EDGES,
+    **{("topology", key): _EDGES for key in _STAR_KEYS if key != "forwarders"},
+    ("topology", "forwarders"): tuple(v for v in _EDGES if v != 10**400),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({}, optional={key: st.sampled_from(v) for key, v in _ANALYZE_KEYS.items()}))
+def test_analyze_of_a_star_ends_in_records_or_one_error_line(tmp_path_factory, drawn):
+    cfg = {"topology": {"kind": "star"}, "frame": {}, "channel": {}}
+    for (section, *path), value in drawn.items():
+        if path[0] == "channels":
+            cfg[section].setdefault("channels", [{}])[0][path[1]] = value
+        else:
+            cfg[section][path[0]] = value
+    path = tmp_path_factory.getbasetemp() / "drawn.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert "nan" not in out.getvalue()
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith(("config error: ", "validation error: "))

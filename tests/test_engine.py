@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from oppsim import analysis, cli, engine, oracle, topology as topo, verification
 from oppsim.engine import ProtocolMode, SimConfig, run_experiment
-from oppsim.model import Channel, ChannelModel, EventKind, Metrics, Topology
+from oppsim.model import Channel, ChannelModel, EventKind, Metrics
 from oppsim.oracle import bit_level_frame_oracle
 
 from engine_cases import small_runs, without_cross_links
@@ -623,7 +623,7 @@ def test_decode_laws_equal_the_closed_forms_exactly(ber):
     # one survival law for both: the engine's reception and suppression
     # laws equal the closed forms to the last bit, also where n * p < 1e-8
     t = replace(topo.chain_topology([1.0]), links={(0, 1): ber, (1, 0): ber})
-    micro_p, data_p = engine._decode_probs(t.ber(1, 0), t.frame)
+    micro_p, data_p = engine._overhearing_probs(t.links, t.frame, 1, 0)
     r = t.frame.preamble_frames
     p_sw = t.channel.evaluated.p_sw
     reception = p_sw * (1.0 - (1.0 - micro_p) ** r) * data_p
@@ -657,24 +657,24 @@ def reference_decode(t, a, b):
 @pytest.mark.parametrize("mode", list(ProtocolMode))
 @pytest.mark.parametrize("shape", PLAN_TOPOLOGIES)
 def test_plan_tables_equal_the_topology_reference(shape, mode):
-    # the plan reads the topology's tables directly; the reference reads
-    # them through the topology's accessors
+    # the kernel's tables read the topology's own tables directly; the
+    # reference reads them through the topology's accessors
     t = PLAN_TOPOLOGIES[shape]()
-    plan = engine._Plan(t, SimConfig(mode=mode))
     if mode is ProtocolMode.RECEIVER_BASED:
         key = lambda c: (t.rank(c), c)
     else:
         key = lambda c: (t.costs[c], c)
+    decode = t.costs.decode
     for n in t.nodes:
         upstream = t.upstream_neighbors(n.id)
-        # the cost solve left each upstream link's decode pair on the
-        # topology, flat and in upstream order, equal to the engine's own law
-        # to the bit
-        assert [x.hex() for x in t._decode[n.id]] == [
-            x.hex() for c in upstream for x in engine._decode_probs(t.links[(n.id, c)].p, t.frame)
+        # the cost solve returned each upstream link's decode pair with the
+        # cost table, flat and in upstream order, equal to the overhearing
+        # law to the bit
+        assert [x.hex() for x in decode[n.id]] == [
+            x.hex() for c in upstream for x in engine._overhearing_probs(t.links, t.frame, n.id, c)
         ]
         order = sorted(upstream, key=key)
-        assert plan.upstream(n.id) == tuple(
+        assert engine._upstream_candidates(t._upstream, decode, key, n.id) == tuple(
             (c, *reference_decode(t, n.id, c), order.index(c)) for c in upstream
         )
         # the kernel asks how each co-candidate of an election overhears the
@@ -683,19 +683,21 @@ def test_plan_tables_equal_the_topology_reference(shape, mode):
             for obs in upstream:
                 if obs != u:
                     expected = reference_decode(t, u, obs) if t.has_link(obs, u) else None
-                    assert plan.overhearing(u, obs) == expected
+                    assert engine._overhearing_probs(t.links, t.frame, u, obs) == expected
 
 
-@pytest.mark.parametrize("shape", ["star", "diamond", "chain"])
-def test_plan_refuses_a_topology_without_a_cost_table(shape):
-    # a copy or a hand-built topology carries no cost table, even after a
-    # cost solve has left its decode pairs on it
-    t = PLAN_TOPOLOGIES[shape]()
-    by_hand = Topology(nodes=t.nodes, gateway=t.gateway, links=t.links, frame=t.frame, channel=t.channel)
-    solved = replace(t)
-    analysis.network_path_costs(solved)
-    for copy in (replace(t), by_hand, solved):
-        for mode in ProtocolMode:
-            with pytest.raises(ValueError) as refused:
-                engine._Plan(copy, SimConfig(mode=mode))
-            assert str(refused.value) == "topology carries no cost table; build it with topology.prepare"
+@pytest.mark.parametrize("shape", PLAN_TOPOLOGIES)
+def test_cost_solve_leaves_its_argument_as_it_was(shape):
+    # the solve returns the decode pairs with its table instead of writing
+    # them onto the topology; the topology's own lazily derived tables
+    # (filled here first) are all it may touch
+    built = PLAN_TOPOLOGIES[shape]()
+    t = replace(built)
+    t.non_gateway_ids(), t.upstream_neighbors(t.gateway), t.node(t.gateway)
+    before = dict(vars(t))
+    solved = analysis.network_path_costs(t)
+    assert vars(t) == before
+    assert solved == built.costs
+    assert {n: [x.hex() for x in pairs] for n, pairs in solved.decode.items()} == {
+        n: [x.hex() for x in pairs] for n, pairs in built.costs.decode.items()
+    }

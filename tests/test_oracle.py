@@ -228,12 +228,10 @@ def test_row_blocks_draw_the_whole_chunk_stream(p, seed):
     frame = topo.DEFAULT_FRAME
     for trials in (1, 4095, 4097, 65536, 65537, 131073):
         preamble, data, joint = whole_chunk_oracle(p, frame, trials, seed)
-        assert oracle.bit_level_frame_oracle(p, frame, trials, seed) == oracle.FrameMissEstimates(
-            preamble_miss=preamble / trials,
-            data_miss=data / trials,
-            joint_miss=joint / trials,
-            decoded=(trials - preamble - data + joint) / trials,
-            trials=trials,
+        est = oracle.bit_level_frame_oracle(p, frame, trials, seed)
+        assert est == oracle.FrameMissEstimates(preamble, data, joint, trials)
+        assert (est.preamble_miss, est.data_miss, est.joint_miss, est.decoded) == (
+            preamble / trials, data / trials, joint / trials, (trials - preamble - data + joint) / trials
         )
 
 
@@ -245,7 +243,8 @@ def shard_counts(p, frame, trials, seed, shard):
         for first in range(0, trials, shard)
     ]
     assert sum(part.trials for part in parts) == trials
-    return tuple(map(sum, zip(*(part.counts for part in parts)))), oracle.FrameMissEstimates.pooled(parts)
+    counts = ((part.preamble_misses, part.data_misses, part.joint_misses) for part in parts)
+    return tuple(map(sum, zip(*counts))), oracle.FrameMissEstimates.pooled(parts)
 
 
 # trial counts on the row-block and chunk edges; verify's shards stay inside

@@ -634,20 +634,25 @@ def test_built_topology_owns_its_cost_table(kind, tmp_path):
     for n in t.nodes:
         assert t.rank(n.id) == 1.0 + t.costs[n.id]
     # a copy or a hand-built topology may have other links or hop ids, so it
-    # carries no table, and whatever reads one refuses it
+    # carries no table, also after a cost solve of it, and whatever reads
+    # one refuses it, in either mode
     by_hand = Topology(nodes=t.nodes, gateway=t.gateway, links=t.links,
                        frame=t.frame, channel=t.channel)
-    cfg = SimConfig(mode=ProtocolMode.RECEIVER_BASED, replications=2)
-    for copy in (replace(t), replace(t, links=dict(t.links)), by_hand):
+    solved = replace(t)
+    analysis.network_path_costs(solved)
+    for copy in (replace(t), replace(t, links=dict(t.links)), by_hand, solved):
         assert copy == t
-        for read in (
-            lambda: copy.costs,
-            lambda: copy.rank(t.gateway),
-            lambda: engine.run_experiment(copy, cfg),
-            lambda: engine.simulate_delivery(copy, cfg, 0),
-        ):
-            with pytest.raises(ValueError, match="topology.prepare"):
-                read()
+        for mode in ProtocolMode:
+            cfg = SimConfig(mode=mode, replications=2)
+            for read in (
+                lambda: copy.costs,
+                lambda: copy.rank(t.gateway),
+                lambda: engine.run_experiment(copy, cfg),
+                lambda: engine.simulate_delivery(copy, cfg, 0),
+            ):
+                with pytest.raises(ValueError) as refused:
+                    read()
+                assert str(refused.value) == "topology carries no cost table; build it with topology.prepare"
         edges = [(a, b, ber) for (a, b), ber in copy.links.items()]
         assert topo.prepare(copy.nodes, copy.gateway, edges, copy.frame, copy.channel).costs == t.costs
 
