@@ -23,11 +23,11 @@ Conventions
 
 Floating-point policy: probabilities are computed in double precision and
 ``(1 - p) ** n`` switches to ``exp(n * log1p(-p))`` only in the
-underflow-risk regime ``n * p < 1e-8``; the engine's decode probabilities
-come from the same ``_survival_power``, so it governs them too.  Those of
-the upstream links are the very pairs ``network_path_costs`` computes for
-the link successes and returns with its table; the engine computes only
-the overhearing pairs itself.
+underflow-risk regime ``n * p < 1e-8``.  ``_decode_pair`` is the one
+frame-decode law, a link's ``(1 - p)^m, (1 - p)^d``: the public laws,
+``network_path_costs`` and the engine all read it.  The engine computes
+only the overhearing pairs; the upstream links' are the ones the cost
+solve returns with its table.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import model
 from .model import (
-    BitErrorRate,
     ForwarderEntry,
     ForwarderSet,
     FrameParams,
@@ -45,12 +44,6 @@ from .model import (
     PathCostTable,
     Topology,
 )
-
-
-def _ber_value(p: float | BitErrorRate) -> float:
-    if isinstance(p, BitErrorRate):
-        return p.p
-    return model._probability("bit error probability", p)
 
 
 def _survival_power(p: float, n: int) -> float:
@@ -61,36 +54,31 @@ def _survival_power(p: float, n: int) -> float:
     return (1.0 - p) ** n
 
 
-def _preamble_miss(p: float, frame: FrameParams) -> float:
-    single_miss = 1.0 - _survival_power(p, frame.micro_frame_bits)
-    return single_miss**frame.preamble_frames
+def _decode_pair(p: float, frame: FrameParams) -> tuple[float, float]:
+    """A link's micro-frame and data frame decode probabilities, (1 - p)^m and (1 - p)^d."""
+    return _survival_power(p, frame.micro_frame_bits), _survival_power(p, frame.data_frame_bits)
 
 
-def _data_miss(p: float, frame: FrameParams) -> float:
-    return 1.0 - _survival_power(p, frame.data_frame_bits)
+def _failure(pair: tuple[float, float], frame: FrameParams, p_sw: float) -> float:
+    """failure_probability of a link's decode pair and a p_sw already validated."""
+    micro_p, data_p = pair
+    return p_sw * (1.0 - micro_p) ** frame.preamble_frames * (1.0 - data_p)
 
 
-def _failure(p: float, frame: FrameParams, p_sw: float) -> float:
-    return p_sw * _preamble_miss(p, frame) * _data_miss(p, frame)
-
-
-def _link_success(p: float, frame: FrameParams, p_sw: float) -> float:
-    """link_success of a bit error rate and a p_sw already validated."""
-    return 1.0 - _failure(p, frame, p_sw)
-
-
-def preamble_miss_probability(p: float | BitErrorRate, frame: FrameParams) -> float:
+def preamble_miss_probability(p: float, frame: FrameParams) -> float:
     """Probability that every micro-frame of the preamble fails to decode:
     [1 - (1 - p)^m]^r for m bits per micro-frame and r micro-frames."""
-    return _preamble_miss(_ber_value(p), frame)
+    p = model._probability("bit error probability", p)
+    return (1.0 - _decode_pair(p, frame)[0]) ** frame.preamble_frames
 
 
-def data_miss_probability(p: float | BitErrorRate, frame: FrameParams) -> float:
+def data_miss_probability(p: float, frame: FrameParams) -> float:
     """Probability the data frame fails to decode: 1 - (1 - p)^d."""
-    return _data_miss(_ber_value(p), frame)
+    p = model._probability("bit error probability", p)
+    return 1.0 - _decode_pair(p, frame)[1]
 
 
-def failure_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: float) -> float:
+def failure_probability(p: float, frame: FrameParams, p_sw: float) -> float:
     """Probability a listening candidate hears neither the preamble nor the
     data frame of a transmission switched onto the evaluated channel.
 
@@ -99,17 +87,17 @@ def failure_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: float
     semantics must gate on channel selection themselves.
     """
     p_sw = model._probability("p_sw", p_sw)
-    return _failure(_ber_value(p), frame, p_sw)
+    p = model._probability("bit error probability", p)
+    return _failure(_decode_pair(p, frame), frame, p_sw)
 
 
-def link_success(p: float | BitErrorRate, frame: FrameParams, p_sw: float) -> float:
+def link_success(p: float, frame: FrameParams, p_sw: float) -> float:
     """Complement of failure_probability: the candidate hears at least one
     micro-frame or the data frame."""
-    p_sw = model._probability("p_sw", p_sw)
-    return _link_success(_ber_value(p), frame, p_sw)
+    return 1.0 - failure_probability(p, frame, p_sw)
 
 
-def reception_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: float) -> float:
+def reception_probability(p: float, frame: FrameParams, p_sw: float) -> float:
     """Probability a listener can actually decode and forward the packet:
     the transmission is on the evaluated channel, at least one micro-frame
     wakes the listener, and the data frame decodes.
@@ -117,9 +105,9 @@ def reception_probability(p: float | BitErrorRate, frame: FrameParams, p_sw: flo
     Stricter than link_success; the packet-level simulator uses this law
     for reception while suppression follows link_success's complement.
     """
-    p = _ber_value(p)
+    micro_p, data_p = _decode_pair(model._probability("bit error probability", p), frame)
     p_sw = model._probability("p_sw", p_sw)
-    return p_sw * (1.0 - _preamble_miss(p, frame)) * _survival_power(p, frame.data_frame_bits)
+    return p_sw * (1.0 - (1.0 - micro_p) ** frame.preamble_frames) * data_p
 
 
 class _Member(NamedTuple):
@@ -184,7 +172,7 @@ def forwarder_entries(
     entries = [
         ForwarderEntry(
             node=nbr,
-            p_link=_link_success(topology.ber(node, nbr), frame, p_sw),
+            p_link=link_success(topology.ber(node, nbr), frame, p_sw),
             remaining_cost=costs[nbr],
         )
         for nbr in topology.upstream_neighbors(node)
@@ -197,10 +185,10 @@ def network_path_costs(topology: Topology) -> PathCostTable:
 
     Each node's forwarder set only contains smaller-hop neighbors, so their
     costs are already final when the node is processed; the gateway anchors
-    the recursion at zero.  Per upstream link it computes the pair of
-    survival powers (micro-frame, data frame) once and derives the link's
-    ``link_success`` from that pair with ``_link_success``' operations in
-    its order.  It hands ``total_path_cost`` one ``_Member`` per upstream
+    the recursion at zero.  Per upstream link it computes the decode pair
+    once with ``_decode_pair``, the one frame-decode law, and derives the
+    link's ``link_success`` from it with ``_failure``, as the public law
+    does.  It hands ``total_path_cost`` one ``_Member`` per upstream
     neighbour, sorted into (cost, id) order, the canonical order of the set
     ``forwarder_entries`` builds, instead of a validated ``ForwarderSet``.
 
@@ -211,9 +199,6 @@ def network_path_costs(topology: Topology) -> PathCostTable:
     """
     p_sw = topology.channel.evaluated.p_sw
     frame = topology.frame
-    micro_bits = frame.micro_frame_bits
-    data_bits = frame.data_frame_bits
-    preamble_frames = frame.preamble_frames
     upstream_neighbors = topology.upstream_neighbors
     ber = topology.ber
     hop = {n.id: n.hop_id for n in topology.nodes}
@@ -224,12 +209,9 @@ def network_path_costs(topology: Topology) -> PathCostTable:
         pairs = []
         members = []
         for nbr in upstream_neighbors(node):
-            p = ber(node, nbr)
-            micro_p = _survival_power(p, micro_bits)
-            data_p = _survival_power(p, data_bits)
-            pairs += micro_p, data_p
-            p_link = 1.0 - p_sw * (1.0 - micro_p) ** preamble_frames * (1.0 - data_p)
-            members.append(_Member(costs[nbr], nbr, p_link))
+            pair = _decode_pair(ber(node, nbr), frame)
+            pairs += pair
+            members.append(_Member(costs[nbr], nbr, 1.0 - _failure(pair, frame, p_sw)))
         members.sort()
         decode[node] = tuple(pairs)
         costs[node] = total_path_cost(members)

@@ -41,7 +41,7 @@ from .model import (
     Topology,
     validate,  # re-exported only: every topology that prepare builds passes it
 )
-from .verification import DEFAULT_SEED, DEFAULT_TRIALS
+from .verification import DEFAULT_SEED, DEFAULT_TRIALS, MAX_TRIALS
 
 RETRY_CONVENTION = "excludes-first-attempt"
 
@@ -676,6 +676,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             if args.trials < 1:
                 raise ConfigError("--trials must be >= 1")
+            if args.trials > MAX_TRIALS:
+                raise ConfigError(f"--trials must be <= {MAX_TRIALS}")
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             run = partial(verification.run_verification, args.grid, args.trials, args.seed)
         else:
             command = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sweep": cmd_sweep}

@@ -32,8 +32,8 @@ candidates with their decode probabilities and election priority, and the
 overhearing probabilities of each (transmitter, observer) pair.  The
 upstream decode probabilities are the pairs the cost solve returned with
 the topology's cost table (see ``PathCostTable``); a topology without one
-is refused.  Both follow the closed forms' survival law,
-``analysis._survival_power``.  ``run_experiment`` passes the kernel
+is refused.  Both are the closed forms' one frame-decode law,
+``analysis._decode_pair``.  ``run_experiment`` passes the kernel
 ``range(replications)`` and no event list: it tallies transmissions,
 duplicate forwards, the first arrival's hop count and the elected winners,
 and builds no ``TraceEvent``.  ``simulate_delivery`` runs the same kernel
@@ -74,7 +74,7 @@ from functools import cache, partial
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .analysis import _survival_power
+from .analysis import _decode_pair
 from .model import (
     DeliveryTrace,
     EventKind,
@@ -161,8 +161,7 @@ def _overhearing_probs(links, frame: FrameParams, u: NodeId, obs: NodeId) -> tup
     # with these values are distribution-identical to drawing each bit
     if (obs, u) not in links:
         return None
-    p = links[(u, obs)].p
-    return _survival_power(p, frame.micro_frame_bits), _survival_power(p, frame.data_frame_bits)
+    return _decode_pair(links[(u, obs)].p, frame)
 
 
 _PRIORITY = itemgetter(3)

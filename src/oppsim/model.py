@@ -179,12 +179,13 @@ class PathCostTable:
     pinned at zero; every other entry is >= 1 (at least one transmission).
 
     ``decode`` holds what the cost solve (``analysis.network_path_costs``)
-    worked out on the way: each upstream link's decode probabilities, per
-    node one flat tuple ``(micro_p, data_p, micro_p, data_p, ...)``, a pair
-    per upstream neighbour in ascending id order (the order of
-    ``Topology.upstream_neighbors``), the gateway's empty.  They depend on
-    no election mode, and the engine draws its receptions from them.  A
-    table built by hand has none; tables compare by gateway and costs.
+    worked out on the way: per node, its upstream links' decode pairs
+    (``analysis._decode_pair``, the one law) in ascending neighbour id
+    order (``Topology.upstream_neighbors``), flat in one tuple
+    ``(micro_p, data_p, micro_p, data_p, ...)``; the gateway's empty.
+    They depend on no election mode, and the engine draws its receptions
+    from them.  A table built by hand has none; tables compare by gateway
+    and costs.
     """
 
     gateway: NodeId

@@ -46,6 +46,8 @@ DEFAULT_CHANNEL = ChannelModel(
 )
 
 _BISECTION_STEPS = 200
+# a star of N relays has N(N+1)/2 + N links: 1,000 relays make 501,500
+MAX_STAR_FORWARDERS = 1_000
 
 
 class DisconnectedTopologyError(ValueError):
@@ -387,6 +389,8 @@ def star_topology(
     Node ids: gateway 0, relays 1..N, source N+1.
     """
     _positive_int("forwarders", forwarders)
+    if forwarders > MAX_STAR_FORWARDERS:
+        raise ValueError(f"forwarders must be at most {MAX_STAR_FORWARDERS}")
     if not remaining_cost >= 1.0:
         raise ValueError(f"remaining_cost must be >= 1, got {remaining_cost!r}")
     p_sw = channel.evaluated.p_sw

@@ -27,6 +27,9 @@ DEFAULT_GRID = {
 }
 DEFAULT_TRIALS = 200_000
 DEFAULT_SEED = 20_240
+# work bounds: 759,375 sets (sizes=5) take about 8 s, 10**8 trials about 30 s
+MAX_GRID_SETS = 1_000_000
+MAX_TRIALS = 100_000_000
 SINGLE_HOP_TOLERANCE = 1e-12
 COMPOSITION_TOLERANCE = 1e-12
 FRAME_SIGMA_TOLERANCE = 3.0
@@ -48,7 +51,9 @@ class GridError(ValueError):
 
 def _sizes(item: str) -> list[int]:
     lo, dash, hi = item.partition("-")
-    return list(range(int(lo), int(hi) + 1)) if dash else [int(item)]
+    lo = int(lo)
+    # a range longer than the enumeration bound is cut one size past it, a size that is refused
+    return list(range(lo, min(int(hi), lo + oracle.MAX_ENUMERATION_SIZE) + 1)) if dash else [lo]
 
 
 def _parse_grid(spec: str | None):
@@ -74,7 +79,12 @@ def _parse_grid(spec: str | None):
         raise GridError("empty verification grid")
     if any(s < 1 for s in grid["sizes"]):
         raise GridError("grid sizes must be >= 1")
-    return grid["sizes"], grid["probs"], grid["costs"]
+    for n in grid["sizes"]:
+        oracle._check_enumerable(n)
+    sets = sum((len(grid["probs"]) * len(grid["costs"])) ** n for n in grid["sizes"])
+    if sets > MAX_GRID_SETS:
+        raise GridError(f"--grid must make at most {MAX_GRID_SETS} forwarder sets")
+    return grid["sizes"], grid["probs"], grid["costs"], sets
 
 
 def _single_hop_checks(sizes, probs, costs):
@@ -158,8 +168,7 @@ def run_verification(
     grid: str | None = None, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
 ) -> tuple[str, int]:
     """Closed-form versus oracle checks; returns (report, exit_code)."""
-    sizes, probs, costs = _parse_grid(grid)
-    sets = sum((len(probs) * len(costs)) ** n for n in sizes)
+    sizes, probs, costs, sets = _parse_grid(grid)
     exact = (
         ("single-hop-grid", f"sets={sets} max_abs_error={{:.3e}}", SINGLE_HOP_TOLERANCE,
          _single_hop_checks(sizes, probs, costs)),

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from oppsim import analysis
 from oppsim import topology as topo
 from oppsim.model import (
-    BitErrorRate,
     Channel,
     ChannelModel,
     ForwarderEntry,
@@ -72,10 +71,6 @@ class TestFrameFactors:
         # every bit flips: preamble and data are always missed
         assert analysis.failure_probability(1.0, FRAME, 1.0) == 1.0
 
-    def test_accepts_bit_error_rate_wrapper(self):
-        wrapped = analysis.failure_probability(BitErrorRate(0.01), FRAME, 1.0)
-        assert wrapped == analysis.failure_probability(0.01, FRAME, 1.0)
-
     def test_reception_is_stricter_than_link_success(self):
         # decoding the payload is harder than merely being detectable
         for p in (0.001, 0.01, 0.05):
@@ -118,6 +113,29 @@ class TestFrameFactors:
     def test_survival_power_endpoints_are_exact(self, n):
         assert analysis._survival_power(0.0, n) == 1.0
         assert analysis._survival_power(1.0, n) == 0.0
+
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 1e-9, 1e-3, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("frame", [DEFAULT_FRAME, FrameParams(8, 2, data_frame_bits=32)],
+                             ids=["default", "branches"])
+    @pytest.mark.parametrize("p_sw", [0.0, 0.8, 1.0])
+    def test_public_laws_follow_their_formulas_to_the_bit(self, p, frame, p_sw):
+        # each law written out in its own order of operations; 1e-12 and
+        # 1e-9 take the exp/log1p branch (n * p < 1e-8)
+        def survival(n):
+            return math.exp(n * math.log1p(-p)) if n * p < 1e-8 else (1.0 - p) ** n
+
+        preamble_miss = (1.0 - survival(frame.micro_frame_bits)) ** frame.preamble_frames
+        data_miss = 1.0 - survival(frame.data_frame_bits)
+        failure = p_sw * preamble_miss * data_miss
+        laws = {
+            "preamble_miss": (analysis.preamble_miss_probability(p, frame), preamble_miss),
+            "data_miss": (analysis.data_miss_probability(p, frame), data_miss),
+            "failure": (analysis.failure_probability(p, frame, p_sw), failure),
+            "link_success": (analysis.link_success(p, frame, p_sw), 1.0 - failure),
+            "reception": (analysis.reception_probability(p, frame, p_sw),
+                          p_sw * (1.0 - preamble_miss) * survival(frame.data_frame_bits)),
+        }
+        assert {k: got.hex() for k, (got, _) in laws.items()} == {k: want.hex() for k, (_, want) in laws.items()}
 
     def test_rejects_out_of_range_probability(self):
         with pytest.raises(ValueError):
@@ -393,6 +411,25 @@ class TestNetworkCostsFromPublicFunctions:
         expected = costs_from_public_functions(t)
         assert list(solved) == list(expected)
         assert [y.hex() for y in solved.values()] == [y.hex() for y in expected.values()]
+
+    @pytest.mark.parametrize("build", [
+        lambda: topo.generate(topo.GeneratorConfig(  # the benchmark's mesh-simulate mesh
+            nodes=1000, area_side=100.0, radio_range=8.0, ber_model=topo.DistanceBer(0.0, 0.005)), seed=1),
+        lambda: topo.star_topology(4, 0.7, remaining_cost=1.5, intercandidate_ber=0.01),
+        lambda: topo.diamond_topology((0.02, 0.03), (0.01, 0.005)),
+        lambda: topo.chain_topology([0.9, 0.8, 0.95], frame=FRAME, channel=ChannelModel(
+            channels=(Channel(0.8, 0.5, 2e6),), noise_power=1e-9)),
+    ], ids=["mesh", "star", "diamond", "chain"])
+    def test_decode_pairs_give_the_public_link_success(self, build):
+        t = build()
+        p_sw = t.channel.evaluated.p_sw
+        for node in t.non_gateway_ids():
+            upstream = t.upstream_neighbors(node)
+            pairs = t.costs.decode[node]
+            assert len(pairs) == 2 * len(upstream)
+            for c, pair in zip(upstream, zip(pairs[::2], pairs[1::2])):
+                solved = 1.0 - analysis._failure(pair, t.frame, p_sw)
+                assert solved.hex() == analysis.link_success(t.ber(node, c), t.frame, p_sw).hex()
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -132,3 +132,17 @@ def test_gc_probe_runs_a_workload_as_run_py_does():
     assert probe.keys() == {"cores", "setup", "call", "loop"}
     assert probe["cores"] == len(os.sched_getaffinity(0))
     assert all(probe[phase] >= 0 for phase in bench_pairs.GC_PHASES)
+
+
+def test_moved_lists_the_pairs_whose_collections_changed_phase():
+    probe = {"cores": 2, "setup": 0, "call": 0, "loop": 8}
+    moved = {**probe, "setup": 1, "loop": 7}
+    probes = {
+        "w": {"parent": [probe, probe, probe], "change": [probe, moved, probe]},
+        "v": {"parent": [probe] * 3, "change": [probe] * 3},
+    }
+    pairs = [{"seed": 51, "first": "parent"}, {"seed": 52, "first": "change"},
+             {"seed": 53, "first": "parent"}]
+    marked = bench_pairs.moved_collections(pairs, probes)
+    assert marked["w"] == {**probes["w"], "moved": [52]}
+    assert marked["v"]["moved"] == []

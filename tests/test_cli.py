@@ -56,6 +56,22 @@ def kind_cfg(kind):
     return cfg
 
 
+def run_limited(argv):
+    """``python -m oppsim <argv>`` in a child held to 2 GiB of address space
+    and 120 s, so an input that would exhaust memory or time fails the test
+    instead of the runner."""
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "oppsim", *argv],
+        preexec_fn=limit, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def fails_with(tmp_path, capsys, command, text):
     """The stderr of ``oppsim <command>`` on a config that exits 1 with
     nothing on stdout."""
@@ -494,20 +510,24 @@ class TestVerifyCommand:
         assert peak < 4 * 2**20
 
     def test_oversized_grid_is_refused_within_an_address_space_limit(self):
-        # size 21 is past the oracle's bound: the refusal comes at the first
-        # block, before the grid can exhaust memory
-        src = Path(__file__).resolve().parents[1] / "src"
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
-
-        done = subprocess.run(
-            [sys.executable, "-m", "oppsim", "verify", "--grid", "sizes=21", "--trials", "100"],
-            preexec_fn=limit, env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120,
-        )
+        # size 21 is past the oracle's bound: the refusal comes before any
+        # work, before the grid can exhaust memory
+        done = run_limited(["verify", "--grid", "sizes=21", "--trials", "100"])
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "validation error: forwarder set of size 21 exceeds enumeration bound 20\n"
+
+    @pytest.mark.parametrize("args, message", [
+        # about 2.6e9 sets at the default probs and costs: hours of work
+        (["--grid", "sizes=8"], "config error: --grid must make at most 1000000 forwarder sets"),
+        # the range is never built; its first size past the bound is refused
+        (["--grid", "sizes=1-1000000000000"],
+         "validation error: forwarder set of size 21 exceeds enumeration bound 20"),
+        (["--trials", str(10**18)], "config error: --trials must be <= 100000000"),
+        (["--seed", "-1"], "config error: --seed must be >= 0"),
+    ], ids=["sets", "size-range", "trials", "seed"])
+    def test_unfinishable_run_is_refused_before_any_work(self, args, message):
+        done = run_limited(["verify", *args])
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n")
 
 
 class TestSolveCounts:
@@ -816,6 +836,16 @@ class TestConfigErrorLines:
         assert err == (
             "config error: sweep.values[1]: bit error rate must be a probability in [0, 1], got 1.5\n"
         )
+
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", "topology: {kind: star, forwarders: 1000000000000000000, p_link: 0.6}\n"),
+        ("sweep", "topology: {kind: star, forwarders: 2, p_link: 0.6}\n"
+                  f"sweep: {{parameter: forwarders, values: [{10**400}]}}\n"),
+    ], ids=["config", "sweep-value"])
+    def test_huge_star_is_refused_before_it_allocates(self, tmp_path, command, text):
+        done = run_limited([command, write_cfg(tmp_path, text)])
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "config error: topology: forwarders must be at most 1000\n"
 
     def test_unreachable_ber_point_is_one(self, tmp_path, capsys):
         err = fails_with(tmp_path, capsys, "sweep", (

@@ -29,7 +29,9 @@ process may run on and, over 8 repeats of run.py's cycle (set-up,
 ``gc.collect()``, CLI call, reference loop), how many generation-2
 collections start in the set-up, the call and the loop.  A collection that
 falls in the loop slows it and so shrinks the scale run.py applies to that
-call (see ``perfbench/run.py``).
+call (see ``perfbench/run.py``).  Per workload, ``moved`` lists the seeds
+of the pairs whose two sides count differently in some phase: in those
+pairs a scaled metric can move with the collection alone.
 
 Per workload and end-to-end metric the output holds each side's q1, median
 and q3 of the benchmark's (scaled) value, the change's wins over the pairs
@@ -206,6 +208,19 @@ def gc_probe(side_dir: Path, name: str, seed: int, cycles: int = GC_CYCLES) -> d
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def moved_collections(pairs: list[dict], probes: dict) -> dict:
+    """``probes`` (per workload, each side's probes over the pairs) with,
+    per workload, ``moved``: the seeds of the pairs whose sides' phase
+    counts differ."""
+    return {
+        name: {**sides, "moved": [
+            pair["seed"] for pair, parent, change in zip(pairs, sides["parent"], sides["change"])
+            if any(parent[phase] != change[phase] for phase in GC_PHASES)
+        ]}
+        for name, sides in probes.items()
+    }
+
+
 def source_lines(side_dir: Path) -> int:
     """Lines of the package's modules, as ``wc -l src/oppsim/*.py`` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (side_dir / "src" / "oppsim").glob("*.py"))
@@ -355,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
                 "pairs": pairs,
                 **summarise(runs, layers, benchmark, args.claim),
                 # per workload and side, one probe per pair
-                "gc_generation2": {"cycles": GC_CYCLES, "workloads": probes},
+                "gc_generation2": {"cycles": GC_CYCLES, "workloads": moved_collections(pairs, probes)},
             }
             args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
