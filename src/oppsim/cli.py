@@ -139,9 +139,18 @@ def _checked(name: str, value, kind):
         return float(value)
 
 
+def _known(section: dict, where: str, names) -> None:
+    """Refuse the first key of ``section`` that ``names`` does not name."""
+    for key in section:
+        if key not in names:
+            raise ConfigError(f"unknown key {where}{key}")
+
+
 def _read(section: dict, where: str, table: dict) -> dict:
-    """The checked values of the keys ``section`` sets.  An absent or null
-    key is left out, so the caller's default applies."""
+    """The checked values of the keys ``section`` sets, refusing a key
+    ``table`` does not name.  An absent or null key is left out, so the
+    caller's default applies."""
+    _known(section, f"{where}.", table)
     return {
         key: _checked(f"{where}.{key}", section[key], kind)
         for key, kind in table.items()
@@ -200,7 +209,7 @@ def _kind_args(section: dict, where: str, kinds: dict, default_kind: str | None 
         for key in table
         if params[key].default is not inspect.Parameter.empty
     }
-    return kind, {**defaults, **_read(section, where, table)}
+    return kind, {**defaults, **_read({k: v for k, v in section.items() if k != "kind"}, where, table)}
 
 
 def _generated_topology(
@@ -241,11 +250,9 @@ def _topology_kinds() -> dict:
     }
 
 
-_MODES = {
-    "receiver_based": (engine.ProtocolMode.RECEIVER_BASED,),
-    "sender_prioritized": (engine.ProtocolMode.SENDER_PRIORITIZED,),
-    "both": (engine.ProtocolMode.RECEIVER_BASED, engine.ProtocolMode.SENDER_PRIORITIZED),
-}
+_MODES = {**{mode.value: (mode,) for mode in engine.ProtocolMode}, "both": tuple(engine.ProtocolMode)}
+SECTIONS = ("frame", "channel", "topology", "sim", "sweep", "forwarder_sets")
+SWEEP_FIELDS = ("parameter", "values")
 
 
 @dataclass(frozen=True)
@@ -283,7 +290,7 @@ class RunSpec:
             **self.written,
         }
         if "sweep" in out:
-            out["sweep"] = {key: out["sweep"].get(key) for key in ("parameter", "values")}
+            out["sweep"] = {key: out["sweep"].get(key) for key in SWEEP_FIELDS}
         if self.hashes_sim:
             mode = next(name for name, modes in _MODES.items() if modes == self.modes)
             out["sim"] = {**asdict(self.sim), "mode": mode}
@@ -293,6 +300,7 @@ class RunSpec:
 def read_spec(cfg: dict) -> RunSpec:
     """Read ``cfg`` once, in the order frame, channel, sim, topology.  The
     topology is not built: ``RunSpec.build`` builds it."""
+    _known(cfg, "", SECTIONS)
     with _config_errors("frame"):
         frame = replace(topo.DEFAULT_FRAME, **_read(_section(cfg, "frame"), "frame", FRAME_FIELDS))
 
@@ -304,7 +312,7 @@ def read_spec(cfg: dict) -> RunSpec:
             lambda i, values: replace(topo.DEFAULT_CHANNEL.evaluated, **values),
         )
     with _config_errors("channel"):
-        values = _read(section, "channel", {"noise_power": float})
+        values = _read({k: v for k, v in section.items() if k != "channels"}, "channel", {"noise_power": float})
         channel = replace(topo.DEFAULT_CHANNEL, channels=tuple(channels), **values)
 
     sim = {**SIM_DEFAULTS, **_read(_section(cfg, "sim"), "sim", SIM_FIELDS)}
@@ -361,7 +369,7 @@ def format_topology(topology: Topology) -> str:
         x, y = n.position if n.position is not None else (0.0, 0.0)
         lines.append(f"node {n.id} {x!r} {y!r}")
     for a, b in _undirected_links(topology):
-        lines.append(f"link {a} {b} {topology.links[(a, b)].p!r}")
+        lines.append(f"link {a} {b} {topology.ber(a, b)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -535,6 +543,9 @@ def cmd_simulate(spec: RunSpec) -> str:
 
 
 _SWEEP_AXES = ("forwarders", "ber", "p_sw", "preamble_frames", "data_frame_bits")
+# every point's topology is held until the sweep's one run_jobs call
+# returns: about 2.2 MB per point of a 1000-node generated mesh
+MAX_SWEEP_VALUES = 256
 
 
 def _swept(spec: RunSpec, axis: str, value) -> RunSpec:
@@ -557,6 +568,7 @@ def cmd_sweep(spec: RunSpec) -> str:
     sweep = spec.written.get("sweep")
     if not sweep:
         raise ConfigError("missing 'sweep' section")
+    _known(sweep, "sweep.", SWEEP_FIELDS)
     axis = sweep.get("parameter")
     if isinstance(axis, list):
         raise ConfigError("single-axis sweeps only: 'parameter' must be one name")
@@ -567,6 +579,8 @@ def cmd_sweep(spec: RunSpec) -> str:
         raise ConfigError("sweep.values must be a list")
     if not values:
         raise ConfigError("empty sweep: no values to run")
+    if len(values) > MAX_SWEEP_VALUES:
+        raise ConfigError(f"sweep.values must have at most {MAX_SWEEP_VALUES} entries")
 
     if axis == "forwarders" and spec.kind != "star":
         raise ConfigError("sweeping 'forwarders' requires topology.kind 'star'")
@@ -598,17 +612,16 @@ def cmd_sweep(spec: RunSpec) -> str:
                 built = topo.prepare(base.nodes, base.gateway, edges, spec.frame, spec.channel)
         else:
             built = point.build()
+        source = spec.sim.source
+        if source is None or axis == "forwarders":
+            source = topo.deepest_node(built)
         if axis == "forwarders":
             # the declared per-candidate delivery probability and remaining
-            # cost define the analytic set; the builder realizes the same
-            # probability inside the simulator.  The star's source is N + 1.
+            # cost define the analytic set over the star's relays; the
+            # builder realizes the same probability inside the simulator
             declared = (point.args["p_link"], point.args["remaining_cost"])
-            analytic = ForwarderSet(tuple(ForwarderEntry(r, *declared) for r in range(1, value + 1)))
-            source = value + 1
+            analytic = ForwarderSet(tuple(ForwarderEntry(r, *declared) for r in built.upstream_neighbors(source)))
         else:
-            source = spec.sim.source
-            if source is None:
-                source = topo.deepest_node(built)
             analytic = analysis.forwarder_entries(built, source, built.costs)
 
         columns.append((value, _set_columns(analytic)))

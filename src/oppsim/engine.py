@@ -33,13 +33,15 @@ overhearing probabilities of each (transmitter, observer) pair.  The
 upstream decode probabilities are the pairs the cost solve returned with
 the topology's cost table (see ``PathCostTable``); a topology without one
 is refused.  Both are the closed forms' one frame-decode law,
-``analysis._decode_pair``.  ``run_experiment`` passes the kernel
-``range(replications)`` and no event list: it tallies transmissions,
-duplicate forwards, the first arrival's hop count and the elected winners,
-and builds no ``TraceEvent``.  ``simulate_delivery`` runs the same kernel
-on its one index with a list and returns the ``DeliveryTrace``.  Both
-paths make the same draws in the same order, so a trace and the metrics of
-the same replication always agree.
+``analysis._decode_pair``.  The kernel keeps the call's running tallies
+(transmissions, duplicate forwards, deliveries, first-arrival hops and the
+elected winners' costs) and yields them after each replication.
+``run_experiment`` passes it ``range(replications)`` and no event list,
+keeps only its last yield and builds no ``TraceEvent``.
+``simulate_delivery`` runs the same kernel on its one index with a list
+and returns the ``DeliveryTrace``.  Both paths make the same draws in the
+same order, so a trace and the metrics of the same replication always
+agree.
 
 Determinism: replication r draws from a SplitMix64 stream rooted at the
 master seed (``replication_seed``), so adding replications never perturbs
@@ -88,6 +90,10 @@ from .model import (
 )
 
 
+# a run's replications run in turn: 10^8 of star(6), at about 10 us each, take 17 min
+MAX_REPLICATIONS = 100_000_000
+
+
 class ProtocolMode(Enum):
     RECEIVER_BASED = "receiver_based"
     SENDER_PRIORITIZED = "sender_prioritized"
@@ -114,6 +120,8 @@ class SimConfig:
             raise ValueError(f"mode must be a ProtocolMode, got {self.mode!r}")
         for name in ("replications", "max_hops", "election_slots"):
             _positive_int(name, getattr(self, name))
+        if self.replications > MAX_REPLICATIONS:
+            raise ValueError(f"replications must be at most {MAX_REPLICATIONS}")
         _nonnegative_int("seed", self.seed)
 
 
@@ -169,13 +177,15 @@ _PRIORITY = itemgetter(3)
 
 def _deliver(
     topology: Topology, config: SimConfig, replications: Iterable[int], events: list[TraceEvent] | None
-) -> Iterator[tuple[NodeId, int, int, int | None, list[NodeId]]]:
+) -> Iterator[tuple[NodeId, int, int, int, int, float]]:
     """Run one end-to-end delivery attempt per replication index, in order.
 
-    Yields, per replication, the source, the number of transmissions, the
-    number of duplicate forwards, the hop count of the first gateway
-    arrival (None if undelivered) and the elected winners in election
-    order.  Appends the attempts' events to ``events`` unless it is None;
+    Yields, after each replication, its source and the call's running
+    tallies so far: transmissions, duplicate forwards, deliveries (a
+    gateway source is delivered at 0 hops), the first arrivals' hop counts,
+    and the overhead, each elected winner's path cost added in election
+    order.  A replication's own counts are the differences of consecutive
+    yields.  Appends the attempts' events to ``events`` unless it is None;
     without a list no event is built.  The topology's tables and the
     config's knobs are bound once per call, and the upstream candidates and
     overhearing pairs are filled on first use; each replication reseeds the
@@ -216,6 +226,8 @@ def _deliver(
     queue: deque[tuple[NodeId, int, tuple[NodeId, ...]]] = deque()
     pop = queue.popleft
     push = queue.append
+    transmissions = duplicates = delivered = hop_total = 0
+    overhead = 0.0
 
     for replication_index in replications:
         reseed(replication_seed(seed, replication_index))
@@ -225,12 +237,11 @@ def _deliver(
         if source == gateway:
             if traced:
                 events.append(TraceEvent(0, EventKind.GATEWAY_ARRIVAL, gateway, hops=0))
-            yield source, 0, 0, 0, []
+            delivered += 1
+            yield source, transmissions, duplicates, delivered, hop_total, overhead
             continue
 
-        duplicates = 0
-        first_hops: int | None = None
-        winners: list[NodeId] = []
+        arrived = False
         push((source, 0, ()))
         slot = 0  # one slot per transmission
         while queue:
@@ -286,8 +297,10 @@ def _deliver(
 
             next_hops = hops + 1
             if gateway_heard:
-                if first_hops is None:
-                    first_hops = next_hops
+                if not arrived:
+                    arrived = True
+                    delivered += 1
+                    hop_total += next_hops
                 if traced:
                     events.append(
                         TraceEvent(t, EventKind.GATEWAY_ARRIVAL, gateway, sender=u, hops=next_hops)
@@ -312,7 +325,7 @@ def _deliver(
                     continue
                 if i == 0:
                     elected = True
-                    winners.append(c)
+                    overhead += costs[c]
                     if traced:
                         events.append(
                             TraceEvent(t, EventKind.ELECT, c, sender=u, hops=next_hops, slot=ordinal)
@@ -330,7 +343,8 @@ def _deliver(
             if elected and not at_limit:
                 push((hearing[0][0], next_hops, tuple(attached)))
 
-        yield source, slot, duplicates, first_hops, winners
+        transmissions += slot
+        yield source, transmissions, duplicates, delivered, hop_total, overhead
 
 
 def simulate_delivery(
@@ -344,7 +358,7 @@ def simulate_delivery(
 
 def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
     """Run ``config.replications`` independent delivery attempts and
-    aggregate, building no trace.
+    aggregate the kernel's last tallies, building no trace.
 
     ``empirical_coordination_overhead`` is the per-replication sum, over
     election events, of the elected forwarder's expected path cost - the
@@ -352,31 +366,16 @@ def run_experiment(topology: Topology, config: SimConfig) -> Metrics:
     gateway's cost is zero, so terminal hops contribute nothing).
     ``mean_duplicates`` counts duplicate-forward events per replication.
     """
-    costs = topology.costs.costs
     attempted = config.replications
-    succeeded = 0
-    dup_events = 0
-    transmissions = 0
-    overhead_sum = 0.0
-    hops_sum = 0
-    for _, sent, dups, hops, winners in _deliver(topology, config, range(attempted), None):
-        transmissions += sent
-        dup_events += dups
-        if hops is not None:
-            succeeded += 1
-            hops_sum += hops
-        # winner by winner across replications, in the order a trace
-        # records its elections, so the float sum does not depend on how
-        # replications are grouped
-        for w in winners:
-            overhead_sum += costs[w]
+    totals = deque(_deliver(topology, config, range(attempted), None), maxlen=1)
+    _, transmissions, duplicates, succeeded, hops, overhead = totals[0]
     return Metrics(
         deliveries_attempted=attempted,
         deliveries_succeeded=succeeded,
-        mean_duplicates=dup_events / attempted,
-        empirical_coordination_overhead=overhead_sum / attempted,
+        mean_duplicates=duplicates / attempted,
+        empirical_coordination_overhead=overhead / attempted,
         mean_transmissions=transmissions / attempted,
-        mean_hops=(hops_sum / succeeded) if succeeded else 0.0,
+        mean_hops=(hops / succeeded) if succeeded else 0.0,
     )
 
 

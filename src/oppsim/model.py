@@ -46,6 +46,10 @@ def _positive_real(name: str, value: float) -> float:
     return value
 
 
+# the engine draws once per micro-frame per listener until one wakes it
+MAX_PREAMBLE_FRAMES = 10_000
+
+
 @dataclass(frozen=True)
 class FrameParams:
     """Preamble and payload geometry of one transmission.
@@ -70,6 +74,8 @@ class FrameParams:
         if self.bits_per_transmission > sys.float_info.max:
             raise ValueError(f"preamble_frames * micro_frame_bits + data_frame_bits must be at most"
                              f" {sys.float_info.max:.4g}")
+        if self.preamble_frames > MAX_PREAMBLE_FRAMES:
+            raise ValueError(f"preamble_frames must be at most {MAX_PREAMBLE_FRAMES}")
 
     @property
     def bits_per_transmission(self) -> int:

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import csv
 import hashlib
 import io
 import math
@@ -9,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -847,6 +849,26 @@ class TestConfigErrorLines:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "config error: topology: forwarders must be at most 1000\n"
 
+    # a co-candidate with no usable link back draws once per micro-frame
+    _LOSSY_STAR = "topology: {kind: star, forwarders: 3, p_link: 0.9, intercandidate_ber: 1.0}\n"
+    # the benchmark's 1000-node mesh: each sweep point holds about 2.2 MB until the sweep's runs end
+    _MESH = "topology: {kind: generated, nodes: 1000, radio_range: 8.0, ber: {kind: distance, p_max: 0.005}}\n"
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("simulate", _LOSSY_STAR + "frame: {preamble_frames: 1000000000000}\nsim: {replications: 20}\n",
+         "frame: preamble_frames must be at most 10000"),
+        ("sweep", _LOSSY_STAR + "sim: {replications: 20}\n"
+                  "sweep: {parameter: preamble_frames, values: [1000000000000]}\n",
+         "frame: preamble_frames must be at most 10000"),
+        ("simulate", _LOSSY_STAR + "sim: {replications: 1000000000000000000}\n",
+         "sim: replications must be at most 100000000"),
+        ("sweep", _MESH + "sim: {replications: 20}\nsweep: {parameter: p_sw, values: [%s]}\n"
+                  % ", ".join(["1.0"] * 10_000), "sweep.values must have at most 256 entries"),
+    ], ids=["preamble_frames", "sweep-preamble_frames", "replications", "sweep-values"])
+    def test_huge_count_is_refused_before_any_work(self, tmp_path, command, text, message):
+        done = run_limited([command, write_cfg(tmp_path, text)])
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"config error: {message}\n")
+
     def test_unreachable_ber_point_is_one(self, tmp_path, capsys):
         err = fails_with(tmp_path, capsys, "sweep", (
             "topology: {kind: star, forwarders: 2, p_link: 0.6}\n"
@@ -1008,6 +1030,10 @@ _HUGE = "1" + "0" * 400
 _HUGE_FRAME = "frame: preamble_frames * micro_frame_bits + data_frame_bits must be at most 1.798e+308"
 _NO_FLOAT = "int too large to convert to float"
 _STAR_P = "topology: {kind: star, forwarders: 2, p_link: 0.6}\n" + _SIM
+# a misspelled key in three sections; each was once ignored, and the run was not the one written
+_TYPOS = ("topology: {kind: star, forwarders: 2, p_link: 0.6, remainig_cost: 3.0}\n"
+          "sim: {mode: receiver_based, replication: 5, seed: 1}\n"
+          "framee: {preamble_frames: 4}\n")
 
 
 class TestRefusals:
@@ -1062,6 +1088,30 @@ class TestRefusals:
                      f"channel.channels[0].p_sw: {_NO_FLOAT}", id="huge-sweep-p_sw"),
         pytest.param(["sweep"], _STAR + f"sweep: {{parameter: preamble_frames, values: [{_HUGE}]}}\n", None,
                      _HUGE_FRAME, id="huge-sweep-preamble_frames"),
+        # a key no table names is refused, whatever the command and the section
+        pytest.param(["simulate"], "framee: {preamble_frames: 4}\n" + _STAR, None, "unknown key framee",
+                     id="unknown-section"),
+        pytest.param(["simulate"], _TYPOS, None, "unknown key framee", id="unknown-section-first"),
+        pytest.param(["simulate"], "frame: {preamble_frame: 4}\n" + _STAR, None,
+                     "unknown key frame.preamble_frame", id="unknown-frame-key"),
+        pytest.param(["simulate"], "channel: {noise: 1.0}\n" + _STAR, None, "unknown key channel.noise",
+                     id="unknown-channel-key"),
+        pytest.param(["analyze"], "channel: {channels: [{p_sw: 1.0}, {bw: 2.0}]}\n" + _STAR, None,
+                     "unknown key channel.channels[1].bw", id="unknown-channels-entry-key"),
+        pytest.param(["simulate"], _TYPOS.split("\n")[0] + "\n" + _SIM, None, "unknown key topology.remainig_cost",
+                     id="unknown-topology-key"),
+        pytest.param(["simulate"], "topology: {kind: diamond, forwarders: 2}\n" + _SIM, None,
+                     "unknown key topology.forwarders", id="key-of-another-kind"),
+        pytest.param(["simulate"], _three_nodes(1, "{kind: fixed, q: 0.01}"), None, "unknown key topology.ber.q",
+                     id="unknown-ber-key"),
+        pytest.param(["simulate"], _three_nodes(1, "{kind: fixed, p_max: 0.01}"), None,
+                     "unknown key topology.ber.p_max", id="key-of-another-ber-kind"),
+        pytest.param(["simulate"], _STAR.replace("replications", "replication"), None,
+                     "unknown key sim.replication", id="unknown-sim-key"),
+        pytest.param(["analyze"], "forwarder_sets: [[{node: 1, p: 0.5}]]\n", None,
+                     "unknown key forwarder_sets[0][0].p", id="unknown-forwarder-key"),
+        pytest.param(["sweep"], _STAR + "sweep: {parameter: p_sw, values: [1.0], valuse: [0.5]}\n", None,
+                     "unknown key sweep.valuse", id="unknown-sweep-key"),
     ])
     def test_refusal_is_one_config_error_line(self, tmp_path, monkeypatch, capsys, argv, cfg, topology_file,
                                               message):
@@ -1084,17 +1134,15 @@ class TestRefusals:
         assert captured.out.splitlines()[-1].startswith("receiver_based,10,")
 
 
-# values at the edges of every key's type; never a huge count the reader
-# takes: forwarders: 10**400 (or 10**18) passes it, and star_topology then
-# allocates until the process is killed
+# values at the edges of every key's type; a huge count is refused by its
+# bound before any work
 _EDGES = (0, 1, -1, math.nan, math.inf, -math.inf, 10**400, -10**400, "x", True, None, [], {})
 _STAR_KEYS = cli._topology_kinds()["star"][1]
 _ANALYZE_KEYS = {
     **{("frame", key): _EDGES for key in cli.FRAME_FIELDS},
     **{("channel", "channels", key): _EDGES for key in cli.CHANNEL_FIELDS},
     ("channel", "noise_power"): _EDGES,
-    **{("topology", key): _EDGES for key in _STAR_KEYS if key != "forwarders"},
-    ("topology", "forwarders"): tuple(v for v in _EDGES if v != 10**400),
+    **{("topology", key): _EDGES for key in _STAR_KEYS},
 }
 
 
@@ -1115,6 +1163,75 @@ def test_analyze_of_a_star_ends_in_records_or_one_error_line(tmp_path_factory, d
     if code == 0:
         assert err.getvalue() == ""
         assert "nan" not in out.getvalue()
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith(("config error: ", "validation error: "))
+
+
+_RUN_TOPOLOGIES = {
+    "star": {"kind": "star", "forwarders": 2, "p_link": 0.6},
+    "diamond": {"kind": "diamond"},
+    "chain": {"kind": "chain", "link_success": [0.99, 0.95]},
+}
+# a drawn value: at an edge of its key's type, or an ordinary one; no
+# integer in it is a count between 20 and any bound, so a drawn
+# replications value runs at most 20 replications or is refused
+_VALUES = st.sampled_from((*_EDGES, 0.5, 2, 0.01))
+
+
+@st.composite
+def _run_configs(draw):
+    """(command, config): a simulate or sweep of a star, a diamond or a
+    chain.  Up to two keys, drawn from the CLI's own tables or named by no
+    table, are set to drawn values; a list key may take a short list of
+    them.  Replications stay at most 20 and a sweep has at most 4 values."""
+    kind = draw(st.sampled_from(sorted(_RUN_TOPOLOGIES)))
+    tables = {
+        ("frame",): cli.FRAME_FIELDS, ("sim",): cli.SIM_FIELDS, ("channel",): {"noise_power": float},
+        ("channel", "channels"): cli.CHANNEL_FIELDS, ("topology",): cli._topology_kinds()[kind][1],
+    }
+    keys = [(where, key, key_kind) for where, table in tables.items() for key, key_kind in table.items()]
+    keys += [(where, "unknown_key", None) for where in [(), *tables]]
+    cfg = {"topology": dict(_RUN_TOPOLOGIES[kind]), "sim": {"replications": 20, "seed": 3}}
+    for where, key, key_kind in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        if key_kind in (list, tuple) and draw(st.booleans()):
+            value = draw(st.lists(_VALUES, max_size=3))
+        else:
+            value = draw(_VALUES)
+        if where == ("channel", "channels"):
+            cfg.setdefault("channel", {}).setdefault("channels", [{}])[0][key] = value
+        elif where:
+            cfg.setdefault(where[0], {})[key] = value
+        else:
+            cfg[key] = value
+    command = draw(st.sampled_from(["simulate", "sweep"]))
+    if command == "sweep":
+        parameter = draw(st.sampled_from(cli._SWEEP_AXES) | _VALUES)
+        cfg["sweep"] = {"parameter": parameter, "values": draw(st.lists(_VALUES, min_size=1, max_size=4))}
+    return command, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_configs())
+def test_simulate_and_sweep_end_in_rows_or_one_error_line(tmp_path_factory, drawn):
+    command, cfg = drawn
+    path = tmp_path_factory.getbasetemp() / "drawn-run.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    # the runs stay in this process: a drawn config never forks
+    with (unittest.mock.patch.object(engine, "_cores", lambda: 1), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        code = cli.main([command, str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        header, *rows = csv.reader(line for line in out.getvalue().splitlines() if not line.startswith("#"))
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            values = [float(v) for column, v in zip(header, row) if column not in ("mode", "config")]
+            assert not any(math.isnan(v) for v in values)
     else:
         assert code == 1
         assert out.getvalue() == ""

@@ -14,6 +14,7 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from oppsim.model import Channel, ChannelModel, EventKind, Metrics
 from oppsim.oracle import bit_level_frame_oracle
 
 from engine_cases import small_runs, without_cross_links
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def star(n=3, p=0.6, **kw):
@@ -701,3 +703,47 @@ def test_cost_solve_leaves_its_argument_as_it_was(shape):
     assert {n: [x.hex() for x in pairs] for n, pairs in solved.decode.items()} == {
         n: [x.hex() for x in pairs] for n, pairs in built.costs.decode.items()
     }
+
+
+def branches_run():
+    """The ``branches`` golden's generated graph and sim knobs."""
+    spec = cli.read_spec(yaml.safe_load(GOLDEN_CONFIGS["branches"]))
+    return spec.build(), spec.sim
+
+
+def deep_mesh_run():
+    """A 20-node mesh run from its deepest node: four hops of non-integer
+    costs, so the overhead's float sum depends on its order."""
+    config = topo.GeneratorConfig(nodes=20, area_side=100.0, radio_range=30.0, ber_model=topo.FixedBer(0.002))
+    mesh = topo.generate(config, seed=1)
+    return mesh, SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=5, source=topo.deepest_node(mesh))
+
+
+TALLY_RUNS = {
+    "star": lambda: (star(6, 0.7, intercandidate_ber=0.01), SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=4)),
+    "diamond": lambda: (topo.diamond_topology(), SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=4)),
+    "branches": branches_run,
+    "mesh": deep_mesh_run,
+    "gateway-source": lambda: (star(), SimConfig(mode=ProtocolMode.RECEIVER_BASED, source=0)),
+}
+
+
+@pytest.mark.parametrize("mode", list(ProtocolMode))
+@pytest.mark.parametrize("shape", TALLY_RUNS)
+def test_kernel_tallies_step_by_each_replications_trace(shape, mode):
+    # the kernel yields running totals: consecutive yields differ by one
+    # replication's counts, and the overhead adds the winners' costs in the
+    # order the traces elect them
+    t, cfg = TALLY_RUNS[shape]()
+    cfg = replace(cfg, mode=mode)
+    yields = list(engine._deliver(t, cfg, range(300), None))
+    overhead = 0.0
+    for i, (before, after) in enumerate(zip([(None, 0, 0, 0, 0, 0.0), *yields], yields)):
+        trace = engine.simulate_delivery(t, cfg, i)
+        steps = [now - then for now, then in zip(after[1:5], before[1:5])]
+        assert [after[0], *steps] == [trace.source, trace.transmissions, trace.count(EventKind.DUPLICATE_FORWARD),
+                                      int(trace.delivered), trace.first_arrival_hops or 0]
+        for e in trace.events:
+            if e.kind is EventKind.ELECT:
+                overhead += t.costs[e.actor]
+    assert yields[-1][5] == overhead

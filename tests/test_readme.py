@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from dataclasses import fields
+
 from oppsim import cli
 from oppsim.cli import ConfigError
+from oppsim.model import ChannelModel
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 REFERENCE = README[README.index("### Config reference") : README.index("### Topology files")]
@@ -78,9 +81,34 @@ def test_topology_kinds_show_the_builder_defaults(kind, tmp_path, monkeypatch):
     assert build(shown) == build(needed)
 
 
-def test_distance_ber_shows_its_defaults():
+def distance_law():
     line = next(l for l in KINDS_BLOCK.splitlines() if l.strip().startswith("ber:"))
-    shown = yaml.safe_load(line.split("# or ")[1])
+    return yaml.safe_load(line.split("# or ")[1])
+
+
+def test_reference_names_exactly_the_keys_the_reader_takes():
+    # the reader refuses any other key, so a key left out here could not be set
+    shown = yaml.safe_load(CONFIG_BLOCK)
+    assert set(shown) == set(cli.SECTIONS)
+    assert set(shown["frame"]) == set(cli.FRAME_FIELDS)
+    assert set(shown["channel"]) == {f.name for f in fields(ChannelModel)}
+    assert [set(c) for c in shown["channel"]["channels"]] == [set(cli.CHANNEL_FIELDS)]
+    assert set(shown["topology"]) == {"kind"}
+    assert set(shown["sim"]) == set(cli.SIM_FIELDS)
+    assert set(shown["sweep"]) == set(cli.SWEEP_FIELDS)
+    assert {frozenset(e) for s in shown["forwarder_sets"] for e in s} == {frozenset(cli.FORWARDER_FIELDS)}
+    kinds = cli._topology_kinds()
+    assert set(KINDS) == set(kinds)
+    for kind, (_, table) in kinds.items():
+        assert set(KINDS[kind]) == set(table), kind
+    laws = [KINDS["generated"]["ber"], distance_law()]
+    assert {law["kind"] for law in laws} == set(cli.BER_KINDS)
+    for law in laws:
+        assert set(law) == {"kind", *cli.BER_KINDS[law["kind"]][1]}
+
+
+def test_distance_ber_shows_its_defaults():
+    shown = distance_law()
     def build(ber):
         section = {"kind": "generated", "nodes": KINDS["generated"]["nodes"], "ber": ber}
         return cli.read_spec({"topology": section}).build()
