@@ -36,7 +36,6 @@ from .model import (
     ForwarderEntry,
     ForwarderSet,
     FrameParams,
-    Node,
     NodeId,
     Topology,
     validate,  # re-exported only: every topology that prepare builds passes it
@@ -400,11 +399,11 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
     with _config_errors(f"cannot read topology {path}", OSError):
         raw_lines = path.read_text().splitlines()
 
-    nodes: list[Node] = []
+    positions: dict[NodeId, tuple[float, float]] = {}
     edges: list[tuple[NodeId, NodeId, BitErrorRate]] = []
+    link_lines: dict[tuple[NodeId, NodeId], int] = {}  # each linked pair, ends in order, to its line
     declared = None
     gateway: NodeId | None = None
-    known: set[NodeId] = set()
     for lineno, line in enumerate(raw_lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -427,23 +426,26 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
                 x, y = float(tokens[2]), float(tokens[3])
             except ValueError:
                 raise ConfigError(f"{where}: bad coordinates") from None
-            if nid in known:
+            if nid in positions:
                 raise ConfigError(f"{where}: duplicate node id {nid!r}")
-            if nodes and type(nid) is not type(nodes[0].id):
+            if positions and type(nid) is not type(next(iter(positions))):
                 raise ConfigError(f"{where}: node ids mix integers and strings")
-            known.add(nid)
-            nodes.append(Node(id=nid, hop_id=0, position=(x, y)))
+            positions[nid] = (x, y)
         elif tokens[0] == "link":
             if len(tokens) != 4:
                 raise ConfigError(f"{where}: link line must be 'link a b p'")
             a, b = _node_token(tokens[1]), _node_token(tokens[2])
             for end in (a, b):
-                if end not in known:
+                if end not in positions:
                     raise ConfigError(f"{where}: link refers to unknown node {end!r}")
             try:
                 rate = float(tokens[3])
             except ValueError:
                 raise ConfigError(f"{where}: bad bit error rate {tokens[3]!r}") from None
+            if a == b:
+                raise ConfigError(f"{where}: self-link on node {a!r}")
+            if (first := link_lines.setdefault((a, b) if a < b else (b, a), lineno)) != lineno:
+                raise ConfigError(f"{where}: link {a} {b} repeats the link on line {first}")
             with _config_errors(where):
                 edges.append((a, b, BitErrorRate(rate)))
         else:
@@ -451,12 +453,12 @@ def read_topology_file(path: str | Path, frame: FrameParams, channel: ChannelMod
 
     if gateway is None:
         raise ConfigError(f"{path}: missing 'nodes N gateway G' header")
-    if declared != len(nodes):
-        raise ConfigError(f"{path}: header declares {declared} nodes, file has {len(nodes)}")
-    if gateway not in known:
+    if declared != len(positions):
+        raise ConfigError(f"{path}: header declares {declared} nodes, file has {len(positions)}")
+    if gateway not in positions:
         raise ConfigError(f"{path}: gateway {gateway!r} has no node line")
     try:
-        return topo.prepare(tuple(nodes), gateway, edges, frame, channel)
+        return topo.prepare(positions, gateway, edges, frame, channel)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -586,6 +588,7 @@ def cmd_sweep(spec: RunSpec) -> str:
         raise ConfigError("sweeping 'forwarders' requires topology.kind 'star'")
     if axis == "ber":
         base = spec.build()
+        positions = {n.id: n.position for n in base.nodes}
 
     # every value is checked before any point is built or run
     points = []
@@ -609,7 +612,7 @@ def cmd_sweep(spec: RunSpec) -> str:
             with _config_errors(f"sweep.values[{i}]"):
                 # the same links keep every hop ID; only the rates and costs change
                 edges = [(a, b, point) for a, b in _undirected_links(base)]
-                built = topo.prepare(base.nodes, base.gateway, edges, spec.frame, spec.channel)
+                built = topo.prepare(positions, base.gateway, edges, spec.frame, spec.channel)
         else:
             built = point.build()
         source = spec.sim.source

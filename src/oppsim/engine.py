@@ -92,6 +92,8 @@ from .model import (
 
 # a run's replications run in turn: 10^8 of star(6), at about 10 us each, take 17 min
 MAX_REPLICATIONS = 100_000_000
+# replication_seed mixes the seed modulo 2**64: 2**64 would rerun seed 0
+MAX_SEED = _U64 = (1 << 64) - 1
 
 
 class ProtocolMode(Enum):
@@ -122,11 +124,10 @@ class SimConfig:
             _positive_int(name, getattr(self, name))
         if self.replications > MAX_REPLICATIONS:
             raise ValueError(f"replications must be at most {MAX_REPLICATIONS}")
-        _nonnegative_int("seed", self.seed)
+        _nonnegative_int("seed", self.seed, MAX_SEED)
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_U64 = (1 << 64) - 1
 
 
 def replication_seed(seed: int, replication_index: int) -> int:

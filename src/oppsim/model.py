@@ -27,15 +27,19 @@ def _probability(name: str, value: float) -> float:
     return value
 
 
-def _positive_int(name: str, value: int) -> int:
+def _positive_int(name: str, value: int, most: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}")
     return value
 
 
-def _nonnegative_int(name: str, value: int) -> int:
+def _nonnegative_int(name: str, value: int, most: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}")
     return value
 
 

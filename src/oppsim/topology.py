@@ -6,17 +6,18 @@ rank-difference "distance" between two nodes inflates past their true
 hop separation; :func:`witness_topology` builds the minimal chain that
 exhibits the gap.
 
-Every topology is built by one recipe, :func:`prepare`: it takes
-undirected ``(a, b, ber)`` edges and, in one pass over them, stores each
-link in both directions and lists each node's neighbours.  One
-breadth-first search over those lists (:func:`assign_hop_ids`) gives the
-hop IDs and each node's upstream set, its neighbours one hop nearer the
-gateway.  ``prepare`` then constructs the one ``Topology``, stores that
-upstream table on it and solves its cost table once
-(:func:`compute_ranks`; ``Topology.rank`` derives from
-``Topology.costs``).  The builders below and the CLI's topology-file
-reader only say which edges there are, so what they return is ready for
-the closed forms and the simulator.
+Every topology is built by one recipe, :func:`prepare`: it takes node
+positions and undirected ``(a, b, ber)`` edges and, in one pass over the
+edges, stores each link in both directions and lists each node's
+neighbours.  One breadth-first search over those lists
+(:func:`assign_hop_ids`) gives the hop IDs and each node's upstream set,
+its neighbours one hop nearer the gateway.  ``prepare`` then makes each
+``Node`` once, with its hop ID, constructs the one ``Topology``, stores
+that upstream table on it and solves its cost table once
+(:func:`compute_ranks`; ``Topology.rank`` derives from ``Topology.costs``).
+The builders below and the CLI's topology-file reader only give positions
+and edges, so what they return is ready for the closed forms and the
+simulator.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from . import analysis
 from .model import (
@@ -48,6 +49,9 @@ DEFAULT_CHANNEL = ChannelModel(
 _BISECTION_STEPS = 200
 # a star of N relays has N(N+1)/2 + N links: 1,000 relays make 501,500
 MAX_STAR_FORWARDERS = 1_000
+# a generated network's memory follows its nodes and links (see _near_pairs)
+MAX_GENERATED_NODES = 100_000
+MAX_GENERATED_LINKS = 500_000
 
 
 class DisconnectedTopologyError(ValueError):
@@ -88,7 +92,7 @@ class GeneratorConfig:
     gateway_position: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        _positive_int("nodes", self.nodes)
+        _positive_int("nodes", self.nodes, MAX_GENERATED_NODES)
         if not 0.0 < self.area_side < math.inf:
             raise ValueError(f"area_side must be positive and finite, got {self.area_side!r}")
         if not self.radio_range > 0.0:
@@ -136,10 +140,7 @@ def generate(config: GeneratorConfig, seed: int) -> Topology:
     edges = (
         (a, b, ber_law(dist)) for a, b, dist in _near_pairs(positions, config.radio_range)
     )
-    nodes = tuple(
-        Node(id=nid, hop_id=0, position=pos) for nid, pos in enumerate(positions)
-    )
-    return prepare(nodes, 0, edges, config.frame, config.channel)
+    return prepare(dict(enumerate(positions)), 0, edges, config.frame, config.channel)
 
 
 # Cells are this factor wider than the radio range.  Rounding in the
@@ -161,7 +162,8 @@ def _near_pairs(
     only with the points of the 3 x 3 cells around its own (Bentley,
     Stanat & Williams, "The complexity of finding fixed-radius near
     neighbors", Inf. Proc. Letters 6(6), 1977).  An infinite radius or a
-    point at infinity puts every point into one cell.
+    point at infinity puts every point into one cell.  Raises ValueError
+    once more than ``MAX_GENERATED_LINKS`` pairs are found.
     """
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
@@ -195,6 +197,8 @@ def _near_pairs(
             dist = math.hypot(ax - bx, ay - by)
             if dist <= radius:
                 pairs.append((a, b, dist))
+        if len(pairs) > MAX_GENERATED_LINKS:
+            raise ValueError(f"links must be at most {MAX_GENERATED_LINKS}")
     return pairs
 
 
@@ -285,22 +289,22 @@ def ber_for_reception(target: float, frame: FrameParams, p_sw: float) -> float:
 
 
 def prepare(
-    nodes: tuple[Node, ...],
+    positions: Mapping[NodeId, tuple[float, float] | None],
     gateway: NodeId,
     edges: Iterable[tuple[NodeId, NodeId, BitErrorRate]],
     frame: FrameParams,
     channel: ChannelModel,
 ) -> Topology:
-    """The topology with each undirected edge ``(a, b, ber)`` stored as
-    ``(a, b)`` then ``(b, a)`` (a repeated edge keeps its first place and
-    takes its last rate), hop IDs assigned, its upstream table stored and
-    the cost table solved.
+    """The topology over the nodes of ``positions`` (id to position or None,
+    in node order), each undirected edge ``(a, b, ber)`` stored as ``(a, b)``
+    then ``(b, a)`` (a repeated edge keeps its first place and takes its last
+    rate), hop IDs assigned, upstream table stored and cost table solved.
 
     One pass over the edges fills the link map and, at each edge's first
-    appearance, both ends' neighbour lists; :func:`assign_hop_ids` runs
-    the one breadth-first search over those lists, and the upstream sets
-    it returns are stored as the topology's ``_upstream``."""
-    adjacency: dict[NodeId, list[NodeId]] = {n.id: [] for n in nodes}
+    appearance, both ends' neighbour lists; :func:`assign_hop_ids` runs the
+    one breadth-first search over those lists, each ``Node`` is made once,
+    with its hop ID, and the search's upstream sets become ``_upstream``."""
+    adjacency: dict[NodeId, list[NodeId]] = {nid: [] for nid in positions}
     if gateway not in adjacency:
         raise ValueError(f"unknown node id: {gateway!r}")
     links: dict[tuple[NodeId, NodeId], BitErrorRate] = {}
@@ -319,7 +323,7 @@ def prepare(
     # freed before the topology copies the link map, so that the build's
     # peak memory never holds the neighbour lists and two link maps at once
     del adjacency
-    nodes = tuple(Node(n.id, hops[n.id], n.position) for n in nodes)
+    nodes = tuple(Node(nid, hops[nid], pos) for nid, pos in positions.items())
     topology = Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
     # the topology holds its own copy of the link map; freeing this one
     # before the cost solve lowers the build's peak memory
@@ -340,12 +344,10 @@ def chain_topology(
     if not link_success:
         raise ValueError("chain needs at least one link")
     p_sw = channel.evaluated.p_sw
-    edges = []
-    nodes = [Node(id=0, hop_id=0, position=(0.0, 0.0))]
-    for k, target in enumerate(link_success):
-        edges.append((k, k + 1, BitErrorRate(ber_for_link_success(float(target), frame, p_sw))))
-        nodes.append(Node(id=k + 1, hop_id=0, position=(float(k + 1), 0.0)))
-    return prepare(tuple(nodes), 0, edges, frame, channel)
+    rates = [BitErrorRate(ber_for_link_success(float(t), frame, p_sw)) for t in link_success]
+    edges = [(k, k + 1, ber) for k, ber in enumerate(rates)]
+    positions = {k: (float(k), 0.0) for k in range(len(rates) + 1)}
+    return prepare(positions, 0, edges, frame, channel)
 
 
 def witness_topology(
@@ -364,12 +366,8 @@ def witness_topology(
     p_sw = channel.evaluated.p_sw
     success = 2.0 / far_cost
     ber = BitErrorRate(ber_for_link_success(success, frame, p_sw))
-    nodes = (
-        Node(id=1, hop_id=0, position=(0.0, 0.0)),
-        Node(id=3, hop_id=0, position=(1.0, 0.0)),
-        Node(id=5, hop_id=0, position=(2.0, 0.0)),
-    )
-    return prepare(nodes, 1, [(1, 3, ber), (3, 5, ber)], frame, channel)
+    positions = {1: (0.0, 0.0), 3: (1.0, 0.0), 5: (2.0, 0.0)}
+    return prepare(positions, 1, [(1, 3, ber), (3, 5, ber)], frame, channel)
 
 
 def star_topology(
@@ -388,9 +386,7 @@ def star_topology(
     are pairwise linked at ``intercandidate_ber`` (0 = perfect overhearing).
     Node ids: gateway 0, relays 1..N, source N+1.
     """
-    _positive_int("forwarders", forwarders)
-    if forwarders > MAX_STAR_FORWARDERS:
-        raise ValueError(f"forwarders must be at most {MAX_STAR_FORWARDERS}")
+    _positive_int("forwarders", forwarders, MAX_STAR_FORWARDERS)
     if not remaining_cost >= 1.0:
         raise ValueError(f"remaining_cost must be >= 1, got {remaining_cost!r}")
     p_sw = channel.evaluated.p_sw
@@ -399,14 +395,13 @@ def star_topology(
     cross_ber = BitErrorRate(float(intercandidate_ber))
 
     source = forwarders + 1
-    nodes = [Node(id=0, hop_id=0, position=(0.0, 0.0))]
+    relays = range(1, source)
+    positions = {0: (0.0, 0.0), **{r: (1.0, float(r)) for r in relays}, source: (2.0, 0.0)}
     edges = []
-    for r in range(1, forwarders + 1):
-        nodes.append(Node(id=r, hop_id=0, position=(1.0, float(r))))
+    for r in relays:
         edges += [(0, r, relay_ber), (r, source, up_ber)]
         edges += [(other, r, cross_ber) for other in range(1, r)]
-    nodes.append(Node(id=source, hop_id=0, position=(2.0, 0.0)))
-    return prepare(tuple(nodes), 0, edges, frame, channel)
+    return prepare(positions, 0, edges, frame, channel)
 
 
 def diamond_topology(
@@ -425,13 +420,8 @@ def diamond_topology(
     g1, g2 = (BitErrorRate(float(b)) for b in relay_ber)
     cross = BitErrorRate(float(intercandidate_ber))
     edges = [(0, 1, g1), (0, 2, g2), (1, 3, b1), (2, 3, b2), (1, 2, cross)]
-    nodes = (
-        Node(id=0, hop_id=0, position=(0.0, 0.0)),
-        Node(id=1, hop_id=0, position=(1.0, 1.0)),
-        Node(id=2, hop_id=0, position=(1.0, -1.0)),
-        Node(id=3, hop_id=0, position=(2.0, 0.0)),
-    )
-    return prepare(nodes, 0, edges, frame, channel)
+    positions = {0: (0.0, 0.0), 1: (1.0, 1.0), 2: (1.0, -1.0), 3: (2.0, 0.0)}
+    return prepare(positions, 0, edges, frame, channel)
 
 
 def deepest_node(topology: Topology) -> NodeId:

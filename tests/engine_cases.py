@@ -36,7 +36,8 @@ def without_cross_links(t):
     ids only; a shortest path never uses a link between equal hop ids, so
     removing those moves no hop id."""
     kept = [(a, b, v) for (a, b), v in t.links.items() if t.hop_id(a) != t.hop_id(b)]
-    rebuilt = topo.prepare(t.nodes, t.gateway, kept, t.frame, t.channel)
+    positions = {n.id: n.position for n in t.nodes}
+    rebuilt = topo.prepare(positions, t.gateway, kept, t.frame, t.channel)
     assert rebuilt.nodes == t.nodes
     return rebuilt
 

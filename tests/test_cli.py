@@ -214,6 +214,22 @@ class TestTopologyFiles:
         err = fails_with(tmp_path, capsys, "analyze", f"topology: {{kind: file, path: {path}}}\n")
         assert err == f"config error: {path}:3: node ids mix integers and strings\n"
 
+    @pytest.mark.parametrize("repeat", ["link 0 1 0.3", "link 1 0 0.3", "link 1 0 0.001"])
+    def test_repeated_link_names_both_lines(self, tmp_path, capsys, repeat):
+        # a link stands once, either way round; a second line once silently set its rate
+        path = tmp_path / "t.topo"
+        path.write_text("nodes 3 gateway 0\nnode 0 0 0\nnode 1 1 0\nnode 2 2 0\n"
+                        f"link 0 1 0.001\nlink 1 2 0.001\n{repeat}\n")
+        err = fails_with(tmp_path, capsys, "analyze", f"topology: {{kind: file, path: {path}}}\n")
+        a, b = repeat.split()[1:3]
+        assert err == f"config error: {path}:7: link {a} {b} repeats the link on line 5\n"
+
+    def test_self_link_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "t.topo"
+        path.write_text("nodes 2 gateway 0\nnode 0 0 0\nnode 1 1 0\nlink 0 1 0.01\nlink 1 1 0.01\n")
+        err = fails_with(tmp_path, capsys, "analyze", f"topology: {{kind: file, path: {path}}}\n")
+        assert err == f"config error: {path}:5: self-link on node 1\n"
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "t.topo"
         path.write_text(
@@ -849,6 +865,15 @@ class TestConfigErrorLines:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "config error: topology: forwarders must be at most 1000\n"
 
+    def test_dense_placement_is_refused_at_the_link_bound(self, tmp_path, capsys, monkeypatch):
+        # 12 nodes within range of each other make 66 links; the bound is
+        # lowered, so no test builds a network near the real one
+        monkeypatch.setattr(topo, "MAX_GENERATED_LINKS", 30)
+        text = "topology: {kind: generated, nodes: 12, radio_range: .inf}\nsim: {replications: 10}\n"
+        assert fails_with(tmp_path, capsys, "simulate", text) == "config error: topology: links must be at most 30\n"
+        monkeypatch.setattr(topo, "MAX_GENERATED_LINKS", 66)
+        assert cli.main(["simulate", write_cfg(tmp_path, text)]) == 0
+
     # a co-candidate with no usable link back draws once per micro-frame
     _LOSSY_STAR = "topology: {kind: star, forwarders: 3, p_link: 0.9, intercandidate_ber: 1.0}\n"
     # the benchmark's 1000-node mesh: each sweep point holds about 2.2 MB until the sweep's runs end
@@ -864,7 +889,9 @@ class TestConfigErrorLines:
          "sim: replications must be at most 100000000"),
         ("sweep", _MESH + "sim: {replications: 20}\nsweep: {parameter: p_sw, values: [%s]}\n"
                   % ", ".join(["1.0"] * 10_000), "sweep.values must have at most 256 entries"),
-    ], ids=["preamble_frames", "sweep-preamble_frames", "replications", "sweep-values"])
+        ("analyze", "topology: {kind: generated, nodes: 1000000000000000000}\n",
+         "topology: nodes must be at most 100000"),
+    ], ids=["preamble_frames", "sweep-preamble_frames", "replications", "sweep-values", "generated-nodes"])
     def test_huge_count_is_refused_before_any_work(self, tmp_path, command, text, message):
         done = run_limited([command, write_cfg(tmp_path, text)])
         assert (done.returncode, done.stdout, done.stderr) == (1, "", f"config error: {message}\n")
@@ -1112,6 +1139,9 @@ class TestRefusals:
                      "unknown key forwarder_sets[0][0].p", id="unknown-forwarder-key"),
         pytest.param(["sweep"], _STAR + "sweep: {parameter: p_sw, values: [1.0], valuse: [0.5]}\n", None,
                      "unknown key sweep.valuse", id="unknown-sweep-key"),
+        # the replication seeds mix the seed modulo 2**64, so 2**64 once reran seed 0's run
+        pytest.param(["simulate"], "topology: {kind: star, forwarders: 2}\nsim: {seed: 18446744073709551616}\n",
+                     None, "sim: seed must be at most 18446744073709551615", id="seed-past-64-bits"),
     ])
     def test_refusal_is_one_config_error_line(self, tmp_path, monkeypatch, capsys, argv, cfg, topology_file,
                                               message):
@@ -1146,6 +1176,44 @@ _ANALYZE_KEYS = {
 }
 
 
+def ends_in_rows_or_one_error_line(argv):
+    """Run ``oppsim <argv>`` in this process and check that it ends in rows
+    or in one error line: exit 0 (or 2 for a failing ``verify``) with rows
+    that parse and no ``nan``, or exit 1 with exactly one ``config error:``
+    or ``validation error:`` line on stderr and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    # the runs stay in this process: a drawn config never forks
+    with (unittest.mock.patch.object(engine, "_cores", lambda: 1), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        code = cli.main(argv)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith(("config error: ", "validation error: "))
+        return
+    assert err.getvalue() == ""
+    assert not re.search(r"\bnan\b", out.getvalue())
+    lines = out.getvalue().splitlines()
+    if argv[0] == "verify":
+        breaches = [line for line in lines if line.startswith("verify breach ")]
+        assert (code, lines[-1]) == (2 if breaches else 0, f"verify result={'fail' if breaches else 'pass'}"
+                                                          f" breaches={len(breaches)}")
+        assert [line.split()[1] for line in lines[:3]] == [
+            "case=single-hop-grid", "case=two-hop-composition", "case=bit-level-frames"]
+    elif argv[0] == "analyze":
+        assert code == 0 and lines
+        for line in lines:
+            assert all(re.fullmatch(r"[a-z_]+=\S+", token) for token in line.split()[1:])
+    else:
+        assert code == 0
+        header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            values = [float(v) for column, v in zip(header, row) if column not in ("mode", "config")]
+            assert not any(math.isnan(v) for v in values)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.fixed_dictionaries({}, optional={key: st.sampled_from(v) for key, v in _ANALYZE_KEYS.items()}))
 def test_analyze_of_a_star_ends_in_records_or_one_error_line(tmp_path_factory, drawn):
@@ -1157,17 +1225,7 @@ def test_analyze_of_a_star_ends_in_records_or_one_error_line(tmp_path_factory, d
             cfg[section][path[0]] = value
     path = tmp_path_factory.getbasetemp() / "drawn.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["analyze", str(path)])
-    if code == 0:
-        assert err.getvalue() == ""
-        assert "nan" not in out.getvalue()
-    else:
-        assert code == 1
-        assert out.getvalue() == ""
-        assert len(err.getvalue().splitlines()) == 1
-        assert err.getvalue().startswith(("config error: ", "validation error: "))
+    ends_in_rows_or_one_error_line(["analyze", str(path)])
 
 
 _RUN_TOPOLOGIES = {
@@ -1219,21 +1277,125 @@ def test_simulate_and_sweep_end_in_rows_or_one_error_line(tmp_path_factory, draw
     command, cfg = drawn
     path = tmp_path_factory.getbasetemp() / "drawn-run.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    out, err = io.StringIO(), io.StringIO()
-    # the runs stay in this process: a drawn config never forks
-    with (unittest.mock.patch.object(engine, "_cores", lambda: 1), contextlib.redirect_stdout(out),
-          contextlib.redirect_stderr(err)):
-        code = cli.main([command, str(path)])
-    if code == 0:
-        assert err.getvalue() == ""
-        header, *rows = csv.reader(line for line in out.getvalue().splitlines() if not line.startswith("#"))
-        assert rows
-        for row in rows:
-            assert len(row) == len(header)
-            values = [float(v) for column, v in zip(header, row) if column not in ("mode", "config")]
-            assert not any(math.isnan(v) for v in values)
-    else:
-        assert code == 1
-        assert out.getvalue() == ""
-        assert len(err.getvalue().splitlines()) == 1
-        assert err.getvalue().startswith(("config error: ", "validation error: "))
+    ends_in_rows_or_one_error_line([command, str(path)])
+
+
+# ordinary values of each key, drawn as often as the edges; a drawn node
+# count is at most 30 or refused by its bound
+_ORDINARY = {
+    "nodes": (1, 2, 12, 30), "area_side": (10.0, 100.0), "radio_range": (5.0, 60.0, math.inf),
+    "seed": (1, 2, 3), "gateway_position": ([0.0, 0.0], [50.0, 100.0]), "far_cost": (2.0, 3.04, 50.0),
+    "path": ("drawn.topo",), "p": (0.0, 0.01, 0.3), "p_min": (0.0, 0.01), "p_max": (0.02, 0.3, 1.0),
+    "ber": (0.0, 0.01, 0.2), "p_sw": (0.5, 1.0), "preamble_frames": (1, 4), "data_frame_bits": (8, 100),
+    "forwarders": (1, 2),
+}
+_KIND_START = {
+    "generated": {"kind": "generated", "nodes": 12, "radio_range": 60.0},
+    "witness": {"kind": "witness"},
+    "file": {"kind": "file", "path": "drawn.topo"},
+}
+_BER_KEYS = sorted({key for _, table in cli.BER_KINDS.values() for key in table})
+
+
+def _value(key):
+    return st.sampled_from(_EDGES) | st.sampled_from(_ORDINARY.get(key, (0.5, 2, 0.01)))
+
+
+@st.composite
+def _topology_lines(draw):
+    """A short topology file: a chain over 1 to 4 nodes, with up to two
+    lines drawn from the line grammar (a header, node and link lines over a
+    few ids, comments and blanks, bad tokens) put in or one line taken out."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    lines = [f"nodes {n} gateway 0", *(f"node {i} {i}.0 0.0" for i in range(n)),
+             *(f"link {i} {i + 1} 0.01" for i in range(n - 1))]
+    ids = st.sampled_from(["0", "1", "2", "3", "a"])
+    numbers = st.sampled_from(["0", "1", "0.01", "2.5", "-1", "nan", "inf", "1e400", "x"])
+    line = st.one_of(
+        st.builds("nodes {} gateway {}".format, st.sampled_from(["0", "1", "3", "-1", "x"]), ids),
+        st.builds("node {} {} {}".format, ids, numbers, numbers),
+        st.builds("link {} {} {}".format, ids, ids, numbers),
+        st.sampled_from(["# comment", "", "nodes", "node 0", "link 0 1", "edge 0 1"]),
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(line))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        del lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _kind_configs(draw):
+    """(command, config, topology file): analyze, simulate or sweep of a
+    generated network, the witness chain or a topology file.  Up to two
+    keys of the kind's own table are set to drawn values, a rate law to a
+    drawn mapping over ``BER_KINDS``, and now and then a key that no table
+    names.  Replications stay at 20 and a sweep has at most 4 values."""
+    kind = draw(st.sampled_from(sorted(_KIND_START)))
+    topology = dict(_KIND_START[kind])
+    for key in draw(st.lists(st.sampled_from(sorted(cli._topology_kinds()[kind][1])), max_size=2, unique=True)):
+        if key == "ber" and draw(st.booleans()):
+            law = {"kind": draw(st.sampled_from([*cli.BER_KINDS, None, "x", 1]))}
+            for name in draw(st.lists(st.sampled_from([*_BER_KEYS, "q"]), max_size=2, unique=True)):
+                law[name] = draw(_value(name))
+            topology[key] = law
+        elif key == "gateway_position" and draw(st.booleans()):
+            topology[key] = draw(st.lists(_value("radio_range"), max_size=3))
+        else:
+            topology[key] = draw(_value(key))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        topology["unknown_key"] = 1
+    cfg = {"topology": topology, "sim": {"replications": 20, "seed": 3}}
+    command = draw(st.sampled_from(["analyze", "simulate", "sweep"]))
+    if command == "sweep":
+        # only a star sweeps its forwarders
+        axis = draw(st.sampled_from([axis for axis in cli._SWEEP_AXES if axis != "forwarders"]))
+        cfg["sweep"] = {"parameter": axis, "values": draw(st.lists(_value(axis), min_size=1, max_size=4))}
+    topology_file = draw(_topology_lines()) if kind == "file" else None
+    return command, cfg, topology_file
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kind_configs())
+def test_generated_witness_and_file_end_in_rows_or_one_error_line(tmp_path_factory, drawn):
+    command, cfg, topology_file = drawn
+    tmp = tmp_path_factory.getbasetemp()
+    if topology_file is not None and cfg["topology"]["path"] == "drawn.topo":
+        (tmp / "drawn.topo").write_text(topology_file)
+        cfg["topology"]["path"] = str(tmp / "drawn.topo")
+    path = tmp / "drawn-kind.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    ends_in_rows_or_one_error_line([command, str(path)])
+
+
+# grid items, the ordinary ones first, then those at the edges of each
+# key's type; a size past 4 is refused by a bound before it is enumerated
+_GRID_ITEMS = {
+    "sizes": ("1", "2", "3", "4", "1-4", "2-3", "4-1", "0", "-1", "1-", "x", "21", "1" + "0" * 400),
+    "probs": ("0", "0.5", "1", "-1", "2", "nan", "inf", "-inf", "1e400", "x"),
+    "costs": ("0", "1", "2.5", "-1", "nan", "inf", "1e400", "x"),
+}
+
+
+@st.composite
+def _grid_strings(draw):
+    """A ``verify --grid`` string: a fragment for each grid key, with 1 to 3
+    items (sizes at most 4 when valid), in a drawn order, and perhaps a
+    fragment with no key or no items, an unknown key or nothing."""
+    fragments = [
+        f"{key}={','.join(draw(st.lists(st.sampled_from(items), min_size=1, max_size=3)))}"
+        for key, items in _GRID_ITEMS.items()
+    ]
+    fragments += draw(st.lists(st.sampled_from(["", " ", "probs=", "sizes", "foo=1", "costs=0=1"]), max_size=1))
+    return ";".join(draw(st.permutations(fragments)))
+
+
+# trial counts and seeds, ordinary ones three times as often as a refused one
+_TRIALS = st.sampled_from([1, 20, 1000] * 3 + [0, -1])
+_SEEDS = st.sampled_from([0, 7, 2**64, 10**30] * 3 + [-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_strings(), _TRIALS, _SEEDS)
+def test_verify_grid_ends_in_rows_or_one_error_line(grid, trials, seed):
+    ends_in_rows_or_one_error_line(["verify", "--grid", grid, "--trials", str(trials), "--seed", str(seed)])

@@ -89,6 +89,12 @@ class TestReplicationSeed:
     def test_fits_in_64_bits(self):
         assert 0 <= engine.replication_seed(2**63, 2**20) < 2**64
 
+    def test_seed_past_64_bits_is_refused(self):
+        # the mix takes the seed modulo 2**64: 2**64 would rerun seed 0's run
+        SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=2**64 - 1)
+        with pytest.raises(ValueError, match=r"^seed must be at most 18446744073709551615$"):
+            SimConfig(mode=ProtocolMode.RECEIVER_BASED, seed=2**64)
+
 
 class TestSimulateDelivery:
     def test_deterministic(self):

@@ -120,7 +120,8 @@ def _tiny_topology(links=None):
 def _prepared(topo):
     """``topo`` built again through ``prepare``, from its own links."""
     edges = [(a, b, ber) for (a, b), ber in topo.links.items()]
-    return prepare(topo.nodes, topo.gateway, edges, topo.frame, topo.channel)
+    positions = {n.id: n.position for n in topo.nodes}
+    return prepare(positions, topo.gateway, edges, topo.frame, topo.channel)
 
 
 def test_topology_accessors():

@@ -357,13 +357,10 @@ def reference_generate(config, seed):
                 ber = BitErrorRate(reference_ber(config.ber_model, dist, config.radio_range))
                 links[(a, b)] = ber
                 links[(b, a)] = ber
-    nodes = tuple(
-        Node(id=nid, hop_id=0, position=pos) for nid, pos in enumerate(positions)
-    )
-    return reference_prepare(nodes, 0, links, config.frame, config.channel)
+    return reference_prepare(dict(enumerate(positions)), 0, links, config.frame, config.channel)
 
 
-def reference_prepare(nodes, gateway, links, frame, channel):
+def reference_prepare(positions, gateway, links, frame, channel):
     """What prepare builds from the directed link map ``links``, without
     its steps: hop IDs by relaxing every link until none shortens a path
     (Bellman-Ford with unit weights), then the costs solved on a topology
@@ -376,10 +373,10 @@ def reference_prepare(nodes, gateway, links, frame, channel):
             if a in hops and hops[a] + 1 < hops.get(b, math.inf):
                 hops[b] = hops[a] + 1
                 changed = True
-    for n in nodes:
-        if n.id not in hops:
-            raise topo.DisconnectedTopologyError(f"disconnected node: {n.id!r} cannot reach the gateway")
-    nodes = tuple(replace(n, hop_id=hops[n.id]) for n in nodes)
+    for nid in positions:
+        if nid not in hops:
+            raise topo.DisconnectedTopologyError(f"disconnected node: {nid!r} cannot reach the gateway")
+    nodes = tuple(Node(id=nid, hop_id=hops[nid], position=pos) for nid, pos in positions.items())
     t = Topology(nodes=nodes, gateway=gateway, links=links, frame=frame, channel=channel)
     return t.nodes, list(t.links.items()), analysis.network_path_costs(t)
 
@@ -440,13 +437,13 @@ def connected_edges(draw):
 @given(connected_edges())
 def test_prepare_stores_each_edge_both_ways(drawn):
     n, gateway, edges = drawn
-    nodes = tuple(Node(id=i, hop_id=0, position=(float(i), 0.0)) for i in range(n))
-    t = topo.prepare(nodes, gateway, edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+    positions = {i: (float(i), 0.0) for i in range(n)}
+    t = topo.prepare(positions, gateway, edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
     links = {}
     for a, b, ber in edges:
         links[(a, b)] = ber
         links[(b, a)] = ber
-    reference = reference_prepare(nodes, gateway, links, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+    reference = reference_prepare(positions, gateway, links, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
     assert built(t) == reference
 
 
@@ -454,9 +451,9 @@ def _prepared(drawn, string_ids):
     """The drawn edge list prepared over int ids, or over string ids."""
     n, gateway, edges = drawn
     ids = [f"n{i}" if string_ids else i for i in range(n)]
-    nodes = tuple(Node(id=ids[i], hop_id=0, position=(float(i), 0.0)) for i in range(n))
+    positions = {ids[i]: (float(i), 0.0) for i in range(n)}
     edges = [(ids[a], ids[b], ber) for a, b, ber in edges]
-    return topo.prepare(nodes, ids[gateway], edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+    return topo.prepare(positions, ids[gateway], edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
 
 
 @settings(max_examples=60, deadline=None)
@@ -506,20 +503,19 @@ def tables(t, items, costs):
     )
 
 
-def reference_tables(nodes, gateway, links, frame, channel):
+def reference_tables(positions, gateway, links, frame, channel):
     """The tables of a topology built by hand with ``reference_prepare``'s
     hop ids, which derives its upstream table from its links on first use;
     or the refusal, as (type, message), for an unknown gateway, then for
     the first directed link in the map's order whose first end is no node,
     then for a disconnected node."""
-    known = {n.id for n in nodes}
-    if gateway not in known:
+    if gateway not in positions:
         return ValueError, f"unknown node id: {gateway!r}"
     for a, b in links:
-        if a not in known:
+        if a not in positions:
             return ValueError, f"link ({a!r}, {b!r}) references an unknown node"
     try:
-        hopped, items, costs = reference_prepare(nodes, gateway, links, frame, channel)
+        hopped, items, costs = reference_prepare(positions, gateway, links, frame, channel)
     except ValueError as exc:
         return type(exc), str(exc)
     t = Topology(nodes=hopped, gateway=gateway, links=links, frame=frame, channel=channel)
@@ -532,7 +528,7 @@ def reference_tables(nodes, gateway, links, frame, channel):
 def test_one_pass_tables_equal_a_hand_built_topology(drawn, string_ids):
     n, gateway, edges = drawn
     ids = [f"n{i}" if string_ids else i for i in range(n + 1)]
-    nodes = tuple(Node(id=ids[i], hop_id=0, position=(float(i), 0.0)) for i in range(n))
+    positions = {ids[i]: (float(i), 0.0) for i in range(n)}
     edges = [(ids[a], ids[b], ber) for a, b, ber in edges]
     links = {}
     for a, b, ber in edges:
@@ -540,40 +536,34 @@ def test_one_pass_tables_equal_a_hand_built_topology(drawn, string_ids):
         links[(b, a)] = ber
     frame, channel = topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL
     try:
-        t = topo.prepare(nodes, ids[gateway], edges, frame, channel)
+        t = topo.prepare(positions, ids[gateway], edges, frame, channel)
     except ValueError as exc:
         got = type(exc), str(exc)
     else:
         got = tables(t, list(t.links.items()), t.costs)
-    assert got == reference_tables(nodes, ids[gateway], links, frame, channel)
+    assert got == reference_tables(positions, ids[gateway], links, frame, channel)
 
 
 class TestHopAssignment:
-    def _prepare(self, nodes, edges, gateway=0):
-        return topo.prepare(nodes, gateway, edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
+    def _prepare(self, positions, edges, gateway=0):
+        return topo.prepare(positions, gateway, edges, topo.DEFAULT_FRAME, topo.DEFAULT_CHANNEL)
 
     def test_bfs_hop_ids(self):
-        nodes = (
-            Node(id=0, hop_id=0),
-            Node(id=1, hop_id=0),
-            Node(id=2, hop_id=0),
-        )
         ber = BitErrorRate(0.0)
-        assigned = self._prepare(nodes, [(0, 1, ber), (1, 2, ber), (0, 2, ber)])
+        assigned = self._prepare(dict.fromkeys([0, 1, 2]), [(0, 1, ber), (1, 2, ber), (0, 2, ber)])
         assert [n.hop_id for n in assigned.nodes] == [0, 1, 1]
 
     def test_unreachable_node_named(self):
-        nodes = (Node(id=0, hop_id=0), Node(id=7, hop_id=0))
         with pytest.raises(topo.DisconnectedTopologyError, match="7"):
-            self._prepare(nodes, [])
+            self._prepare(dict.fromkeys([0, 7]), [])
 
     def test_unknown_gateway_or_endpoint_named(self):
-        nodes = (Node(id=0, hop_id=0), Node(id=1, hop_id=0))
+        positions = dict.fromkeys([0, 1])
         ber = BitErrorRate(0.0)
         with pytest.raises(ValueError, match=r"^unknown node id: 5$"):
-            self._prepare(nodes, [(0, 1, ber)], gateway=5)
+            self._prepare(positions, [(0, 1, ber)], gateway=5)
         with pytest.raises(ValueError, match=r"^link \(9, 1\) references an unknown node$"):
-            self._prepare(nodes, [(0, 1, ber), (1, 9, ber)])
+            self._prepare(positions, [(0, 1, ber), (1, 9, ber)])
 
 
 def test_deepest_node_breaks_ties_by_id():
@@ -654,7 +644,8 @@ def test_built_topology_owns_its_cost_table(kind, tmp_path):
                     read()
                 assert str(refused.value) == "topology carries no cost table; build it with topology.prepare"
         edges = [(a, b, ber) for (a, b), ber in copy.links.items()]
-        assert topo.prepare(copy.nodes, copy.gateway, edges, copy.frame, copy.channel).costs == t.costs
+        positions = {n.id: n.position for n in copy.nodes}
+        assert topo.prepare(positions, copy.gateway, edges, copy.frame, copy.channel).costs == t.costs
 
 
 @settings(max_examples=60, deadline=None)
