@@ -38,6 +38,7 @@ from .model import (
     FrameParams,
     NodeId,
     Topology,
+    _nonnegative_int,
     validate,  # re-exported only: every topology that prepare builds passes it
 )
 from .verification import DEFAULT_SEED, DEFAULT_TRIALS, MAX_TRIALS
@@ -223,6 +224,7 @@ def _generated_topology(
     channel: ChannelModel,
 ) -> Topology:
     gen = topo.GeneratorConfig(nodes, area_side, radio_range, ber, frame, channel, gateway_position)
+    _nonnegative_int("seed", seed)
     return topo.generate(gen, seed=seed)
 
 

@@ -49,11 +49,12 @@ earlier ones and a fixed (topology, config, replication_index) triple
 always yields a byte-identical trace.
 
 Cores: when every job is the package's own code, ``run_jobs`` runs
-independent jobs (engine runs, or ``verify``'s grid and the shards of its
-per-bit Monte Carlo) on the cores this process may run on (its CPU
-affinity), one forked process per extra core.  The processes claim the jobs
-one at a time from a shared pipe, so a core that finishes early takes more
-work instead of idling.  A command hands it all of its jobs in one call
+independent jobs (engine runs, or the blocks of ``verify``'s grid and
+the shards of its per-bit Monte Carlo) on the cores this
+process may run on (its CPU affinity), one forked process per extra core.
+The processes claim the jobs one at a time from a shared pipe, in the
+order given, so a core that finishes early takes more work instead of
+idling.  A command hands it all of its jobs in one call
 (``simulate`` its modes, ``sweep`` every point's modes), so it forks at
 most once per extra core: a fork, exit and wait of the 34 MB CLI process
 alone takes about 3 ms on a 2-core Xeon.  A job's result depends on its

@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 NodeId = int | str
@@ -155,6 +157,10 @@ class ForwarderEntry:
         object.__setattr__(self, "remaining_cost", cost)
 
 
+# a set's canonical order: ascending remaining cost, ties by node id
+_CANONICAL = attrgetter("remaining_cost", "node")
+
+
 @dataclass(frozen=True)
 class ForwarderSet:
     """An ordered set of candidate forwarders.
@@ -168,10 +174,9 @@ class ForwarderSet:
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
-        if not all(isinstance(e, ForwarderEntry) for e in entries):
+        if not all(map(isinstance, entries, repeat(ForwarderEntry))):
             raise ValueError("entries must be ForwarderEntry instances")
-        ordered = tuple(sorted(entries, key=lambda e: (e.remaining_cost, e.node)))
-        object.__setattr__(self, "entries", ordered)
+        object.__setattr__(self, "entries", tuple(sorted(entries, key=_CANONICAL)))
 
     def __len__(self) -> int:
         return len(self.entries)

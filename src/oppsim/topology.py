@@ -104,15 +104,30 @@ def _ber_law(
 ) -> Callable[[float], BitErrorRate]:
     """A link's bit error rate as a function of its length.  The model's
     fields are probabilities, so every rate lies between two of them; a
-    fixed law hands every link one shared rate."""
+    fixed law hands every link one shared rate.  Under the distance law
+    with an infinite radio range, a link of infinite length is refused."""
     if isinstance(model, FixedBer):
         ber = BitErrorRate(model.p)
         return lambda distance: ber
     p_min, span = model.p_min, model.p_max - model.p_min
     lo, hi = min(model.p_min, model.p_max), max(model.p_min, model.p_max)
-    return lambda distance: BitErrorRate(
+    law = lambda distance: BitErrorRate(
         min(max(p_min + span * (distance / radio_range) ** 2, lo), hi)
     )
+    if radio_range < math.inf:
+        return law
+
+    def unbounded_law(distance: float) -> BitErrorRate:
+        # an infinite range keeps a link whose length overflowed to inf,
+        # and inf / inf has no rate
+        if distance == math.inf:
+            raise ValueError(
+                "radio_range must be finite under the distance law: a link's length overflowed to inf"
+                " (gateway_position or area_side too large)"
+            )
+        return law(distance)
+
+    return unbounded_law
 
 
 def generate(config: GeneratorConfig, seed: int) -> Topology:

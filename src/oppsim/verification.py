@@ -9,13 +9,24 @@ binomial standard errors; a closed factor of 0 or 1 has none, so any
 estimate off it breaches).  An error passes only if ``err <= tolerance``,
 so a NaN breaches and counts as ``inf`` in its case's worst value, and a
 case reads ``status=fail`` exactly when it has a breach line.
+
+The work is one ``engine.run_jobs`` call.  The grid is cut into blocks of
+at most ``oracle.batch_sets(n)`` sets of one size ``n`` along its leading
+index (``_grid_blocks``), and each block is a job that returns its worst
+error and its breach lines, and the Monte Carlo is shards of
+``_MC_SHARD`` trials; the chains, which take well under a millisecond,
+are checked in this process.  The cores claim the jobs in report order,
+and no job is long, so no core idles while another finishes one.
+The report is assembled in grid order from what the blocks return, so it
+is the same on any number of cores; every grid value is checked before
+any job runs, so a bad one raises the error the serial grid raised.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import islice, product
+from itertools import product
 
 from . import analysis, engine, oracle, topology as topo
 from .model import ForwarderEntry, ForwarderSet
@@ -87,33 +98,75 @@ def _parse_grid(spec: str | None):
     return grid["sizes"], grid["probs"], grid["costs"], sets
 
 
-def _single_hop_checks(sizes, probs, costs):
-    """Per grid set, the errors of its cost and of its overhead."""
-    # one validated entry per (node, prob index, cost index), built when the
-    # grid first meets it, so a bad value fails where it always did
-    entry = functools.cache(lambda node, pi, ci: ForwarderEntry(node, probs[pi], costs[ci]))
-    # a block's points share one tuple per cost-index combination; cleared
-    # per block, so it never holds more than one block's
-    shared = {}
+def _grid_blocks(sizes, probs, costs) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Every block of the grid as ``(radices, lead, first, stop)``, in
+    grid order.  A set of size n is a point of 2n digits with these radices,
+    its n probability indices and then its n cost indices, in
+    ``itertools.product`` order; a block is every point whose ``lead``
+    leading digits take the values ``first`` to ``stop - 1``, at most
+    ``oracle.batch_sets(n)`` sets."""
+    blocks = []
     for n in sizes:
-        # nested loops: an outer product would first copy both inner ones whole
-        points = ((pis, shared.setdefault(cis, cis)) for pis in product(range(len(probs)), repeat=n)
-                  for cis in product(range(len(costs)), repeat=n))
-        while block := list(islice(points, oracle.batch_sets(n))):
-            shared.clear()
-            sets = [ForwarderSet(tuple(map(entry, range(n), pis, cis))) for pis, cis in block]
-            exact = [values.tolist() for values in oracle.exact_single_hop_batch(sets)]
-            for (pis, cis), fs, exact_cost, exact_overhead in zip(block, sets, *exact):
-                for quantity, closed, value in (
-                    ("cost", analysis.total_path_cost(fs), exact_cost),
-                    ("overhead", analysis.coordination_overhead(fs), exact_overhead),
-                ):
-                    # equal values, both inf included, are no error
-                    yield (abs(closed - value) if closed != value else 0.0), lambda err: (
-                        f"probs={tuple(probs[i] for i in pis)} costs={tuple(costs[i] for i in cis)}"
-                        f" quantity={quantity} closed={closed:.12g} oracle={value:.12g}"
-                        f" error={err:.3e}"
-                    )
+        radices = (len(probs),) * n + (len(costs),) * n
+        lead, trailing = 0, math.prod(radices)
+        while trailing > oracle.batch_sets(n):
+            trailing //= radices[lead]
+            lead += 1
+        heads, per = math.prod(radices[:lead]), oracle.batch_sets(n) // trailing
+        for first in range(0, heads, per):
+            stop = min(first + per, heads)
+            blocks.append((radices, lead, first, stop))
+    return blocks
+
+
+def _points(radices, lead: int, first: int, stop: int):
+    """The points whose ``lead`` leading digits run from ``first`` to
+    ``stop - 1``, in grid order: each head's digits, read off its index,
+    before every tail of the other digits."""
+    tails = list(product(*map(range, radices[lead:])))
+    for index in range(first, stop):
+        head = ()
+        for radix in reversed(radices[:lead]):
+            index, digit = divmod(index, radix)
+            head = (digit, *head)
+        for tail in tails:
+            yield head + tail
+
+
+def _set_breach(probs, costs, n, point, quantity, closed, value, err) -> str:
+    return (f"probs={tuple(probs[i] for i in point[:n])} costs={tuple(costs[i] for i in point[n:])}"
+            f" quantity={quantity} closed={closed:.12g} oracle={value:.12g} error={err:.3e}")
+
+
+def _grid_block(probs, costs, radices, lead: int, first: int, stop: int) -> tuple[float, list[str]]:
+    """The worst error and the breach lines of one block of the grid (see
+    ``_grid_blocks``): per set, the errors of its cost and of its overhead."""
+    n = len(radices) // 2
+    # one entry per (node, prob index, cost index); run_verification has
+    # checked every value, so the order they are built in cannot matter
+    entry = functools.cache(lambda node, pi, ci: ForwarderEntry(node, probs[pi], costs[ci]))
+    nodes = range(n)
+    points = list(_points(radices, lead, first, stop))
+    sets = [ForwarderSet(tuple(map(entry, nodes, point[:n], point[n:]))) for point in points]
+    exact_costs, exact_overheads = (values.tolist() for values in oracle.exact_single_hop_batch(sets))
+    checks = zip(points, map(analysis.total_path_cost, sets), exact_costs,
+                 map(analysis.coordination_overhead, sets), exact_overheads)
+    return _tally("single-hop-grid", SINGLE_HOP_TOLERANCE, _set_errors(checks),
+                  functools.partial(_set_breach, probs, costs, n))
+
+
+def _set_errors(checks):
+    """Per grid set, the errors of its cost and of its overhead, each with
+    what its breach line names."""
+    for point, cost, exact_cost, overhead, exact_overhead in checks:
+        # equal values, both inf included, are no error
+        yield abs(cost - exact_cost) if cost != exact_cost else 0.0, (point, "cost", cost, exact_cost)
+        yield (abs(overhead - exact_overhead) if overhead != exact_overhead else 0.0,
+               (point, "overhead", overhead, exact_overhead))
+
+
+def _composition_breach(name, closed, against, value, err) -> str:
+    return f"scenario={name} closed={closed:.12g} {against}={value:.12g} error={err:.3e}"
 
 
 def _composition_checks():
@@ -127,9 +180,11 @@ def _composition_checks():
         }
         exact = oracle.exact_two_hop(oracle.ChainSpec(source=far, gateway=0, links=spec_links))
         for against, value in (("oracle", exact), ("expected", expected)):
-            yield abs(closed - value), lambda err: (
-                f"scenario={name} closed={closed:.12g} {against}={value:.12g} error={err:.3e}"
-            )
+            yield abs(closed - value), (name, closed, against, value)
+
+
+def _frame_breach(name, closed, est, err) -> str:
+    return f"factor={name} closed={closed:.12g} estimate={est:.12g} sigma={err:.2f}"
 
 
 def _frame_checks(estimates: oracle.FrameMissEstimates):
@@ -145,23 +200,31 @@ def _frame_checks(estimates: oracle.FrameMissEstimates):
         se = math.sqrt(closed * (1.0 - closed) / trials)
         # a closed value of 0 or 1 has no spread: only itself is within it
         sigma = abs(est - closed) / se if se > 0 else (0.0 if est == closed else math.inf)
-        yield sigma, lambda err: (
-            f"factor={name} closed={closed:.12g} estimate={est:.12g} sigma={err:.2f}"
-        )
+        yield sigma, (name, closed, est)
 
 
-def _case(case: str, summary: str, tolerance: float, checks) -> tuple[str, list[str]]:
-    """A case's status line and its breach lines."""
+def _tally(case: str, tolerance: float, checks, describe) -> tuple[float, list[str]]:
+    """The worst error of ``checks``, ``(error, args)`` pairs, and a breach
+    line, ``describe(*args, error)``, per error past ``tolerance``."""
     worst, breaches = 0.0, []
-    for err, detail in checks:
-        # the one comparison, so a NaN breaches; ``detail`` reads the
-        # check's variables, so it formats before the checks move on
+    for err, args in checks:
+        # the one comparison, so a NaN breaches
         if not err <= tolerance:
-            breaches.append(f"verify breach case={case} {detail(err)}")
+            breaches.append(f"verify breach case={case} {describe(*args, err)}")
             err = math.inf if math.isnan(err) else err
-        worst = max(worst, err)
-    return (f"verify case={case} {summary.format(worst)} tolerance={tolerance:g}"
-            f" status={'fail' if breaches else 'pass'}"), breaches
+        if err > worst:
+            worst = err
+    return worst, breaches
+
+
+def _check_grid_values(probs, costs) -> None:
+    """Build one entry of each grid value, in the order the serial grid
+    first meets them: a bad value raises the error it always raised, also
+    when the blocks that meet it run elsewhere or later."""
+    for cost in costs:
+        ForwarderEntry(0, probs[0], cost)
+    for prob in probs:
+        ForwarderEntry(0, prob, costs[0])
 
 
 def run_verification(
@@ -169,28 +232,38 @@ def run_verification(
 ) -> tuple[str, int]:
     """Closed-form versus oracle checks; returns (report, exit_code)."""
     sizes, probs, costs, sets = _parse_grid(grid)
-    exact = (
-        ("single-hop-grid", f"sets={sets} max_abs_error={{:.3e}}", SINGLE_HOP_TOLERANCE,
-         _single_hop_checks(sizes, probs, costs)),
-        ("two-hop-composition", f"scenarios={len(COMPOSITIONS)} max_abs_error={{:.3e}}",
-         COMPOSITION_TOLERANCE, _composition_checks()),
-    )
-    # the Monte Carlo in shards of consecutive trials, which the cores claim
-    # beside the grid; a run of fewer than 1 trial is one shard, which refuses it
-    shards = [
-        functools.partial(oracle.bit_level_frame_oracle, FRAME_BER, topo.DEFAULT_FRAME,
-                          min(_MC_SHARD, trials - first), seed, first, trials)
-        for first in range(0, max(trials, 1), _MC_SHARD)
+    _check_grid_values(probs, costs)
+    blocks = _grid_blocks(sizes, probs, costs)
+    # the Monte Carlo in shards of consecutive trials; a run of fewer than
+    # 1 trial is one shard, which refuses it
+    shards = [(first, min(_MC_SHARD, trials - first)) for first in range(0, max(trials, 1), _MC_SHARD)]
+    jobs = [
+        *(functools.partial(_grid_block, probs, costs, *block) for block in blocks),
+        *(functools.partial(oracle.bit_level_frame_oracle, FRAME_BER, topo.DEFAULT_FRAME, count, seed,
+                            first, trials)
+          for first, count in shards),
     ]
     # the grid and the Monte Carlo run on numpy; imported here, once, it is
     # in every forked child's memory instead of imported again by each
     import numpy  # noqa: F401
 
-    cases, *estimates = engine.run_jobs([lambda: [_case(*c) for c in exact], *shards])
-    cases.append(_case("bit-level-frames", f"trials={trials} max_sigma={{:.2f}}",
-                       FRAME_SIGMA_TOLERANCE,
-                       _frame_checks(oracle.FrameMissEstimates.pooled(estimates))))
-    breaches = [breach for _, case_breaches in cases for breach in case_breaches]
-    lines = [line for line, _ in cases] + breaches
+    results = engine.run_jobs(jobs)
+    grid_tallies, estimates = results[:len(blocks)], results[len(blocks):]
+    grid_worst = max(worst for worst, _ in grid_tallies)
+    # the chains take well under a millisecond: no job of their own
+    composition = _tally("two-hop-composition", COMPOSITION_TOLERANCE, _composition_checks(), _composition_breach)
+    frames = _tally("bit-level-frames", FRAME_SIGMA_TOLERANCE,
+                    _frame_checks(oracle.FrameMissEstimates.pooled(estimates)), _frame_breach)
+    cases = (
+        ("single-hop-grid", f"sets={sets} max_abs_error={grid_worst:.3e}", SINGLE_HOP_TOLERANCE,
+         [line for _, lines in grid_tallies for line in lines]),
+        ("two-hop-composition", f"scenarios={len(COMPOSITIONS)} max_abs_error={composition[0]:.3e}",
+         COMPOSITION_TOLERANCE, composition[1]),
+        ("bit-level-frames", f"trials={trials} max_sigma={frames[0]:.2f}", FRAME_SIGMA_TOLERANCE, frames[1]),
+    )
+    lines = [f"verify case={case} {summary} tolerance={tolerance:g} status={'fail' if breaches else 'pass'}"
+             for case, summary, tolerance, breaches in cases]
+    breaches = [line for *_, case_breaches in cases for line in case_breaches]
+    lines += breaches
     lines.append(f"verify result={'fail' if breaches else 'pass'} breaches={len(breaches)}")
     return "\n".join(lines) + "\n", 2 if breaches else 0

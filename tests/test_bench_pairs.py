@@ -2,9 +2,11 @@
 its seed parser, its win count, its quartiles and its verdicts, on
 synthetic records (no benchmark is run), and its garbage-collector probe."""
 
+import functools
 import gc
 import importlib.util
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -41,7 +43,7 @@ def summary(parent, change, claim=None):
         "parent": {"w": [record(*p) for p in parent]},
         "change": {"w": [record(*c) for c in change]},
     }
-    layers = {side: [{"x_s": 1.0}] * len(parent) for side in ("parent", "change")}
+    layers = {"x_s": {side: [1.0] * len(parent) for side in ("parent", "change")}}
     return bench_pairs.summarise(runs, layers, BENCHMARK, claim)
 
 
@@ -75,22 +77,40 @@ def test_within_bound_follows_each_metrics_direction():
 
 
 def layers_of(parent_x_s, change_x_s):
-    """``summarise``'s ``layers`` entry for one layer timed over the pairs."""
-    runs = {side: {"w": [record(1.0)] * len(parent_x_s)} for side in ("parent", "change")}
-    layers = {"parent": [{"x_s": v} for v in parent_x_s], "change": [{"x_s": v} for v in change_x_s]}
+    """``summarise``'s ``layers`` entry for one layer row timed over rounds."""
+    runs = {side: {"w": [record(1.0)]} for side in ("parent", "change")}
+    layers = {"x_s": {"parent": parent_x_s, "change": change_x_s}}
     return bench_pairs.summarise(runs, layers, BENCHMARK, None)["layers"]["x_s"]
 
 
-def test_a_layer_is_resolved_only_when_the_iqrs_are_disjoint():
-    # 30% apart with the parent's spread: IQRs [0.99, 1.01] and [0.69, 0.71]
+def test_a_layer_is_resolved_only_when_the_ratios_iqr_excludes_1():
+    # 30% apart in every round: ratios about 0.7, or about 1.43 reversed
     apart = layers_of(PARENT_RUN_S, [v - 0.3 for v in PARENT_RUN_S])
     assert apart["parent"]["median"] == pytest.approx(1.0)
+    assert apart["ratio_change_over_parent"]["median"] == pytest.approx(0.7, abs=0.01)
     assert apart["resolved"]
     assert layers_of([v - 0.3 for v in PARENT_RUN_S], PARENT_RUN_S)["resolved"]
-    # medians 30% apart, but each side spread over the other's quartiles
-    noisy = [0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 1.0]
-    assert not layers_of(noisy, [v * 0.7 for v in noisy])["resolved"]
+    # the host's slow phases move both sides of a round alike: each side
+    # spreads over the other's quartiles, the ratio stays 0.9
+    drifting = [0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 1.0]
+    assert layers_of(drifting, [v * 0.9 for v in drifting])["resolved"]
+    # ratios on both sides of 1
+    assert not layers_of([1.0] * 10, [0.9, 1.1, 0.95, 1.05, 1.0] * 2)["resolved"]
     assert not layers_of(PARENT_RUN_S, PARENT_RUN_S)["resolved"]
+
+
+def test_two_trees_load_as_two_packages(tmp_path):
+    # each copy resolves its modules inside itself, and its run_jobs forks
+    # only its own code
+    from oppsim import engine, verification
+
+    shutil.copytree(bench_pairs.ROOT / "src" / "oppsim", tmp_path / "oppsim")
+    copy = bench_pairs.load_package(tmp_path, "oppsim_copy")
+    assert copy.verification is not verification and copy.verification.engine is copy.engine
+    job = functools.partial(copy.verification._grid_block, [0.5], [1.0], (1, 1), 0, 0, 1)
+    assert copy.engine._package_code(job) and not engine._package_code(job)
+    assert copy.verification.run_verification("sizes=1", trials=10) == verification.run_verification(
+        "sizes=1", trials=10)
 
 
 def claim_of(change_run_s):

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
@@ -515,13 +516,31 @@ class TestVerifyCommand:
             " quantity=cost closed=1 oracle=inf error=inf\n"
         ) in report
 
+    @pytest.mark.parametrize("n, n_probs, n_costs, cells", [
+        (4, 3, 3, 1 << 16),  # the benchmark grid's size 4: a block per first probability
+        (2, 2, 200, 1 << 16),  # cut among the cost digits
+        (3, 5, 3, 64),  # 563 blocks of at most 8 sets
+        (1, 7, 1, 4),  # blocks of 2 sets, the last of 1
+    ])
+    def test_blocks_cut_the_grid_in_order(self, monkeypatch, n, n_probs, n_costs, cells):
+        monkeypatch.setattr(oracle, "_BATCH_CELLS", cells)
+        probs, costs = [i / n_probs for i in range(n_probs)], [float(i) for i in range(n_costs)]
+        points = []
+        for radices, lead, first, stop in verification._grid_blocks([n], probs, costs):
+            block = list(verification._points(radices, lead, first, stop))
+            assert len(radices) == 2 * n and len(block) <= oracle.batch_sets(n)
+            points += block
+        assert points == [pis + cis for pis in itertools.product(range(n_probs), repeat=n)
+                          for cis in itertools.product(range(n_costs), repeat=n)]
+
     def test_grid_starts_in_bounded_memory(self):
         # the grid's sets are generated one block at a time; holding every
         # index tuple of size 8 first took about 47 MB
         probs, costs = verification.DEFAULT_GRID["probs"], verification.DEFAULT_GRID["costs"]
+        block = verification._grid_blocks([8], probs, costs)[0]
         tracemalloc.start()
         try:
-            next(verification._single_hop_checks([8], probs, costs))
+            verification._grid_block(probs, costs, *block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1061,6 +1080,9 @@ _STAR_P = "topology: {kind: star, forwarders: 2, p_link: 0.6}\n" + _SIM
 _TYPOS = ("topology: {kind: star, forwarders: 2, p_link: 0.6, remainig_cost: 3.0}\n"
           "sim: {mode: receiver_based, replication: 5, seed: 1}\n"
           "framee: {preamble_frames: 4}\n")
+# a link of infinite length within an infinite range: inf / inf was once a NaN rate
+_INFINITE_LINK = ("topology: radio_range must be finite under the distance law: a link's length overflowed"
+                  " to inf (gateway_position or area_side too large)")
 
 
 class TestRefusals:
@@ -1142,6 +1164,17 @@ class TestRefusals:
         # the replication seeds mix the seed modulo 2**64, so 2**64 once reran seed 0's run
         pytest.param(["simulate"], "topology: {kind: star, forwarders: 2}\nsim: {seed: 18446744073709551616}\n",
                      None, "sim: seed must be at most 18446744073709551615", id="seed-past-64-bits"),
+        # numpy's own refusal named no key
+        pytest.param(["simulate"], "topology: {kind: generated, nodes: 5, seed: -1}\n" + _SIM, None,
+                     "topology: seed must be a nonnegative integer, got -1", id="generated-negative-seed"),
+        # a gateway at infinity
+        pytest.param(["analyze"], "topology: {kind: generated, nodes: 5, radio_range: .inf,"
+                                  " gateway_position: [.inf, 0], ber: {kind: distance}}\n", None,
+                     _INFINITE_LINK, id="distance-law-infinite-link"),
+        # a finite gateway whose distance to the nodes overflows to inf
+        pytest.param(["analyze"], "topology: {kind: generated, nodes: 5, radio_range: .inf,"
+                                  " gateway_position: [1.3e308, 1.3e308], ber: {kind: distance}}\n", None,
+                     _INFINITE_LINK, id="distance-law-overflowing-link"),
     ])
     def test_refusal_is_one_config_error_line(self, tmp_path, monkeypatch, capsys, argv, cfg, topology_file,
                                               message):

@@ -6,9 +6,11 @@ exist to catch implementation drift, not to re-verify the closed forms
 """
 
 import functools
+import itertools
 import math
 import os
 import pickle
+import re
 import select
 from dataclasses import replace
 from functools import partial
@@ -575,6 +577,10 @@ class TestRunVerification:
         ({"trials": 0}, "trials must be >= 1, got 0"),
         ({"grid": "probs=1.5", "seed": -1}, "p_link must be a probability in [0, 1], got 1.5"),
         ({"trials": -3}, "trials must be >= 1, got -3"),
+        # the serial grid meets every cost with the first probability before
+        # any other probability, whichever block meets a value first
+        ({"grid": "probs=0.5,1.5;costs=1,-1", "seed": -1}, "remaining_cost must be finite and >= 0, got -1.0"),
+        ({"grid": "probs=0.5,nan,1.5;costs=1,2", "seed": -1}, "p_link must be a probability in [0, 1], got nan"),
     ])
     def test_a_failing_job_raises_the_serial_error(self, monkeypatch, kw, error):
         assert self.run(monkeypatch, 1, **kw) == (ValueError, error)
@@ -584,6 +590,37 @@ class TestRunVerification:
     def test_a_child_that_dies_is_an_error(self, monkeypatch):
         monkeypatch.setattr(engine, "_child", lambda *args: os._exit(3))
         assert self.run(monkeypatch, 2)[0] is ChildProcessError
+
+    # the benchmark's grid: three blocks of size 4, one each of sizes 1-3
+    BENCHMARK_GRID = "sizes=1-4;probs=0,0.5,1;costs=0,1,2.5"
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_benchmark_grid_in_blocks_equals_one_core(self, monkeypatch, cores):
+        serial = self.run(monkeypatch, 1, grid=self.BENCHMARK_GRID)
+        assert serial[1] == 0 and "case=single-hop-grid sets=7380 " in serial[0]
+        assert self.run(monkeypatch, cores, grid=self.BENCHMARK_GRID) == serial
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_breaches_of_several_blocks_print_in_grid_order(self, monkeypatch, cores):
+        # a skewed cost wherever every member costs 2.5, unless no member
+        # can receive (inf either way): in every block of the grid
+        real = analysis.total_path_cost
+        monkeypatch.setattr(analysis, "total_path_cost",
+                            lambda fs: real(fs) + (1e-6 if fs[0].remaining_cost == 2.5 else 0.0))
+        report, code = self.run(monkeypatch, cores, grid=self.BENCHMARK_GRID)
+        assert self.run(monkeypatch, 1, grid=self.BENCHMARK_GRID) == (report, code)
+        lines = report.splitlines()
+        breaches = [line for line in lines if line.startswith("verify breach ")]
+        assert (code, lines[-1]) == (2, f"verify result=fail breaches={len(breaches)}")
+        assert lines[0].startswith("verify case=single-hop-grid sets=7380 max_abs_error=1.000e-06 ")
+        # the grid's order: sizes, then probabilities, then costs
+        expected = [
+            (pis, (2.5,) * n) for n in (1, 2, 3, 4)
+            for pis in itertools.product((0.0, 0.5, 1.0), repeat=n) if any(pis)
+        ]
+        assert len(expected) == 2 + 8 + 26 + 80
+        assert [re.match(r"verify breach case=single-hop-grid probs=(\(.*?\)) costs=(\(.*?\)) quantity=cost ",
+                         line).groups() for line in breaches] == [(str(p), str(c)) for p, c in expected]
 
     def test_one_core_forks_nothing(self, monkeypatch):
         serial = self.run(monkeypatch, 1)

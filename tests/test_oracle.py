@@ -96,9 +96,11 @@ class TestExactSingleHopBatch:
             oracle.exact_single_hop_batch([big])
 
     def test_mixed_sizes_rejected(self):
-        # numpy refuses the ragged probability array
-        with pytest.raises(ValueError):
-            oracle.exact_single_hop_batch([entries((0.5, 1.0)), entries((0.5, 1.0), (0.5, 1.0))])
+        # one array of sets takes one size; sizes 2, 1 and 3 hold as many
+        # members as three sets of the first one's size
+        for sizes in ((1, 2), (2, 1, 3)):
+            with pytest.raises(ValueError, match="mixed sizes"):
+                oracle.exact_single_hop_batch([entries(*[(0.5, 1.0)] * k) for k in sizes])
 
     def test_largest_set_in_outcome_blocks(self):
         # 2^20 outcomes in blocks of 2^16 cells, the elected mass carried over
@@ -233,6 +235,20 @@ def test_row_blocks_draw_the_whole_chunk_stream(p, seed):
         assert (est.preamble_miss, est.data_miss, est.joint_miss, est.decoded) == (
             preamble / trials, data / trials, joint / trials, (trials - preamble - data + joint) / trials
         )
+
+
+# frame widths on each side of the 8-byte words the per-bit test packs
+# its rows into; each width is a micro-frame once and a data frame once
+WIDTHS = (1, 7, 8, 9, 63, 64, 65, 100)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("micro_bits, data_bits", zip(WIDTHS, WIDTHS[::-1]))
+def test_word_packed_test_draws_the_whole_chunk_stream(p, micro_bits, data_bits):
+    for preamble_frames, trials in ((1, 1), (2, 511), (3, 512), (1, 513), (2, 1025), (3, 65537)):
+        frame = FrameParams(micro_bits, preamble_frames, data_bits)
+        expected = oracle.FrameMissEstimates(*whole_chunk_oracle(p, frame, trials, 11), trials)
+        assert oracle.bit_level_frame_oracle(p, frame, trials, 11) == expected
 
 
 def shard_counts(p, frame, trials, seed, shard):

@@ -245,6 +245,17 @@ class TestGenerate:
         assert len(g.links) == 6 * 5
         assert {n.hop_id for n in g.nodes} == {0, 1}
 
+    @pytest.mark.parametrize("gateway", [(math.inf, 0.0), (1.3e308, 1.3e308)])
+    def test_distance_law_refuses_a_link_of_infinite_length(self, gateway):
+        # within an infinite range, (inf / inf) ** 2 was once a NaN rate
+        cfg = topo.GeneratorConfig(
+            nodes=3, area_side=100.0, radio_range=math.inf, ber_model=topo.DistanceBer(0.0, 0.01),
+            gateway_position=gateway,
+        )
+        with pytest.raises(ValueError, match="radio_range must be finite under the distance law"):
+            topo.generate(cfg, seed=1)
+        assert len(topo.generate(replace(cfg, ber_model=topo.FixedBer(0.01)), seed=1).links) == 6
+
     @pytest.mark.parametrize("side", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_rejects_area_side_not_positive_and_finite(self, side):
         with pytest.raises(ValueError, match="area_side must be positive and finite"):

@@ -12,17 +12,24 @@ directory (so no worktree is registered in the repository).  For each seed
 the script runs ``python3 perfbench/run.py --workload all --seed S`` once
 on each side, the parent first on the 1st, 3rd, ... seed and second on the
 others, and reads each workload's ``.perfbench_out/result-*.json``.  The
-run length is run.py's own default, recorded as ``seconds``.  It also
-times the ROADMAP's layer baselines (``generate`` at 1000 nodes,
-``star_topology(6, 0.7)``, ``network_path_costs`` at 1000 nodes, verify-grid's
-single-hop grid alone as ``run_verification`` with one Monte Carlo trial,
-timed on one CPU so that it forks no child for that trial, the
-200,000-trial ``bit_level_frame_oracle``, and the engine's microseconds
-per replication of a cold ``run_experiment`` in each mode on
-``star_topology(6, 0.7)`` from node 7 and on the benchmark's 1000-node
-mesh) on each side, best of k, in the same alternating order, and records
+run length is run.py's own default, recorded as ``seconds``.  It records
 each side's source-line count of ``src/oppsim/*.py`` (as ``wc -l`` counts
 them) as ``source_lines``.
+
+After each pair it times the ROADMAP's layer rows with both trees in one
+fresh process: the parent's ``src/oppsim`` imported as the package
+``oppsim_parent`` beside the change's ``oppsim`` (``load_package``).  The
+rows are ``generate`` at 1000 nodes, ``star_topology(6, 0.7)``,
+``network_path_costs`` at 1000 nodes, verify-grid's single-hop grid alone
+as ``run_verification`` with one Monte Carlo trial, timed on one CPU so
+that it forks no child for that trial, the 200,000-trial
+``bit_level_frame_oracle``, the default ``run_verification()`` on every
+core, and the engine's microseconds per replication of a cold
+``run_experiment`` in each mode on ``star_topology(6, 0.7)`` from node 7
+and on the benchmark's 1000-node mesh.  A pair's ``LAYER_ROUNDS`` short
+rounds each time every row once per tree, after a ``gc.collect()``, the parent
+first in every other round, so a slow phase of the host falls on both
+trees alike.
 After each side's run it probes each workload's garbage collector
 (``gc_generation2``): in a fresh process on that side, the cores the
 process may run on and, over 8 repeats of run.py's cycle (set-up,
@@ -37,17 +44,20 @@ Per workload and end-to-end metric the output holds each side's q1, median
 and q3 of the benchmark's (scaled) value, the change's wins over the pairs
 (ties count for neither), the parent's interquartile range and the bound
 from ``BENCHMARK.json``; per workload also each side's raw (unscaled)
-run_s and setup_s medians and the median scale factor.  Per layer
-baseline it holds each side's q1, median and q3 and ``resolved``, true only
-when the two sides' interquartile ranges are disjoint; a layer that is not
-resolved shows no difference the pairs can tell apart.  The file is
+run_s and setup_s medians and the median scale factor.  Per layer row it
+holds each side's q1, median and q3 over every round, the q1, median and
+q3 of the per-round ratio change/parent, and ``resolved``, true only when
+that ratio's interquartile range excludes 1; a row that is not resolved
+shows no difference the rounds can tell apart.  The file is
 rewritten after every pair, so an interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -56,6 +66,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,57 +74,93 @@ SIDES = ("parent", "change")
 GC_CYCLES = 8
 GC_PHASES = ("setup", "call", "loop")
 
-LAYER_SNIPPET = r"""
-import json, os, sys, time
-sys.path.insert(0, "src")
-from oppsim import analysis, engine, oracle, topology, verification
+LAYER_ROUNDS = 15
+VERIFY_GRID = "sizes=1-4;probs=0,0.5,1;costs=0,1,2.5"
 
-def best(fn, k):
-    times = []
-    for _ in range(k):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
 
-def on_one_cpu(measure):
-    # pinned, a forking call has no second core and runs serially
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        return measure()
-    finally:
-        os.sched_setaffinity(0, cpus)
+def load_package(src: Path, name: str):
+    """The ``oppsim`` package under ``src`` imported as ``name``, with the
+    modules of its layer rows.  Its imports are relative, so each copy
+    resolves its modules inside itself; the copies share numpy and yaml."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "oppsim" / "__init__.py", submodule_search_locations=[str(src / "oppsim")]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("analysis", "engine", "oracle", "topology", "verification"):
+        importlib.import_module(f"{name}.{module}")
+    return package
 
-mesh_config = topology.GeneratorConfig(
-    nodes=1000, area_side=100.0, radio_range=8.0, ber_model=topology.DistanceBer(0.0, 0.005)
-)
-mesh = topology.generate(mesh_config, seed=1)
-star = topology.star_topology(6, 0.7)
 
-def engine_us(t, source, mode, replications):
-    # a cold run: run_experiment builds its plan afresh on every call
-    config = engine.SimConfig(mode=mode, replications=replications, seed=3, source=source)
-    return best(lambda: engine.run_experiment(t, config), 5) / replications * 1e6
+def on_one_cpu(call):
+    """``call`` pinned to one CPU, where a forking call has no second core
+    and runs serially."""
+    def pinned():
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            call()
+        finally:
+            os.sched_setaffinity(0, cpus)
+    return pinned
 
-engine_rows = {
-    f"engine_{name}_{mode.value.split('_')[0]}_us": engine_us(t, source, mode, replications)
-    for name, t, source, replications in (("star6", star, 7, 2000), ("mesh", mesh, None, 1000))
-    for mode in engine.ProtocolMode
-}
-print(json.dumps({
-    "generate_1000_s": best(lambda: topology.generate(mesh_config, seed=1), 5),
-    "star_topology_6_s": best(lambda: topology.star_topology(6, 0.7), 20),
-    "network_path_costs_1000_s": best(lambda: analysis.network_path_costs(mesh), 5),
-    "verify_single_hop_grid_s": on_one_cpu(lambda: best(
-        lambda: verification.run_verification("sizes=1-4;probs=0,0.5,1;costs=0,1,2.5", trials=1), 5
-    )),
-    "bit_level_200k_s": best(
-        lambda: oracle.bit_level_frame_oracle(0.01, topology.DEFAULT_FRAME, 200_000, 0), 5
-    ),
-    **engine_rows,
-}))
-"""
+
+def layer_rows(package) -> dict:
+    """Per layer row, the call a round times on ``package`` and what one
+    timed call counts as: ``(call, divisor)``, the row reading seconds per
+    call over ``divisor`` (an engine row, microseconds per replication)."""
+    analysis, engine, oracle, topology, verification = (
+        package.analysis, package.engine, package.oracle, package.topology, package.verification
+    )
+    mesh_config = topology.GeneratorConfig(
+        nodes=1000, area_side=100.0, radio_range=8.0, ber_model=topology.DistanceBer(0.0, 0.005)
+    )
+    mesh, star = topology.generate(mesh_config, seed=1), topology.star_topology(6, 0.7)
+    rows = {
+        "generate_1000_s": (lambda: topology.generate(mesh_config, seed=1), 1),
+        "star_topology_6_s": (lambda: [topology.star_topology(6, 0.7) for _ in range(20)], 20),
+        "network_path_costs_1000_s": (lambda: analysis.network_path_costs(mesh), 1),
+        "verify_single_hop_grid_s": (on_one_cpu(lambda: verification.run_verification(VERIFY_GRID, trials=1)), 1),
+        "bit_level_200k_s": (lambda: oracle.bit_level_frame_oracle(0.01, topology.DEFAULT_FRAME, 200_000, 0), 1),
+        "verify_default_s": (verification.run_verification, 1),
+    }
+    for name, t, source, replications in (("star6", star, 7, 2000), ("mesh", mesh, None, 1000)):
+        for mode in engine.ProtocolMode:
+            # a cold run: run_experiment sets its kernel up afresh on every call
+            config = engine.SimConfig(mode=mode, replications=replications, seed=3, source=source)
+            rows[f"engine_{name}_{mode.value.split('_')[0]}_us"] = (
+                functools.partial(engine.run_experiment, t, config), replications / 1e6
+            )
+    return rows
+
+
+def layer_rounds(parent_src: Path, change_src: Path) -> dict:
+    """Both trees' layer rows timed in this one process: ``LAYER_ROUNDS``
+    alternating rounds, each timing every row once on each tree (the
+    parent first in even rounds) after a ``gc.collect()``.  Per row, each
+    side's time in every round."""
+    rows = {side: layer_rows(load_package(src, name)) for side, src, name in (
+        ("parent", parent_src, "oppsim_parent"), ("change", change_src, "oppsim"))}
+    times = {row: {side: [] for side in SIDES} for row in rows["parent"]}
+    for i in range(LAYER_ROUNDS):
+        for row, sides in times.items():
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                call, divisor = rows[side][row]
+                gc.collect()
+                start = time.perf_counter()
+                call()
+                sides[side].append((time.perf_counter() - start) / divisor)
+    return times
+
+
+def layer_times(parent_dir: Path, change_dir: Path) -> dict:
+    """``layer_rounds`` of the two checkouts, in a fresh process."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import bench_pairs; "
+            f"from pathlib import Path; print(json.dumps(bench_pairs.layer_rounds("
+            f"Path({str(parent_dir / 'src')!r}), Path({str(change_dir / 'src')!r}))))")
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -150,12 +197,6 @@ def run_side(side_dir: Path, workloads: list[str], seed: int) -> dict:
         path = out / f"result-{name}-seed{seed}-trace0.json"
         records[name] = json.loads(path.read_text()) if path.exists() else None
     return records
-
-
-def layer_times(side_dir: Path) -> dict:
-    done = subprocess.run([sys.executable, "-c", LAYER_SNIPPET], cwd=side_dir, check=True,
-                          capture_output=True, text=True)
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def gc_phases(setup, call, loop, cycles: int = GC_CYCLES) -> dict:
@@ -233,11 +274,17 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def resolved(sides: dict) -> dict:
-    """``sides`` (each side's quartiles) with ``resolved``: whether the two
-    interquartile ranges are disjoint, so that the pairs tell the sides apart."""
-    parent, change = sides["parent"], sides["change"]
-    return {**sides, "resolved": parent["q3"] < change["q1"] or change["q3"] < parent["q1"]}
+def layer_summary(sides: dict) -> dict:
+    """One layer row from its rounds (each side's time per round): each
+    side's quartiles, the quartiles of the per-round ratio change/parent,
+    and ``resolved``, true only when that ratio's interquartile range
+    excludes 1, so that the rounds tell the sides apart."""
+    ratio = quartiles([c / p for p, c in zip(sides["parent"], sides["change"])])
+    return {
+        **{side: quartiles(sides[side]) for side in SIDES},
+        "ratio_change_over_parent": ratio,
+        "resolved": ratio["q3"] < 1.0 or ratio["q1"] > 1.0,
+    }
 
 
 def wins(parent: list[float], change: list[float], better: str) -> int:
@@ -258,8 +305,9 @@ def run_summary(record: dict) -> dict:
 
 
 def summarise(runs: dict, layers: dict, benchmark: dict, claim: str | None) -> dict:
-    """``runs[side][workload]`` and ``layers[side]`` are lists over pairs."""
-    n = len(layers["parent"])
+    """``runs[side][workload]`` are lists over pairs, ``layers[row][side]``
+    lists over every round of every pair."""
+    n = len(next(iter(runs["parent"].values())))
     workloads = {}
     for name in runs["parent"]:
         per_side = {side: runs[side][name] for side in SIDES}
@@ -306,8 +354,7 @@ def summarise(runs: dict, layers: dict, benchmark: dict, claim: str | None) -> d
 
     summary = {
         "workloads": workloads,
-        "layers": {key: resolved({s: quartiles([t[key] for t in layers[s]]) for s in SIDES})
-                   for key in layers["parent"][0]},
+        "layers": {row: layer_summary(sides) for row, sides in layers.items()},
     }
     if claim:
         workload, metric = claim.split(":")
@@ -340,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [w["name"] for w in benchmark["workloads"]]
     seeds = parse_seeds(args.seeds)
     runs = {side: {name: [] for name in workloads} for side in SIDES}
-    layers = {side: [] for side in SIDES}
+    layers = {}
     probes = {name: {side: [] for side in SIDES} for name in workloads}
     pairs = []
     first = None
@@ -356,9 +403,11 @@ def main(argv: list[str] | None = None) -> int:
                 first = first or next((r for r in records.values() if r), None)
                 for name, record in records.items():
                     runs[side][name].append(None if record is None else run_summary(record))
-                layers[side].append(layer_times(dirs[side]))
                 for name in workloads:
                     probes[name][side].append(gc_probe(dirs[side], name, seed))
+            for row, sides in layer_times(dirs["parent"], dirs["change"]).items():
+                for side in SIDES:
+                    layers.setdefault(row, {s: [] for s in SIDES})[side] += sides[side]
             pairs.append({"seed": seed, "first": order[0]})
             result = {
                 "description": args.description,
