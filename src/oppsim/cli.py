@@ -41,7 +41,7 @@ from .model import (
     _nonnegative_int,
     validate,  # re-exported only: every topology that prepare builds passes it
 )
-from .verification import DEFAULT_SEED, DEFAULT_TRIALS, MAX_TRIALS
+from .verification import DEFAULT_SEED, DEFAULT_TRIALS
 
 RETRY_CONVENTION = "excludes-first-attempt"
 
@@ -339,7 +339,8 @@ FORWARDER_FIELDS = {"node": NodeId, "p_link": float, "remaining_cost": float}
 
 def parse_forwarder_sets(cfg: dict) -> list[ForwarderSet]:
     """The explicit candidate sets that ``analyze`` evaluates.  An entry's
-    node defaults to its index in its set, the rest as ForwarderEntry's."""
+    node defaults to its index in its set, the rest as ForwarderEntry's;
+    no two entries of a set may name one node."""
     raw_sets = cfg.get("forwarder_sets")
     if raw_sets is None:
         return []
@@ -351,6 +352,11 @@ def parse_forwarder_sets(cfg: dict) -> list[ForwarderSet]:
             raw_set, f"forwarder_sets[{i}]", FORWARDER_FIELDS,
             lambda j, values: ForwarderEntry(**{"node": j, **values}),
         )
+        first = {}
+        for j, entry in enumerate(entries):
+            k = first.setdefault(entry.node, j)
+            if k != j:
+                raise ConfigError(f"forwarder_sets[{i}][{j}]: node {entry.node} repeats forwarder_sets[{i}][{k}]")
         try:
             sets.append(ForwarderSet(tuple(entries)))
         except TypeError:
@@ -692,13 +698,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            if args.trials < 1:
-                raise ConfigError("--trials must be >= 1")
-            if args.trials > MAX_TRIALS:
-                raise ConfigError(f"--trials must be <= {MAX_TRIALS}")
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            run = partial(verification.run_verification, args.grid, args.trials, args.seed)
+            run = verification.prepare_verification(args.grid, args.trials, args.seed)
         else:
             command = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sweep": cmd_sweep}
             spec = read_spec(load_config(args.config))

@@ -1,32 +1,33 @@
 """Closed forms against the oracles, over a grid of forwarder sets.
 
-``run_verification`` is what ``oppsim verify`` runs.  Each of its three
-cases is a list of errors held to one tolerance: every single-hop set of
-the grid against exhaustive enumeration (cost and overhead, 1e-12), a few
-chains' costs against the absorbing-walk oracle and their known values
-(1e-12), and the frame miss factors against the per-bit Monte Carlo (3
-binomial standard errors; a closed factor of 0 or 1 has none, so any
-estimate off it breaches).  An error passes only if ``err <= tolerance``,
-so a NaN breaches and counts as ``inf`` in its case's worst value, and a
-case reads ``status=fail`` exactly when it has a breach line.
+``run_verification`` is what ``oppsim verify`` runs, and
+``prepare_verification`` checks its arguments before any work.  Each of
+its three cases is a list of errors held to one tolerance: every
+single-hop set of the grid against exhaustive enumeration (cost and
+overhead, 1e-12), a few chains' costs against the absorbing-walk oracle
+and their known values (1e-12), and the frame miss factors against the
+per-bit Monte Carlo (3 binomial standard errors; a closed factor of 0 or
+1 has none, so any estimate off it breaches).  An error passes only if
+``err <= tolerance``, so a NaN breaches and counts as ``inf`` in its
+case's worst value, and a case reads ``status=fail`` exactly when it has
+a breach line.
 
-The work is one ``engine.run_jobs`` call.  The grid is cut into blocks of
-at most ``oracle.batch_sets(n)`` sets of one size ``n`` along its leading
-index (``_grid_blocks``), and each block is a job that returns its worst
-error and its breach lines, and the Monte Carlo is shards of
-``_MC_SHARD`` trials; the chains, which take well under a millisecond,
+The work is one ``engine.run_jobs`` call.  Its jobs are the grid, cut
+into runs of at most ``oracle.batch_sets(n)`` sets of one size ``n``
+numbered in ``itertools.product`` order (``_grid_blocks``), each
+returning its worst error and its breach lines, and the Monte Carlo in
+shards of ``_MC_SHARD`` trials; the chains, well under a millisecond,
 are checked in this process.  The cores claim the jobs in report order,
-and no job is long, so no core idles while another finishes one.
-The report is assembled in grid order from what the blocks return, so it
-is the same on any number of cores; every grid value is checked before
-any job runs, so a bad one raises the error the serial grid raised.
+and no job is long, so no core idles while another finishes one.  The
+report is assembled in grid order, so it is the same on any number of
+cores, and every argument and grid value is checked before any job runs,
+so a bad one raises the serial grid's error.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import product
 
 from . import analysis, engine, oracle, topology as topo
 from .model import ForwarderEntry, ForwarderSet
@@ -57,7 +58,7 @@ COMPOSITIONS = (
 
 
 class GridError(ValueError):
-    """A grid specification could not be parsed."""
+    """A refused ``verify`` argument: its grid, trial count or seed."""
 
 
 def _sizes(item: str) -> list[int]:
@@ -98,58 +99,47 @@ def _parse_grid(spec: str | None):
     return grid["sizes"], grid["probs"], grid["costs"], sets
 
 
-def _grid_blocks(sizes, probs, costs) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """Every block of the grid as ``(radices, lead, first, stop)``, in
-    grid order.  A set of size n is a point of 2n digits with these radices,
-    its n probability indices and then its n cost indices, in
-    ``itertools.product`` order; a block is every point whose ``lead``
-    leading digits take the values ``first`` to ``stop - 1``, at most
-    ``oracle.batch_sets(n)`` sets."""
+def _grid_blocks(sizes, probs, costs) -> list[tuple[int, int, int]]:
+    """Every block of the grid as ``(n, first, stop)``, in grid order: at most
+    ``oracle.batch_sets(n)`` sets of size n, numbered ``first`` to ``stop - 1``
+    in ``itertools.product`` order over their n prob and then n cost indices."""
     blocks = []
     for n in sizes:
-        radices = (len(probs),) * n + (len(costs),) * n
-        lead, trailing = 0, math.prod(radices)
-        while trailing > oracle.batch_sets(n):
-            trailing //= radices[lead]
-            lead += 1
-        heads, per = math.prod(radices[:lead]), oracle.batch_sets(n) // trailing
-        for first in range(0, heads, per):
-            stop = min(first + per, heads)
-            blocks.append((radices, lead, first, stop))
+        sets, per = (len(probs) * len(costs)) ** n, oracle.batch_sets(n)
+        blocks += [(n, first, min(first + per, sets)) for first in range(0, sets, per)]
     return blocks
 
 
-def _points(radices, lead: int, first: int, stop: int):
-    """The points whose ``lead`` leading digits run from ``first`` to
-    ``stop - 1``, in grid order: each head's digits, read off its index,
-    before every tail of the other digits."""
-    tails = list(product(*map(range, radices[lead:])))
-    for index in range(first, stop):
-        head = ()
-        for radix in reversed(radices[:lead]):
-            index, digit = divmod(index, radix)
-            head = (digit, *head)
-        for tail in tails:
-            yield head + tail
+def _grid_indices(probs, costs, n: int, first: int, stop: int):
+    """The probability and the cost indices of the sets of size n numbered
+    ``first`` to ``stop - 1`` (see ``_grid_blocks``), decoded as two halves
+    of n <= 20 digits each: numpy 1.x takes at most 32 dimensions."""
+    import numpy as np
+
+    def digits(numbers, radix):
+        return zip(*(column.tolist() for column in np.unravel_index(numbers, (radix,) * n)))
+
+    prob_numbers, cost_numbers = divmod(np.arange(first, stop), len(costs) ** n)
+    return zip(digits(prob_numbers, len(probs)), digits(cost_numbers, len(costs)))
 
 
-def _set_breach(probs, costs, n, point, quantity, closed, value, err) -> str:
-    return (f"probs={tuple(probs[i] for i in point[:n])} costs={tuple(costs[i] for i in point[n:])}"
+def _set_breach(probs, costs, n, number, quantity, closed, value, err) -> str:
+    (prob_indices, cost_indices), = _grid_indices(probs, costs, n, number, number + 1)
+    return (f"probs={tuple(probs[i] for i in prob_indices)} costs={tuple(costs[i] for i in cost_indices)}"
             f" quantity={quantity} closed={closed:.12g} oracle={value:.12g} error={err:.3e}")
 
 
-def _grid_block(probs, costs, radices, lead: int, first: int, stop: int) -> tuple[float, list[str]]:
+def _grid_block(probs, costs, n: int, first: int, stop: int) -> tuple[float, list[str]]:
     """The worst error and the breach lines of one block of the grid (see
     ``_grid_blocks``): per set, the errors of its cost and of its overhead."""
-    n = len(radices) // 2
-    # one entry per (node, prob index, cost index); run_verification has
+    # one entry per (node, prob index, cost index); prepare_verification has
     # checked every value, so the order they are built in cannot matter
     entry = functools.cache(lambda node, pi, ci: ForwarderEntry(node, probs[pi], costs[ci]))
     nodes = range(n)
-    points = list(_points(radices, lead, first, stop))
-    sets = [ForwarderSet(tuple(map(entry, nodes, point[:n], point[n:]))) for point in points]
+    sets = [ForwarderSet(tuple(map(entry, nodes, prob_indices, cost_indices)))
+            for prob_indices, cost_indices in _grid_indices(probs, costs, n, first, stop)]
     exact_costs, exact_overheads = (values.tolist() for values in oracle.exact_single_hop_batch(sets))
-    checks = zip(points, map(analysis.total_path_cost, sets), exact_costs,
+    checks = zip(range(first, stop), map(analysis.total_path_cost, sets), exact_costs,
                  map(analysis.coordination_overhead, sets), exact_overheads)
     return _tally("single-hop-grid", SINGLE_HOP_TOLERANCE, _set_errors(checks),
                   functools.partial(_set_breach, probs, costs, n))
@@ -158,11 +148,11 @@ def _grid_block(probs, costs, radices, lead: int, first: int, stop: int) -> tupl
 def _set_errors(checks):
     """Per grid set, the errors of its cost and of its overhead, each with
     what its breach line names."""
-    for point, cost, exact_cost, overhead, exact_overhead in checks:
+    for number, cost, exact_cost, overhead, exact_overhead in checks:
         # equal values, both inf included, are no error
-        yield abs(cost - exact_cost) if cost != exact_cost else 0.0, (point, "cost", cost, exact_cost)
+        yield abs(cost - exact_cost) if cost != exact_cost else 0.0, (number, "cost", cost, exact_cost)
         yield (abs(overhead - exact_overhead) if overhead != exact_overhead else 0.0,
-               (point, "overhead", overhead, exact_overhead))
+               (number, "overhead", overhead, exact_overhead))
 
 
 def _composition_breach(name, closed, against, value, err) -> str:
@@ -217,32 +207,42 @@ def _tally(case: str, tolerance: float, checks, describe) -> tuple[float, list[s
     return worst, breaches
 
 
-def _check_grid_values(probs, costs) -> None:
-    """Build one entry of each grid value, in the order the serial grid
-    first meets them: a bad value raises the error it always raised, also
-    when the blocks that meet it run elsewhere or later."""
+def run_verification(grid: str | None = None, trials: int = DEFAULT_TRIALS,
+                     seed: int = DEFAULT_SEED) -> tuple[str, int]:
+    """Closed-form versus oracle checks; returns (report, exit_code).  Every
+    refusal comes before any work (see ``prepare_verification``)."""
+    return prepare_verification(grid, trials, seed)()
+
+
+def prepare_verification(grid: str | None, trials: int, seed: int):
+    """``run_verification``'s checks, before any work, and then the call that
+    runs it.  ``GridError``: fewer than 1 trial, more than ``MAX_TRIALS``
+    trials, a negative seed (in that order, in ``oppsim verify``'s words),
+    then a grid that does not parse or makes more than ``MAX_GRID_SETS``
+    sets; a grid value no forwarder entry takes raises that entry's error."""
+    if trials < 1:
+        raise GridError("--trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise GridError(f"--trials must be <= {MAX_TRIALS}")
+    if seed < 0:
+        raise GridError("--seed must be >= 0")
+    sizes, probs, costs, sets = _parse_grid(grid)
+    # one entry of each grid value, in the serial grid's order: a bad one raises
+    # its usual error, also when the block that meets it runs elsewhere or later
     for cost in costs:
         ForwarderEntry(0, probs[0], cost)
     for prob in probs:
         ForwarderEntry(0, prob, costs[0])
+    return functools.partial(_verify, sizes, probs, costs, sets, trials, seed)
 
 
-def run_verification(
-    grid: str | None = None, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
-) -> tuple[str, int]:
-    """Closed-form versus oracle checks; returns (report, exit_code)."""
-    sizes, probs, costs, sets = _parse_grid(grid)
-    _check_grid_values(probs, costs)
+def _verify(sizes, probs, costs, sets: int, trials: int, seed: int) -> tuple[str, int]:
     blocks = _grid_blocks(sizes, probs, costs)
-    # the Monte Carlo in shards of consecutive trials; a run of fewer than
-    # 1 trial is one shard, which refuses it
-    shards = [(first, min(_MC_SHARD, trials - first)) for first in range(0, max(trials, 1), _MC_SHARD)]
-    jobs = [
-        *(functools.partial(_grid_block, probs, costs, *block) for block in blocks),
-        *(functools.partial(oracle.bit_level_frame_oracle, FRAME_BER, topo.DEFAULT_FRAME, count, seed,
-                            first, trials)
-          for first, count in shards),
-    ]
+    jobs = [functools.partial(_grid_block, probs, costs, *block) for block in blocks]
+    # the Monte Carlo in shards of consecutive trials
+    jobs += (functools.partial(oracle.bit_level_frame_oracle, FRAME_BER, topo.DEFAULT_FRAME,
+                               min(_MC_SHARD, trials - first), seed, first, trials)
+             for first in range(0, trials, _MC_SHARD))
     # the grid and the Monte Carlo run on numpy; imported here, once, it is
     # in every forked child's memory instead of imported again by each
     import numpy  # noqa: F401
@@ -264,6 +264,5 @@ def run_verification(
     lines = [f"verify case={case} {summary} tolerance={tolerance:g} status={'fail' if breaches else 'pass'}"
              for case, summary, tolerance, breaches in cases]
     breaches = [line for *_, case_breaches in cases for line in case_breaches]
-    lines += breaches
-    lines.append(f"verify result={'fail' if breaches else 'pass'} breaches={len(breaches)}")
+    lines += [*breaches, f"verify result={'fail' if breaches else 'pass'} breaches={len(breaches)}"]
     return "\n".join(lines) + "\n", 2 if breaches else 0

@@ -97,6 +97,19 @@ def test_a_layer_is_resolved_only_when_the_ratios_iqr_excludes_1():
     # ratios on both sides of 1
     assert not layers_of([1.0] * 10, [0.9, 1.1, 0.95, 1.05, 1.0] * 2)["resolved"]
     assert not layers_of(PARENT_RUN_S, PARENT_RUN_S)["resolved"]
+    # the tree timed against itself: two rows whose ratio's IQR excluded 1
+    # but whose median sat within 3% of it, 0.993 [0.990, 0.9998] and
+    # 0.974 [0.83, 0.991]
+    for ratios, median in [
+        ([0.985, 0.99, 0.993, 0.9998, 0.9999] * 3, 0.993),
+        ([0.80, 0.83, 0.9, 0.974, 0.985, 0.991, 0.995] * 2 + [0.974], 0.974),
+    ]:
+        noise = layers_of([1.0] * 15, ratios)
+        ratio = noise["ratio_change_over_parent"]
+        assert ratio["q3"] < 1.0 and ratio["median"] == pytest.approx(median)
+        assert not noise["resolved"]
+    # a 10% slowdown still resolves
+    assert layers_of(PARENT_RUN_S, [v * 1.10 for v in PARENT_RUN_S])["resolved"]
 
 
 def test_two_trees_load_as_two_packages(tmp_path):
@@ -107,7 +120,7 @@ def test_two_trees_load_as_two_packages(tmp_path):
     shutil.copytree(bench_pairs.ROOT / "src" / "oppsim", tmp_path / "oppsim")
     copy = bench_pairs.load_package(tmp_path, "oppsim_copy")
     assert copy.verification is not verification and copy.verification.engine is copy.engine
-    job = functools.partial(copy.verification._grid_block, [0.5], [1.0], (1, 1), 0, 0, 1)
+    job = functools.partial(copy.verification._grid_block, [0.5], [1.0], 1, 0, 1)
     assert copy.engine._package_code(job) and not engine._package_code(job)
     assert copy.verification.run_verification("sizes=1", trials=10) == verification.run_verification(
         "sizes=1", trials=10)

@@ -517,34 +517,86 @@ class TestVerifyCommand:
         ) in report
 
     @pytest.mark.parametrize("n, n_probs, n_costs, cells", [
-        (4, 3, 3, 1 << 16),  # the benchmark grid's size 4: a block per first probability
-        (2, 2, 200, 1 << 16),  # cut among the cost digits
-        (3, 5, 3, 64),  # 563 blocks of at most 8 sets
+        (4, 3, 3, 1 << 16),  # the benchmark grid's size 4: 1 block of 4,096 sets and 1 of 2,465
+        (2, 2, 200, 1 << 16),  # 160,000 sets in blocks of 16,384
+        (3, 5, 3, 64),  # 422 blocks of 8 sets, the last of 3
         (1, 7, 1, 4),  # blocks of 2 sets, the last of 1
     ])
     def test_blocks_cut_the_grid_in_order(self, monkeypatch, n, n_probs, n_costs, cells):
         monkeypatch.setattr(oracle, "_BATCH_CELLS", cells)
         probs, costs = [i / n_probs for i in range(n_probs)], [float(i) for i in range(n_costs)]
-        points = []
-        for radices, lead, first, stop in verification._grid_blocks([n], probs, costs):
-            block = list(verification._points(radices, lead, first, stop))
-            assert len(radices) == 2 * n and len(block) <= oracle.batch_sets(n)
-            points += block
-        assert points == [pis + cis for pis in itertools.product(range(n_probs), repeat=n)
-                          for cis in itertools.product(range(n_costs), repeat=n)]
+        blocks = verification._grid_blocks([n], probs, costs)
+        assert [stop - first for _, first, stop in blocks[:-1]] == [oracle.batch_sets(n)] * (len(blocks) - 1)
+        assert 0 < blocks[-1][2] - blocks[-1][1] <= oracle.batch_sets(n)
+        # each block's set numbers, as its breach lines name them, run on
+        # in order, and the numbers' points are the product order
+        numbers = []
+        monkeypatch.setattr(verification, "_set_breach", lambda probs, costs, n, number, *_: numbers.append(number))
+        monkeypatch.setattr(verification, "SINGLE_HOP_TOLERANCE", -1.0)
+        for size, first, stop in blocks:
+            assert size == n
+            verification._grid_block(probs, costs, size, first, stop)
+        assert numbers[::2] == numbers[1::2] == list(range(blocks[-1][2]))
+        points = verification._grid_indices(probs, costs, n, 0, blocks[-1][2])
+        assert [pis + cis for pis, cis in points] == [
+            pis + cis for pis in itertools.product(range(n_probs), repeat=n)
+            for cis in itertools.product(range(n_costs), repeat=n)]
+
+    def test_a_set_of_size_17_decodes_within_numpy_1s_32_dimensions(self, monkeypatch):
+        # numpy 1.x takes at most 32 dimensions: the 2n digits of a set of
+        # size 17 to 20 are decoded as two halves of n
+        import numpy as np
+
+        shapes, unravel = [], np.unravel_index
+        monkeypatch.setattr(np, "unravel_index", lambda numbers, shape: shapes.append(shape) or unravel(numbers, shape))
+        fs = ForwarderSet(tuple(ForwarderEntry(node, 0.5, 1.0) for node in range(17)))
+        exact = oracle.exact_single_hop(fs)
+        error = max(abs(analysis.total_path_cost(fs) - exact.expected_cost),
+                    abs(analysis.coordination_overhead(fs) - exact.overhead))
+        report, code = verification.run_verification("sizes=17;probs=0.5;costs=1", trials=10)
+        assert code == 0
+        assert report.splitlines()[0] == (
+            f"verify case=single-hop-grid sets=1 max_abs_error={error:.3e} tolerance=1e-12 status=pass")
+        monkeypatch.setattr(verification, "SINGLE_HOP_TOLERANCE", -1.0)
+        report, code = verification.run_verification("sizes=17;probs=0.5;costs=1", trials=10)
+        assert code == 2
+        assert (f"verify breach case=single-hop-grid probs={(0.5,) * 17} costs={(1.0,) * 17} quantity=cost"
+                f" closed={analysis.total_path_cost(fs):.12g} oracle={exact.expected_cost:.12g}") in report
+        assert shapes and max(map(len, shapes)) == 17
 
     def test_grid_starts_in_bounded_memory(self):
         # the grid's sets are generated one block at a time; holding every
-        # index tuple of size 8 first took about 47 MB
+        # index tuple of size 8 first took about 47 MB; numpy's own import,
+        # about 7 MB when no earlier test made it, is no part of a block
+        import numpy  # noqa: F401
+
         probs, costs = verification.DEFAULT_GRID["probs"], verification.DEFAULT_GRID["costs"]
-        block = verification._grid_blocks([8], probs, costs)[0]
+        # the first block of size 8, as _grid_blocks cuts it; listing all
+        # 10 million blocks of a grid it would refuse took seconds and a GB
         tracemalloc.start()
         try:
-            verification._grid_block(probs, costs, *block)
+            verification._grid_block(probs, costs, 8, 0, oracle.batch_sets(8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials": 0}, "--trials must be >= 1"),
+        ({"trials": verification.MAX_TRIALS + 1}, "--trials must be <= 100000000"),
+        ({"seed": -1}, "--seed must be >= 0"),
+    ], ids=["no-trials", "too-many-trials", "negative-seed"])
+    def test_bad_trials_and_seed_are_refused_before_any_work(self, monkeypatch, kwargs, message):
+        def parse(grid):
+            raise AssertionError("grid parsed")
+
+        def run_jobs(jobs):
+            raise AssertionError("jobs run")
+
+        monkeypatch.setattr(verification, "_parse_grid", parse)
+        monkeypatch.setattr(engine, "run_jobs", run_jobs)
+        with pytest.raises(verification.GridError, match=f"^{re.escape(message)}$"):
+            verification.run_verification(**kwargs)
 
     def test_oversized_grid_is_refused_within_an_address_space_limit(self):
         # size 21 is past the oracle's bound: the refusal comes before any
@@ -1018,6 +1070,22 @@ class TestMainExitCodes:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not dest.parent.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "config error: --trials must be >= 1"),
+        (["--seed", "-1"], "config error: --seed must be >= 0"),
+        (["--grid", "sizes=x"], "config error: bad sizes list 'x'"),
+        (["--grid", "sizes=8"], "config error: --grid must make at most 1000000 forwarder sets"),
+        (["--grid", "sizes=1;probs=2"], "validation error: p_link must be a probability in [0, 1], got 2.0"),
+    ], ids=["trials", "seed", "grid", "grid-sets", "grid-value"])
+    def test_refused_verify_argument_comes_before_the_out(self, tmp_path, capsys, flags, message):
+        # as a refused config key does: the --out file is neither emptied nor made
+        stale, missing = tmp_path / "result.csv", tmp_path / "missing" / "result.csv"
+        stale.write_text("stale\n")
+        for dest in (stale, missing):
+            assert cli.main(["verify", *flags, "--out", str(dest)]) == 1
+            assert capsys.readouterr().err == f"{message}\n"
+        assert stale.read_text() == "stale\n" and not missing.parent.exists()
+
     def test_out_is_opened_before_the_command_runs(self, tmp_path, capsys, monkeypatch):
         runs = []
         real = engine.run_experiment
@@ -1175,6 +1243,13 @@ class TestRefusals:
         pytest.param(["analyze"], "topology: {kind: generated, nodes: 5, radio_range: .inf,"
                                   " gateway_position: [1.3e308, 1.3e308], ber: {kind: distance}}\n", None,
                      _INFINITE_LINK, id="distance-law-overflowing-link"),
+        # one node named twice was read as two independent receivers
+        pytest.param(["analyze"], "forwarder_sets: [[{node: 1, p_link: 0.5}, {node: 2}, {node: 1}]]\n", None,
+                     "forwarder_sets[0][2]: node 1 repeats forwarder_sets[0][0]", id="repeated-forwarder-node"),
+        # the second entry's node defaults to its index, 1
+        pytest.param(["analyze"], "forwarder_sets: [[{node: 0}], [{node: 1, p_link: 0.5}, {p_link: 0.5}]]\n",
+                     None, "forwarder_sets[1][1]: node 1 repeats forwarder_sets[1][0]",
+                     id="repeated-default-forwarder-node"),
     ])
     def test_refusal_is_one_config_error_line(self, tmp_path, monkeypatch, capsys, argv, cfg, topology_file,
                                               message):
@@ -1388,17 +1463,69 @@ def _kind_configs(draw):
     return command, cfg, topology_file
 
 
+def _drawn_config(tmp, name, cfg, topology_file) -> str:
+    """The path of ``cfg`` written as YAML to ``tmp / name``, with a drawn
+    topology file written beside it when its topology reads that file."""
+    if topology_file is not None and cfg["topology"]["path"] == "drawn.topo":
+        (tmp / "drawn.topo").write_text(topology_file)
+        cfg["topology"]["path"] = str(tmp / "drawn.topo")
+    (tmp / name).write_text(yaml.safe_dump(cfg))
+    return str(tmp / name)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_kind_configs())
 def test_generated_witness_and_file_end_in_rows_or_one_error_line(tmp_path_factory, drawn):
     command, cfg, topology_file = drawn
-    tmp = tmp_path_factory.getbasetemp()
-    if topology_file is not None and cfg["topology"]["path"] == "drawn.topo":
-        (tmp / "drawn.topo").write_text(topology_file)
-        cfg["topology"]["path"] = str(tmp / "drawn.topo")
-    path = tmp / "drawn-kind.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    ends_in_rows_or_one_error_line([command, str(path)])
+    ends_in_rows_or_one_error_line([command, _drawn_config(tmp_path_factory.getbasetemp(), "drawn-kind.yaml", cfg,
+                                                           topology_file)])
+
+
+# a drawn entry's ordinary values: a few node ids, so that two entries of
+# a set often name one node or mix integer and string ids
+_FORWARDER_ORDINARY = {"node": (0, 1, 2, "a", "b"), "p_link": (0.0, 0.3, 1.0), "remaining_cost": (0.0, 1.0, 2.5)}
+
+
+@st.composite
+def _forwarder_configs(draw):
+    """(config, topology file): an analyze config of 1 to 4 forwarder sets
+    of 1 to 4 entries, each entry setting keys of ``FORWARDER_FIELDS``;
+    one value in eight, be it the list, a set, an entry or an entry's key,
+    is at an edge instead, so that most configs are read to the end.  Up
+    to two frame and channel keys are drawn too, and half the time a
+    generated, witness or file topology as ``_kind_configs`` draws it (at
+    most 30 nodes)."""
+    def edge_or(make):
+        return draw(st.sampled_from(_EDGES)) if draw(st.sampled_from([False] * 7 + [True])) else make()
+
+    def entry():
+        return {key: edge_or(lambda: draw(st.sampled_from(ordinary)))
+                for key, ordinary in _FORWARDER_ORDINARY.items() if draw(st.booleans())}
+
+    def forwarder_set():
+        return [edge_or(entry) for _ in range(draw(st.integers(1, 4)))]
+
+    cfg = {"forwarder_sets": edge_or(lambda: [edge_or(forwarder_set) for _ in range(draw(st.integers(1, 4)))])}
+    topology_file = None
+    if draw(st.booleans()):
+        _, kind_cfg, topology_file = draw(_kind_configs())
+        cfg["topology"] = kind_cfg["topology"]
+    frame_and_channel = [key for key in _ANALYZE_KEYS if key[0] in ("frame", "channel")]
+    for section, *path in draw(st.lists(st.sampled_from(frame_and_channel), max_size=2, unique=True)):
+        value = draw(_value(path[-1]))
+        if path[0] == "channels":
+            cfg.setdefault(section, {}).setdefault("channels", [{}])[0][path[1]] = value
+        else:
+            cfg.setdefault(section, {})[path[0]] = value
+    return cfg, topology_file
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forwarder_configs())
+def test_analyze_of_forwarder_sets_ends_in_records_or_one_error_line(tmp_path_factory, drawn):
+    cfg, topology_file = drawn
+    ends_in_rows_or_one_error_line(["analyze", _drawn_config(tmp_path_factory.getbasetemp(), "drawn-sets.yaml", cfg,
+                                                             topology_file)])
 
 
 # grid items, the ordinary ones first, then those at the edges of each

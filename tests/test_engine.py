@@ -568,24 +568,23 @@ class TestRunVerification:
         serial = self.run(monkeypatch, 1, grid=None, seed=2)
         assert self.run(monkeypatch, cores, grid=None, seed=2) == serial
 
-    # whichever process claims the grid or a shard, a bad grid value still
-    # wins over a Monte Carlo error, as in the serial run; fewer than one
-    # trial is still one shard, which refuses it
+    # whichever process claims the grid or a shard, a bad grid value raises
+    # the serial error; a refused trial count or seed wins over it, before
+    # any job runs
     @pytest.mark.parametrize("kw, error", [
-        ({"grid": "probs=1.5"}, "p_link must be a probability in [0, 1], got 1.5"),
-        ({"seed": -1}, "expected non-negative integer"),
-        ({"trials": 0}, "trials must be >= 1, got 0"),
-        ({"grid": "probs=1.5", "seed": -1}, "p_link must be a probability in [0, 1], got 1.5"),
-        ({"trials": -3}, "trials must be >= 1, got -3"),
+        ({"grid": "probs=1.5"}, (ValueError, "p_link must be a probability in [0, 1], got 1.5")),
+        ({"seed": -1}, (verification.GridError, "--seed must be >= 0")),
+        ({"trials": 0}, (verification.GridError, "--trials must be >= 1")),
+        ({"grid": "probs=1.5", "seed": -1}, (verification.GridError, "--seed must be >= 0")),
+        ({"trials": -3}, (verification.GridError, "--trials must be >= 1")),
         # the serial grid meets every cost with the first probability before
         # any other probability, whichever block meets a value first
-        ({"grid": "probs=0.5,1.5;costs=1,-1", "seed": -1}, "remaining_cost must be finite and >= 0, got -1.0"),
-        ({"grid": "probs=0.5,nan,1.5;costs=1,2", "seed": -1}, "p_link must be a probability in [0, 1], got nan"),
+        ({"grid": "probs=0.5,1.5;costs=1,-1"}, (ValueError, "remaining_cost must be finite and >= 0, got -1.0")),
+        ({"grid": "probs=0.5,nan,1.5;costs=1,2"}, (ValueError, "p_link must be a probability in [0, 1], got nan")),
     ])
     def test_a_failing_job_raises_the_serial_error(self, monkeypatch, kw, error):
-        assert self.run(monkeypatch, 1, **kw) == (ValueError, error)
-        for cores in range(2, CORES + 1):
-            assert self.run(monkeypatch, cores, **kw) == (ValueError, error)
+        for cores in range(1, CORES + 1):
+            assert self.run(monkeypatch, cores, **kw) == error
 
     def test_a_child_that_dies_is_an_error(self, monkeypatch):
         monkeypatch.setattr(engine, "_child", lambda *args: os._exit(3))

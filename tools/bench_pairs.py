@@ -47,8 +47,9 @@ from ``BENCHMARK.json``; per workload also each side's raw (unscaled)
 run_s and setup_s medians and the median scale factor.  Per layer row it
 holds each side's q1, median and q3 over every round, the q1, median and
 q3 of the per-round ratio change/parent, and ``resolved``, true only when
-that ratio's interquartile range excludes 1; a row that is not resolved
-shows no difference the rounds can tell apart.  The file is
+that ratio's interquartile range excludes 1 and its median is at least
+``MIN_EFFECT`` away from 1; a row that is not resolved shows no
+difference the rounds can tell apart.  The file is
 rewritten after every pair, so an interrupted run keeps what it measured.
 """
 
@@ -75,6 +76,10 @@ GC_CYCLES = 8
 GC_PHASES = ("setup", "call", "loop")
 
 LAYER_ROUNDS = 15
+# the least ratio change/parent a layer row reads as a difference: the tree
+# timed against itself moved a row's median up to 2.6% off 1 with an
+# interquartile range that excluded 1
+MIN_EFFECT = 0.03
 VERIFY_GRID = "sizes=1-4;probs=0,0.5,1;costs=0,1,2.5"
 
 
@@ -278,12 +283,13 @@ def layer_summary(sides: dict) -> dict:
     """One layer row from its rounds (each side's time per round): each
     side's quartiles, the quartiles of the per-round ratio change/parent,
     and ``resolved``, true only when that ratio's interquartile range
-    excludes 1, so that the rounds tell the sides apart."""
+    excludes 1 and its median is at least ``MIN_EFFECT`` off 1, so that
+    the rounds tell the sides apart."""
     ratio = quartiles([c / p for p, c in zip(sides["parent"], sides["change"])])
     return {
         **{side: quartiles(sides[side]) for side in SIDES},
         "ratio_change_over_parent": ratio,
-        "resolved": ratio["q3"] < 1.0 or ratio["q1"] > 1.0,
+        "resolved": (ratio["q3"] < 1.0 or ratio["q1"] > 1.0) and abs(ratio["median"] - 1.0) >= MIN_EFFECT,
     }
 
 
