@@ -39,7 +39,7 @@ from .model import (
     NodeId,
     Topology,
     _nonnegative_int,
-    validate,  # re-exported only: every topology that prepare builds passes it
+    validate,  # re-exported only: perfbench's tracer wraps oppsim.cli.validate
 )
 from .verification import DEFAULT_SEED, DEFAULT_TRIALS
 

@@ -4,7 +4,8 @@ Every type is a frozen dataclass, safe to share between threads; input
 types check their field-level invariants at construction time.
 Whole-topology invariants (link symmetry, connectivity toward the gateway)
 are deliberately *not* enforced at construction; :func:`validate` reports
-them as a list of violations so a caller can surface every problem at once.
+every breach of them in a hand-built topology as a list of violations.
+``topology.prepare``, which builds every other topology, keeps them itself.
 """
 
 from __future__ import annotations
@@ -254,8 +255,9 @@ class Topology:
     map keyed by ordered node pairs, frame geometry, and the channel model.
 
     The link map is expected to hold both directions of every link with the
-    same bit error rate; :func:`validate` reports asymmetries instead of the
-    constructor rejecting them, so that diagnostics cover whole files.
+    same bit error rate.  ``topology.prepare`` stores each link that way; in
+    a hand-built topology, :func:`validate` reports asymmetries instead of
+    the constructor rejecting them.
 
     ``topology.prepare`` builds each topology once, with its hop IDs, and
     stores its cost table (:attr:`costs`); a node's rank is 1 plus its

@@ -97,6 +97,9 @@ class GeneratorConfig:
             raise ValueError(f"area_side must be positive and finite, got {self.area_side!r}")
         if not self.radio_range > 0.0:
             raise ValueError("radio_range must be positive")
+        # a NaN coordinate would leave every node out of the gateway's range
+        if self.gateway_position is not None and any(map(math.isnan, self.gateway_position)):
+            raise ValueError(f"gateway_position must not be NaN, got {self.gateway_position!r}")
 
 
 def _ber_law(

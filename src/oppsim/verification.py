@@ -113,7 +113,7 @@ def _grid_blocks(sizes, probs, costs) -> list[tuple[int, int, int]]:
 def _grid_indices(probs, costs, n: int, first: int, stop: int):
     """The probability and the cost indices of the sets of size n numbered
     ``first`` to ``stop - 1`` (see ``_grid_blocks``), decoded as two halves
-    of n <= 20 digits each: numpy 1.x takes at most 32 dimensions."""
+    of n digits each."""
     import numpy as np
 
     def digits(numbers, radix):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from oppsim import analysis
+from oppsim import analysis, model
 from oppsim import topology as topo
 from oppsim.model import (
     Channel,
@@ -287,19 +287,19 @@ def test_potential_bandwidth():
 
 class TestPathCostTable:
     def test_gateway_anchored_at_zero(self):
-        table = analysis.PathCostTable(gateway=0, costs={0: 0.0, 1: 1.25})
+        table = model.PathCostTable(gateway=0, costs={0: 0.0, 1: 1.25})
         assert table[0] == 0.0
         assert table[1] == 1.25
         assert 1 in table and 9 not in table
 
     def test_rejects_nonzero_gateway_cost(self):
         with pytest.raises(ValueError):
-            analysis.PathCostTable(gateway=0, costs={0: 0.5})
+            model.PathCostTable(gateway=0, costs={0: 0.5})
 
     def test_rejects_sub_unit_node_cost(self):
         # any non-gateway node needs at least one transmission
         with pytest.raises(ValueError):
-            analysis.PathCostTable(gateway=0, costs={0: 0.0, 1: 0.5})
+            model.PathCostTable(gateway=0, costs={0: 0.0, 1: 0.5})
 
 
 class TestNetworkCosts:

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from oppsim import cli, topology as topo
+import oppsim
+from oppsim import cli, model, topology as topo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -65,6 +66,12 @@ BUILDER_CALLS = {
 def test_every_traced_function_exists(layer, name):
     module = importlib.import_module(f"oppsim.{layer}")
     assert callable(getattr(module, name))
+
+
+def test_validate_aliases_are_the_model_function():
+    # the benchmark's tracer test finds model.validate under both aliases
+    assert oppsim.validate is model.validate
+    assert cli.validate is model.validate
 
 
 def test_every_traced_builder_has_a_call_here():

@@ -542,9 +542,9 @@ class TestVerifyCommand:
             pis + cis for pis in itertools.product(range(n_probs), repeat=n)
             for cis in itertools.product(range(n_costs), repeat=n)]
 
-    def test_a_set_of_size_17_decodes_within_numpy_1s_32_dimensions(self, monkeypatch):
-        # numpy 1.x takes at most 32 dimensions: the 2n digits of a set of
-        # size 17 to 20 are decoded as two halves of n
+    def test_a_set_of_size_17_decodes_as_two_halves(self, monkeypatch):
+        # the 2n digits of a set are decoded as two halves of n, which is
+        # faster than one decode over 2n
         import numpy as np
 
         shapes, unravel = [], np.unravel_index
@@ -1243,6 +1243,11 @@ class TestRefusals:
         pytest.param(["analyze"], "topology: {kind: generated, nodes: 5, radio_range: .inf,"
                                   " gateway_position: [1.3e308, 1.3e308], ber: {kind: distance}}\n", None,
                      _INFINITE_LINK, id="distance-law-overflowing-link"),
+        # a NaN gateway was refused as a disconnected node, or built when alone
+        pytest.param(["analyze"], "topology: {kind: generated, nodes: 5, gateway_position: [.nan, 0]}\n", None,
+                     "topology: gateway_position must not be NaN, got (nan, 0.0)", id="nan-gateway-position"),
+        pytest.param(["analyze"], "topology: {kind: generated, nodes: 1, gateway_position: [0, .nan]}\n", None,
+                     "topology: gateway_position must not be NaN, got (0.0, nan)", id="nan-gateway-position-alone"),
         # one node named twice was read as two independent receivers
         pytest.param(["analyze"], "forwarder_sets: [[{node: 1, p_link: 0.5}, {node: 2}, {node: 1}]]\n", None,
                      "forwarder_sets[0][2]: node 1 repeats forwarder_sets[0][0]", id="repeated-forwarder-node"),

@@ -46,11 +46,15 @@ def test_star_commands_leave_numpy_out(tmp_path, command):
     assert out == "False\n"
 
 
-def test_star_import_and_the_frame_oracle_still_work(tmp_path):
+def test_each_name_comes_from_its_module_and_the_frame_oracle_works(tmp_path):
+    # the package root re-exports no layer's names
     out = run_python(
-        "from oppsim import *\n"
         "import oppsim\n"
-        "est = oppsim.bit_level_frame_oracle(0.01, DEFAULT_FRAME, 1000, 0)\n"
+        "names = ('generate', 'run_experiment', 'total_path_cost', 'bit_level_frame_oracle')\n"
+        "assert not any(hasattr(oppsim, name) for name in names)\n"
+        "from oppsim.oracle import bit_level_frame_oracle\n"
+        "from oppsim.topology import DEFAULT_FRAME\n"
+        "est = bit_level_frame_oracle(0.01, DEFAULT_FRAME, 1000, 0)\n"
         "print(est.trials, 0.0 <= est.joint_miss <= est.data_miss <= 1.0)\n",
         tmp_path,
     )

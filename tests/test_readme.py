@@ -1,4 +1,5 @@
-"""The README's config reference shows the parser's defaults.
+"""The README's config reference shows the parser's defaults, and its
+library example gives the values it runs to.
 
 Each value the reference shows must build the same thing as leaving the
 key out, and each key it marks ``required`` must fail, naming the key,
@@ -20,6 +21,7 @@ from oppsim.model import ChannelModel
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 REFERENCE = README[README.index("### Config reference") : README.index("### Topology files")]
 CONFIG_BLOCK, KINDS_BLOCK = re.findall(r"```yaml\n(.*?)```", REFERENCE, re.S)
+LIBRARY_BLOCK = re.search(r"## Library use\n.*?```python\n(.*?)```", README, re.S).group(1)
 TOPOLOGY_FILE = re.search(r"### Topology files\n\n```\n(.*?)```", README, re.S).group(1)
 
 KINDS = yaml.safe_load(KINDS_BLOCK)
@@ -114,3 +116,26 @@ def test_distance_ber_shows_its_defaults():
         return cli.read_spec({"topology": section}).build()
 
     assert build(shown) == build({"kind": "distance"})
+
+
+# each expression the library example comments on: what its comment shows,
+# and the value that stands for
+LIBRARY_VALUES = {
+    "analysis.total_path_cost(fs)": ("2.333...", pytest.approx(7 / 3)),
+    "analysis.coordination_overhead(fs)": ("0.75", 0.75),
+    "star.costs[1], star.rank(1)": ("(1.0, 2.0)", (1.0, 2.0)),
+    "trace.first_arrival_hops": ("2,", 2),
+    "elect.actor, elect.sender, elect.slot, elect.hops": ("(1, 4, 0, 1)", (1, 4, 0, 1)),
+}
+
+
+def test_library_example_runs_to_the_values_it_gives():
+    namespace = {}
+    exec(LIBRARY_BLOCK, namespace)
+    comments = dict(
+        (part.strip() for part in line.split("#"))
+        for line in LIBRARY_BLOCK.splitlines() if "#" in line
+    )
+    for expression, (shown, value) in LIBRARY_VALUES.items():
+        assert comments[expression].startswith(shown), expression
+        assert eval(expression, namespace) == value, expression
